@@ -57,7 +57,6 @@ from .simulate import (
     StrategyComparison,
     Utility,
     compare_strategies,
-    feedback_strategy_from_policy,
     simulate,
     simulate_unimpacted,
 )

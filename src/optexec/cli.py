@@ -40,8 +40,8 @@ from .impact import (
 from .simulate import (
     CoefficientSet,
     DeterministicStrategy,
+    FeedbackStrategy,
     compare_strategies,
-    feedback_strategy_from_policy,
     simulate,
 )
 
@@ -78,25 +78,6 @@ def _write_artifacts(name: str, cfg: RunConfig, out_dir: str, summary: dict, tab
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _out_dir(args, cfg: RunConfig) -> str:
-    if getattr(args, "output", None):
-        return args.output
-    env = os.environ.get(OUTPUT_ENV_VAR)
-    if env:
-        return env
-    return cfg.output.directory
-
-
-def _load_config(args) -> RunConfig:
-    mapping = getattr(args, "_mapping", None)
-    if mapping is None:
-        mapping = read_config_file(args.config) if args.config else {}
-    mapping = apply_overrides(mapping, getattr(args, "set", None))
-    if not mapping:
-        raise ConfigError("no configuration given; pass --config FILE or --set section.key=value")
-    return build_run_config(mapping)
 
 
 def _schedule_table(schedule: Schedule, n: int):
@@ -138,15 +119,15 @@ def _build_strategy(spec: str, cfg: RunConfig):
         )
     if spec.startswith("rate:"):
         rate = float(spec.split(":", 1)[1])
-        if rate < 0.0:
-            raise ConfigError("rate strategy needs a non-negative rate")
+        if not (np.isfinite(rate) and rate >= 0.0):
+            raise ConfigError("rate strategy needs a finite non-negative rate")
         duration = min(x0 / rate, horizon) if rate > 0.0 else 0.0
         return DeterministicStrategy(Schedule.constant(rate, duration, horizon))
     if spec == "zero":
         return DeterministicStrategy(Schedule.constant(0.0, 0.0, horizon))
     if spec == "feedback":
         surface = _solve_surface(cfg)
-        return feedback_strategy_from_policy(surface)
+        return FeedbackStrategy(surface)
     raise ConfigError(f"unknown strategy spec {spec!r}")
 
 
@@ -167,12 +148,10 @@ def _solve_surface(cfg: RunConfig):
     )
 
 
-# -- subcommands ----------------------------------------------------------------
+# -- subcommands: each maps a config to (summary, tables) -------------------------
 
 
-def _cmd_twap(args) -> int:
-    cfg = _load_config(args)
-    cfg.require("impact", "market", "problem")
+def _twap(cfg: RunConfig):
     p = cfg.problem
     sol = twap_solution(p.c0, p.x0, p.s0, cfg.model, cfg.market.decay, p.horizon)
     summary = {
@@ -182,14 +161,10 @@ def _cmd_twap(args) -> int:
         "sell_duration": sol.schedule.total / sol.rate if sol.rate > 0 else 0.0,
         "decay": cfg.market.decay,
     }
-    tables = {"schedule": _schedule_table(sol.schedule, cfg.output.schedule_samples)}
-    _write_artifacts("twap", cfg, _out_dir(args, cfg), summary, tables)
-    return 0
+    return summary, {"schedule": _schedule_table(sol.schedule, cfg.output.schedule_samples)}
 
 
-def _cmd_mixed_power(args) -> int:
-    cfg = _load_config(args)
-    cfg.require("impact", "market", "problem")
+def _mixed_power(cfg: RunConfig):
     if not isinstance(cfg.model, MixedPowerImpact):
         raise ConfigError("mixed-power needs [impact] family = mixed_power")
     p = cfg.problem
@@ -205,26 +180,19 @@ def _cmd_mixed_power(args) -> int:
     tables = {}
     if sol.schedule is not None:
         tables["schedule"] = _schedule_table(sol.schedule, cfg.output.schedule_samples)
-    _write_artifacts("mixed-power", cfg, _out_dir(args, cfg), summary, tables)
-    return 0
+    return summary, tables
 
 
-def _cmd_levy_nu(args) -> int:
-    cfg = _load_config(args)
-    cfg.require("impact", "market")
+def _levy_nu(cfg: RunConfig):
     if not isinstance(cfg.model, LevyEffectiveImpact):
         raise ConfigError("levy-nu needs [impact] family = levy_effective")
     m = cfg.model
     rate = levy_effective_twap_rate(m.gamma, m.alpha0, m.alpha1, m.beta1, cfg.market.decay)
     residual = m.excess_impact(rate) - cfg.market.decay
-    summary = {"rate": rate, "residual": residual, "decay": cfg.market.decay}
-    _write_artifacts("levy-nu", cfg, _out_dir(args, cfg), summary, {})
-    return 0
+    return {"rate": rate, "residual": residual, "decay": cfg.market.decay}, {}
 
 
-def _cmd_extreme_compare(args) -> int:
-    cfg = _load_config(args)
-    cfg.require("impact", "market", "problem")
+def _extreme_compare(cfg: RunConfig):
     if not isinstance(cfg.model, ShiftedConvexImpact):
         raise ConfigError("extreme-compare needs [impact] family = shifted_convex")
     p = cfg.problem
@@ -235,13 +203,10 @@ def _cmd_extreme_compare(args) -> int:
         "rate": comp.rate,
         "margin": comp.optimal_value - comp.threshold_value,
     }
-    _write_artifacts("extreme-compare", cfg, _out_dir(args, cfg), summary, {})
-    return 0
+    return summary, {}
 
 
-def _cmd_solve_hjb(args) -> int:
-    cfg = _load_config(args)
-    cfg.require("impact", "market", "problem")
+def _solve_hjb(cfg: RunConfig):
     p = cfg.problem
     surface = _solve_surface(cfg)
     w_term = surface.value_at(p.horizon, p.x0)
@@ -272,30 +237,15 @@ def _cmd_solve_hjb(args) -> int:
     for l, t in enumerate(surface.t_grid):
         for i, x in enumerate(surface.x_grid):
             rows.append((t, x, surface.values[l, i], surface.policy[l, i]))
-    tables = {"surface": (["t", "x", "W", "speed"], rows)}
-    _write_artifacts("solve-hjb", cfg, _out_dir(args, cfg), summary, tables)
-    return 0
+    return summary, {"surface": (["t", "x", "W", "speed"], rows)}
 
 
-def _cmd_simulate(args) -> int:
-    cfg = _load_config(args)
-    cfg.require("impact", "market", "problem")
+def _simulate(cfg: RunConfig):
     p, sim = cfg.problem, cfg.sim
     strategy = _build_strategy(sim.strategy, cfg)
     coeffs = CoefficientSet.black_scholes(cfg.market.mu, cfg.market.sigma)
-    res = simulate(
-        strategy,
-        coeffs,
-        cfg.model,
-        p.c0,
-        p.x0,
-        p.s0,
-        p.horizon,
-        sim.n_paths,
-        sim.n_steps,
-        sim.seed,
-        log_floor=sim.log_floor,
-    )
+    run = (strategy, coeffs, cfg.model, p.c0, p.x0, p.s0, p.horizon)
+    res = simulate(*run, sim.n_paths, sim.n_steps, sim.seed, log_floor=sim.log_floor)
     summary = {
         "strategy": sim.strategy,
         "mean": res.mean_utility,
@@ -310,19 +260,9 @@ def _cmd_simulate(args) -> int:
     }
     tables = {}
     if sim.path_csv_cap > 0:
+        n_small = min(sim.path_csv_cap, sim.n_paths)
         small = simulate(
-            strategy,
-            coeffs,
-            cfg.model,
-            p.c0,
-            p.x0,
-            p.s0,
-            p.horizon,
-            min(sim.path_csv_cap, sim.n_paths),
-            sim.n_steps,
-            sim.seed,
-            log_floor=sim.log_floor,
-            return_paths=True,
+            *run, n_small, sim.n_steps, sim.seed, log_floor=sim.log_floor, return_paths=True
         )
         rows = []
         for i in range(small.n_paths):
@@ -331,15 +271,12 @@ def _cmd_simulate(args) -> int:
                     (i, t, small.paths["S"][i, k], small.paths["C"][i, k], small.paths["X"][i, k])
                 )
         tables["paths"] = (["path", "t", "S", "C", "X"], rows)
-    _write_artifacts("simulate", cfg, _out_dir(args, cfg), summary, tables)
-    return 0
+    return summary, tables
 
 
-def _cmd_compare(args) -> int:
-    cfg = _load_config(args)
-    cfg.require("impact", "market", "problem")
+def _compare(cfg: RunConfig):
     p, sim = cfg.problem, cfg.sim
-    named = [(name, _build_strategy(name, cfg)) for name in cfg.compare_names]
+    named = [(name, _build_strategy(name, cfg)) for name in cfg.compare.strategies]
     coeffs = CoefficientSet.black_scholes(cfg.market.mu, cfg.market.sigma)
     comp = compare_strategies(
         named,
@@ -364,14 +301,10 @@ def _cmd_compare(args) -> int:
         ],
     }
     rows = list(zip(comp.names, comp.means, comp.std_errors))
-    tables = {"comparison": (["strategy", "mean", "std_error"], rows)}
-    _write_artifacts("compare", cfg, _out_dir(args, cfg), summary, tables)
-    return 0
+    return summary, {"comparison": (["strategy", "mean", "std_error"], rows)}
 
 
-def _cmd_hamiltonian_check(args) -> int:
-    cfg = _load_config(args)
-    cfg.require("impact")
+def _hamiltonian_check(cfg: RunConfig):
     rows = closed_vs_brute_samples(
         cfg.model, cfg.check.draws, seed=cfg.check.seed, n_grid=cfg.check.grid_points
     )
@@ -381,16 +314,11 @@ def _cmd_hamiltonian_check(args) -> int:
         "max_scaled_diff": worst,
         "within_tol": bool(worst <= 1e-6),
     }
-    tables = {
-        "hamiltonian": (["s", "p_c", "p_x", "p_s", "H_closed", "H_brute", "speed"], rows)
-    }
-    _write_artifacts("hamiltonian-check", cfg, _out_dir(args, cfg), summary, tables)
-    return 0
+    header = ["s", "p_c", "p_x", "p_s", "H_closed", "H_brute", "speed"]
+    return summary, {"hamiltonian": (header, rows)}
 
 
-def _cmd_impact_plot(args) -> int:
-    cfg = _load_config(args)
-    cfg.require("impact")
+def _impact_plot(cfg: RunConfig):
     model, plot = cfg.model, cfg.plot
     x_hi = plot.x_max if plot.x_max is not None else 2.5 * model.threshold + 2.0
     if plot.spacing == "log":
@@ -402,8 +330,42 @@ def _cmd_impact_plot(args) -> int:
         hval = model.h(float(x)) if x > 0.0 else ""
         rows.append((float(x), model.g(float(x)), hval))
     summary = {"family": model.family, "threshold": model.threshold, "x_max": float(x_hi)}
-    _write_artifacts("impact-plot", cfg, _out_dir(args, cfg), summary, {"impact": (["x", "g", "h"], rows)})
+    return summary, {"impact": (["x", "g", "h"], rows)}
+
+
+_PROBLEM = ("impact", "market", "problem")
+
+# subcommand -> (handler, sections it requires)
+_HANDLERS = {
+    "twap": (_twap, _PROBLEM),
+    "mixed-power": (_mixed_power, _PROBLEM),
+    "levy-nu": (_levy_nu, ("impact", "market")),
+    "extreme-compare": (_extreme_compare, _PROBLEM),
+    "solve-hjb": (_solve_hjb, _PROBLEM),
+    "simulate": (_simulate, _PROBLEM),
+    "compare": (_compare, _PROBLEM),
+    "hamiltonian-check": (_hamiltonian_check, ("impact",)),
+    "impact-plot": (_impact_plot, ("impact",)),
+}
+
+
+def _run(name: str, mapping: dict, overrides, output) -> int:
+    """Load the config, check its sections, run the subcommand and write its artifacts."""
+    mapping = apply_overrides(mapping, overrides)
+    if not mapping:
+        raise ConfigError("no configuration given; pass --config FILE or --set section.key=value")
+    cfg = build_run_config(mapping)
+    handler, sections = _HANDLERS[name]
+    cfg.require(*sections)
+    summary, tables = handler(cfg)
+    out_dir = output or os.environ.get(OUTPUT_ENV_VAR) or cfg.output.directory
+    _write_artifacts(name, cfg, out_dir, summary, tables)
     return 0
+
+
+def _cmd_run(args) -> int:
+    mapping = read_config_file(args.config) if args.config else {}
+    return _run(args.subcommand, mapping, args.set, args.output)
 
 
 def _cmd_rerun(args) -> int:
@@ -412,25 +374,17 @@ def _cmd_rerun(args) -> int:
             manifest = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot load manifest: {exc}") from None
-    sub = manifest.get("subcommand")
-    handler = _HANDLERS.get(sub)
-    if handler is None:
+    if not isinstance(manifest, dict):
+        raise ConfigError("manifest is not a JSON object")
+    sub, config = manifest.get("subcommand"), manifest.get("config")
+    if sub not in _HANDLERS:
         raise ConfigError(f"manifest names unknown subcommand {sub!r}")
-    ns = argparse.Namespace(config=None, set=None, output=args.output, _mapping=manifest["config"])
-    return handler(ns)
-
-
-_HANDLERS = {
-    "twap": _cmd_twap,
-    "mixed-power": _cmd_mixed_power,
-    "levy-nu": _cmd_levy_nu,
-    "extreme-compare": _cmd_extreme_compare,
-    "solve-hjb": _cmd_solve_hjb,
-    "simulate": _cmd_simulate,
-    "compare": _cmd_compare,
-    "hamiltonian-check": _cmd_hamiltonian_check,
-    "impact-plot": _cmd_impact_plot,
-}
+    sections = config.values() if isinstance(config, dict) else [None]
+    if not all(
+        isinstance(kv, dict) and all(isinstance(v, str) for v in kv.values()) for kv in sections
+    ):
+        raise ConfigError("manifest config must map sections to string-valued keys")
+    return _run(sub, config, None, args.output)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -440,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
         "an HJB solver, and a Monte Carlo simulator.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, handler in _HANDLERS.items():
+    for name in _HANDLERS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="path to the INI-style run configuration")
         p.add_argument(
@@ -450,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="override a config value (repeatable)",
         )
         p.add_argument("--output", help="output directory (overrides config and environment)")
-        p.set_defaults(func=handler)
+        p.set_defaults(func=_cmd_run)
     rerun = sub.add_parser("rerun", help="re-execute a run from its manifest")
     rerun.add_argument("manifest")
     rerun.add_argument("--output", help="output directory override")

@@ -3,31 +3,24 @@
 Sections: [impact] (family + parameters), [market] (mu/sigma or decay),
 [problem] (c0, x0, s0, horizon), [solver], [sim], [compare], [check],
 [plot], [output].  Every subcommand states which sections it needs; unknown
-keys are rejected so typos fail loudly.  `RunConfig.resolved` holds the
-fully-defaulted string mapping that goes into the run manifest, from which
-the identical configuration can be rebuilt.
+keys are rejected so typos fail loudly.  Outside [impact] and [market], the
+fields of a section's settings dataclass are its keys: their annotations give
+the casts, and fields without a default are required.  `RunConfig.resolved`
+holds the fully-defaulted string mapping that goes into the run manifest, from
+which the identical configuration can be rebuilt.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+import math
+import typing
+from dataclasses import MISSING, dataclass, fields
 from typing import Optional
 
 from .closed_form import MarketParams
 from .errors import ConfigError
 from .impact import ImpactModel, impact_from_config
-
-_SECTION_KEYS = {
-    "market": {"mu", "sigma", "decay"},
-    "problem": {"c0", "x0", "s0", "horizon"},
-    "solver": {"nt", "nx", "x_max", "y_max", "max_expansions", "refine"},
-    "sim": {"n_paths", "n_steps", "seed", "strategy", "log_floor", "path_csv_cap"},
-    "compare": {"strategies"},
-    "check": {"draws", "seed", "grid_points"},
-    "plot": {"x_min", "x_max", "points", "spacing"},
-    "output": {"directory", "formats", "schedule_samples"},
-}
 
 
 @dataclass(frozen=True)
@@ -113,6 +106,8 @@ class PlotSettings:
             raise ConfigError("log spacing needs plot.x_min > 0")
         if self.x_min < 0.0:
             raise ConfigError("plot.x_min must be non-negative")
+        if self.x_max is not None and self.x_max <= self.x_min:
+            raise ConfigError("plot.x_max must exceed plot.x_min")
 
 
 @dataclass(frozen=True)
@@ -129,6 +124,45 @@ class OutputSettings:
             raise ConfigError("output.schedule_samples must be at least 1")
 
 
+@dataclass(frozen=True)
+class CompareSettings:
+    strategies: tuple = ("twap", "threshold")
+
+
+# [section] -> settings dataclass, for every section but [impact] and [market]
+_SECTIONS = {
+    "problem": ProblemSpec,
+    "solver": SolverSettings,
+    "sim": SimSettings,
+    "compare": CompareSettings,
+    "check": CheckSettings,
+    "plot": PlotSettings,
+    "output": OutputSettings,
+}
+
+
+def _kinds(cls) -> dict:
+    """Field name -> cast, read from the annotations (Optional[X] casts to X)."""
+    out = {}
+    for name, hint in typing.get_type_hints(cls).items():
+        args = [a for a in typing.get_args(hint) if a is not type(None)]
+        out[name] = args[0] if args else hint
+    return out
+
+
+# section -> (field casts, required fields); derived at import, not per parse
+_SCHEMAS = {
+    s: (_kinds(cls), {f.name for f in fields(cls) if f.default is MISSING})
+    for s, cls in _SECTIONS.items()
+}
+_MARKET_KINDS = _kinds(MarketParams)
+
+_BOOLS = {
+    **dict.fromkeys(("1", "true", "yes", "on"), True),
+    **dict.fromkeys(("0", "false", "no", "off"), False),
+}
+
+
 @dataclass
 class RunConfig:
     model: Optional[ImpactModel]
@@ -136,21 +170,25 @@ class RunConfig:
     problem: Optional[ProblemSpec]
     solver: SolverSettings
     sim: SimSettings
+    compare: CompareSettings
     check: CheckSettings
     plot: PlotSettings
     output: OutputSettings
-    compare_names: tuple
-    resolved: dict = field(default_factory=dict)
 
     def require(self, *sections):
-        present = {
-            "impact": self.model is not None,
-            "market": self.market is not None,
-            "problem": self.problem is not None,
-        }
         for s in sections:
-            if not present.get(s, True):
+            if getattr(self, "model" if s == "impact" else s) is None:
                 raise ConfigError(f"missing required [{s}] section")
+
+    @property
+    def resolved(self) -> dict:
+        """Fully-defaulted string mapping, suitable for the manifest."""
+        out = {} if self.model is None else {"impact": self.model.to_config()}
+        for section in ("market", *_SECTIONS):
+            settings = getattr(self, section)
+            if settings is not None:
+                out[section] = _render(settings)
+        return out
 
 
 def read_config_file(path: str) -> dict:
@@ -177,36 +215,45 @@ def apply_overrides(mapping: dict, overrides) -> dict:
     return out
 
 
-def _floats(section: str, items: dict, casts: dict) -> dict:
+def _parse(section: str, key: str, raw: str, kind):
+    try:
+        if kind is tuple:
+            return tuple(s.strip() for s in raw.split(",") if s.strip())
+        value = _BOOLS[raw.strip().lower()] if kind is bool else kind(raw)
+    except (KeyError, TypeError, ValueError):
+        raise ConfigError(f"{section}.{key} = {raw!r} is not a valid {kind.__name__}") from None
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{section}.{key} = {raw!r} must be finite")
+    return value
+
+
+def _parse_items(section: str, items: dict, kinds: dict) -> dict:
+    unknown = set(items) - set(kinds)
+    if unknown:
+        raise ConfigError(f"unknown key(s) in [{section}]: {sorted(unknown)}")
+    return {key: _parse(section, key, raw, kinds[key]) for key, raw in items.items()}
+
+
+def _render(settings) -> dict:
+    """Settings as manifest strings: repr for floats, lower-case bools, comma-joined tuples."""
     out = {}
-    for key, raw in items.items():
-        cast = casts[key]
-        try:
-            if cast is bool:
-                low = raw.strip().lower()
-                if low in ("1", "true", "yes", "on"):
-                    out[key] = True
-                elif low in ("0", "false", "no", "off"):
-                    out[key] = False
-                else:
-                    raise ValueError(raw)
-            else:
-                out[key] = cast(raw)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{section}.{key} = {raw!r} is not a valid {cast.__name__}") from None
+    for f in fields(settings):
+        value = getattr(settings, f.name)
+        if value is None:
+            continue
+        if isinstance(value, bool):
+            out[f.name] = str(value).lower()
+        elif isinstance(value, float):
+            out[f.name] = repr(value)
+        elif isinstance(value, tuple):
+            out[f.name] = ",".join(value)
+        else:
+            out[f.name] = str(value)
     return out
 
 
-def _check_keys(section: str, items: dict):
-    allowed = _SECTION_KEYS[section]
-    unknown = set(items) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) in [{section}]: {sorted(unknown)}")
-
-
 def _parse_market(items: dict) -> MarketParams:
-    _check_keys("market", items)
-    vals = _floats("market", items, {"mu": float, "sigma": float, "decay": float})
+    vals = _parse_items("market", items, _MARKET_KINDS)
     has_pair = "mu" in vals or "sigma" in vals
     if has_pair and not ("mu" in vals and "sigma" in vals):
         raise ConfigError("[market] needs both mu and sigma when either is given")
@@ -223,11 +270,18 @@ def _parse_market(items: dict) -> MarketParams:
     return MarketParams.from_decay(vals["decay"])
 
 
+def _build(section: str, items: dict):
+    kinds, required = _SCHEMAS[section]
+    vals = _parse_items(section, items, kinds)
+    missing = required - set(vals)
+    if missing:
+        raise ConfigError(f"[{section}] missing key(s): {sorted(missing)}")
+    return _SECTIONS[section](**vals)
+
+
 def build_run_config(mapping: dict) -> RunConfig:
     """Validate a raw section mapping and materialize all defaults."""
-    mapping = {s: dict(kv) for s, kv in mapping.items()}
-    known = set(_SECTION_KEYS) | {"impact"}
-    unknown = set(mapping) - known
+    unknown = set(mapping) - set(_SECTIONS) - {"impact", "market"}
     if unknown:
         raise ConfigError(f"unknown section(s): {sorted(unknown)}")
 
@@ -239,126 +293,9 @@ def build_run_config(mapping: dict) -> RunConfig:
             raise ConfigError(f"[impact]: {exc}") from None
 
     market = _parse_market(mapping["market"]) if "market" in mapping else None
-
-    problem = None
-    if "problem" in mapping:
-        _check_keys("problem", mapping["problem"])
-        vals = _floats(
-            "problem", mapping["problem"], {k: float for k in _SECTION_KEYS["problem"]}
-        )
-        missing = _SECTION_KEYS["problem"] - set(vals)
-        if missing:
-            raise ConfigError(f"[problem] missing key(s): {sorted(missing)}")
-        problem = ProblemSpec(**vals)
-
-    def build(section, cls, casts):
-        items = mapping.get(section, {})
-        _check_keys(section, items)
-        return cls(**_floats(section, items, casts))
-
-    solver = build(
-        "solver",
-        SolverSettings,
-        {"nt": int, "nx": int, "x_max": float, "y_max": float, "max_expansions": int, "refine": bool},
-    )
-    sim = build(
-        "sim",
-        SimSettings,
-        {
-            "n_paths": int,
-            "n_steps": int,
-            "seed": int,
-            "strategy": str,
-            "log_floor": float,
-            "path_csv_cap": int,
-        },
-    )
-    check = build("check", CheckSettings, {"draws": int, "seed": int, "grid_points": int})
-    plot = build(
-        "plot", PlotSettings, {"x_min": float, "x_max": float, "points": int, "spacing": str}
-    )
-
-    out_items = dict(mapping.get("output", {}))
-    _check_keys("output", out_items)
-    formats = out_items.pop("formats", None)
-    kwargs = _floats("output", out_items, {"directory": str, "schedule_samples": int})
-    if formats is not None:
-        kwargs["formats"] = tuple(f.strip() for f in formats.split(",") if f.strip())
-    output = OutputSettings(**kwargs)
-
-    comp_items = mapping.get("compare", {})
-    _check_keys("compare", comp_items)
-    names = tuple(
-        s.strip() for s in comp_items.get("strategies", "twap,threshold").split(",") if s.strip()
-    )
-
-    cfg = RunConfig(
-        model=model,
-        market=market,
-        problem=problem,
-        solver=solver,
-        sim=sim,
-        check=check,
-        plot=plot,
-        output=output,
-        compare_names=names,
-    )
-    cfg.resolved = _resolve(cfg, mapping)
-    return cfg
-
-
-def _resolve(cfg: RunConfig, mapping: dict) -> dict:
-    """Fully-defaulted string mapping, suitable for the manifest."""
-    out = {}
-    if cfg.model is not None:
-        out["impact"] = cfg.model.to_config()
-    if cfg.market is not None:
-        out["market"] = {
-            "mu": repr(cfg.market.mu),
-            "sigma": repr(cfg.market.sigma),
-            "decay": repr(cfg.market.decay),
-        }
-    if cfg.problem is not None:
-        out["problem"] = {
-            "c0": repr(cfg.problem.c0),
-            "x0": repr(cfg.problem.x0),
-            "s0": repr(cfg.problem.s0),
-            "horizon": repr(cfg.problem.horizon),
-        }
-    out["solver"] = {
-        "nt": str(cfg.solver.nt),
-        "nx": str(cfg.solver.nx),
-        "max_expansions": str(cfg.solver.max_expansions),
-        "refine": str(cfg.solver.refine).lower(),
+    # a section with required keys (only [problem]) stays None when absent
+    settings = {
+        s: _build(s, mapping.get(s, {})) if s in mapping or not required else None
+        for s, (_, required) in _SCHEMAS.items()
     }
-    if cfg.solver.x_max is not None:
-        out["solver"]["x_max"] = repr(cfg.solver.x_max)
-    if cfg.solver.y_max is not None:
-        out["solver"]["y_max"] = repr(cfg.solver.y_max)
-    out["sim"] = {
-        "n_paths": str(cfg.sim.n_paths),
-        "n_steps": str(cfg.sim.n_steps),
-        "seed": str(cfg.sim.seed),
-        "strategy": cfg.sim.strategy,
-        "log_floor": repr(cfg.sim.log_floor),
-        "path_csv_cap": str(cfg.sim.path_csv_cap),
-    }
-    out["check"] = {
-        "draws": str(cfg.check.draws),
-        "seed": str(cfg.check.seed),
-        "grid_points": str(cfg.check.grid_points),
-    }
-    out["plot"] = {
-        "x_min": repr(cfg.plot.x_min),
-        "points": str(cfg.plot.points),
-        "spacing": cfg.plot.spacing,
-    }
-    if cfg.plot.x_max is not None:
-        out["plot"]["x_max"] = repr(cfg.plot.x_max)
-    out["compare"] = {"strategies": ",".join(cfg.compare_names)}
-    out["output"] = {
-        "directory": cfg.output.directory,
-        "formats": ",".join(cfg.output.formats),
-        "schedule_samples": str(cfg.output.schedule_samples),
-    }
-    return out
+    return RunConfig(model=model, market=market, **settings)

@@ -395,6 +395,9 @@ def impact_from_config(mapping) -> ImpactModel:
         kwargs = {k: float(v) for k, v in items.items()}
     except ValueError as exc:
         raise ValueError(f"non-numeric impact parameter: {exc}") from None
+    nonfinite = sorted(k for k, v in kwargs.items() if not np.isfinite(v))
+    if nonfinite:
+        raise ValueError(f"non-finite {family} parameter(s): {nonfinite}")
     return cls(**kwargs)
 
 

@@ -34,7 +34,6 @@ __all__ = [
     "UnimpactedResult",
     "simulate",
     "simulate_unimpacted",
-    "feedback_strategy_from_policy",
     "StrategyComparison",
     "compare_strategies",
     "QUANTILE_LEVELS",
@@ -107,10 +106,6 @@ class FeedbackStrategy:
         y = self.surface.policy_row(ttg, remaining)
         y = np.where((y > 0.0) & (y <= self.threshold), 0.0, y)
         return np.where(remaining > 0.0, np.maximum(y, 0.0), 0.0)
-
-
-def feedback_strategy_from_policy(surface: ValueSurface) -> FeedbackStrategy:
-    return FeedbackStrategy(surface)
 
 
 @dataclass(frozen=True)

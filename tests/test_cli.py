@@ -72,13 +72,41 @@ def test_summaries_are_byte_identical(bench_config, tmp_path):
     assert (a / "schedule.csv").read_bytes() == (b / "schedule.csv").read_bytes()
 
 
-def test_rerun_from_manifest(bench_config, tmp_path):
+_QUADRATIC = "family = quadratic\nalpha0 = 1.0"
+_MIXED_POWER = "family = mixed_power\nalpha = 1.0\np_convex = 2.0\np_concave = 0.5\nthreshold = 1.0"
+
+# per subcommand: the body of [impact] in BENCH_INI, and --set overrides
+_RERUN_CASES = {
+    "twap": (_QUADRATIC, []),
+    "mixed-power": (_MIXED_POWER, ["impact.threshold=0.0", "problem.x0=1.5"]),
+    "levy-nu": ("family = levy_effective\ngamma = 1.0\nalpha0 = 1.0\nalpha1 = 1.0\nbeta1 = 1.0", []),
+    "extreme-compare": ("family = shifted_convex\npower = 3.0\nthreshold = 1.0", ["problem.x0=0.5"]),
+    "solve-hjb": (_QUADRATIC, []),
+    "simulate": (_QUADRATIC, ["sim.path_csv_cap=3", "sim.strategy=feedback"]),
+    "compare": (_QUADRATIC, ["compare.strategies=twap,rate:0.4,zero"]),
+    "hamiltonian-check": (_MIXED_POWER, ["check.draws=20"]),
+    "impact-plot": (_MIXED_POWER, ["plot.points=64"]),
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(_RERUN_CASES))
+def test_rerun_from_manifest(subcommand, tmp_path):
+    impact, sets = _RERUN_CASES[subcommand]
+    config = tmp_path / "run.ini"
+    config.write_text(BENCH_INI.replace(_QUADRATIC, impact))
     first = tmp_path / "first"
     again = tmp_path / "again"
-    assert main(["solve-hjb", "--config", bench_config, "--output", str(first)]) == 0
+    args = [subcommand, "--config", str(config), "--output", str(first)]
+    assert main(args + [a for s in sets for a in ("--set", s)]) == 0
     assert main(["rerun", str(first / "manifest.json"), "--output", str(again)]) == 0
-    assert (first / "summary.json").read_bytes() == (again / "summary.json").read_bytes()
-    assert (first / "surface.csv").read_bytes() == (again / "surface.csv").read_bytes()
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in again.iterdir())
+    assert "summary.json" in names
+    for name in names:
+        if name != "manifest.json":
+            assert (first / name).read_bytes() == (again / name).read_bytes(), name
+    manifests = [json.loads((d / "manifest.json").read_text()) for d in (first, again)]
+    assert manifests[0]["config"] == manifests[1]["config"]
 
 
 def test_solve_hjb_summary(bench_config, tmp_path):
@@ -293,6 +321,21 @@ def test_exit_codes(bench_config, tmp_path):
     assert main(["twap", "--config", bench_config, "--set", "problem.x0=abc"]) == 2
     assert main(["twap", "--config", bench_config, "--set", "solver.bogus=1"]) == 2
     assert main(["levy-nu", "--config", bench_config]) == 2  # wrong family
+    for bad in ("problem.x0=nan", "problem.horizon=inf", "solver.y_max=nan", "impact.alpha0=nan"):
+        assert main(["twap", "--config", bench_config, "--set", bad]) == 2, bad
+    plot_range = ["--set", "plot.x_min=2", "--set", "plot.x_max=1"]
+    assert main(["impact-plot", "--config", bench_config, *plot_range]) == 2
+    assert main(["simulate", "--config", bench_config, "--set", "sim.strategy=rate:nan"]) == 2
+    # malformed manifests for rerun: not an object, no config, non-mapping or non-string values
+    manifest = tmp_path / "manifest.json"
+    for doc in (
+        [1, 2],
+        {"subcommand": "twap"},
+        {"subcommand": "twap", "config": {"problem": 5}},
+        {"subcommand": "twap", "config": {"solver": {"refine": True}}},
+    ):
+        manifest.write_text(json.dumps(doc))
+        assert main(["rerun", str(manifest)]) == 2, doc
     # 3: hypothesis violations
     assert main(["twap", "--config", bench_config, "--set", "problem.x0=0.5"]) == 3
 
@@ -318,6 +361,95 @@ def test_market_section_validation():
         {**base, "market": {"mu": "-0.085", "sigma": "0.3", "decay": "0.04"}}
     )
     assert cfg.market.mu + 0.5 * cfg.market.sigma**2 + cfg.market.decay == 0.0
+
+
+# sets every key of every section, with spellings the resolved mapping normalises
+FULL_MAPPING = {
+    "impact": {
+        "family": "mixed_power",
+        "alpha": "2",
+        "p_convex": "3.0",
+        "p_concave": "0.5",
+        "threshold": "1e-1",
+    },
+    "market": {"mu": "-0.085", "sigma": "0.3", "decay": "0.04"},
+    "problem": {"c0": "1", "x0": "0.1", "s0": "100", "horizon": "2.5"},
+    "solver": {
+        "nt": "050",
+        "nx": "60",
+        "x_max": "0.2",
+        "y_max": "5",
+        "max_expansions": "1",
+        "refine": "off",
+    },
+    "sim": {
+        "n_paths": "300",
+        "n_steps": "40",
+        "seed": "7",
+        "strategy": "rate:0.2",
+        "log_floor": "-30",
+        "path_csv_cap": "2",
+    },
+    "compare": {"strategies": " twap, zero ,"},
+    "check": {"draws": "20", "seed": "3", "grid_points": "101"},
+    "plot": {"x_min": "0.5", "x_max": "3", "points": "64", "spacing": "log"},
+    "output": {"directory": "runs/full", "formats": " csv , json", "schedule_samples": "25"},
+}
+
+DEFAULT_RESOLVED = {
+    "solver": {"nt": "400", "nx": "400", "max_expansions": "2", "refine": "true"},
+    "sim": {
+        "n_paths": "10000",
+        "n_steps": "1000",
+        "seed": "0",
+        "strategy": "twap",
+        "log_floor": "-60.0",
+        "path_csv_cap": "0",
+    },
+    "compare": {"strategies": "twap,threshold"},
+    "check": {"draws": "1000", "seed": "0", "grid_points": "4001"},
+    "plot": {"x_min": "0.0", "points": "512", "spacing": "linear"},
+    "output": {"directory": "out", "formats": "json,csv", "schedule_samples": "200"},
+}
+
+FULL_RESOLVED = {
+    "impact": {
+        "family": "mixed_power",
+        "alpha": "2.0",
+        "p_convex": "3.0",
+        "p_concave": "0.5",
+        "threshold": "0.1",
+    },
+    "market": {"mu": "-0.085", "sigma": "0.3", "decay": "0.04000000000000001"},
+    "problem": {"c0": "1.0", "x0": "0.1", "s0": "100.0", "horizon": "2.5"},
+    "solver": {
+        "nt": "50",
+        "nx": "60",
+        "x_max": "0.2",
+        "y_max": "5.0",
+        "max_expansions": "1",
+        "refine": "false",
+    },
+    "sim": {
+        "n_paths": "300",
+        "n_steps": "40",
+        "seed": "7",
+        "strategy": "rate:0.2",
+        "log_floor": "-30.0",
+        "path_csv_cap": "2",
+    },
+    "compare": {"strategies": "twap,zero"},
+    "check": {"draws": "20", "seed": "3", "grid_points": "101"},
+    "plot": {"x_min": "0.5", "x_max": "3.0", "points": "64", "spacing": "log"},
+    "output": {"directory": "runs/full", "formats": "csv,json", "schedule_samples": "25"},
+}
+
+
+def test_resolved_mapping_golden():
+    assert build_run_config({}).resolved == DEFAULT_RESOLVED
+    assert build_run_config(FULL_MAPPING).resolved == FULL_RESOLVED
+    refine_yes = {**FULL_MAPPING, "solver": {**FULL_MAPPING["solver"], "refine": "yes"}}
+    assert build_run_config(refine_yes).resolved["solver"]["refine"] == "true"
 
 
 def test_overrides_parsing():

@@ -9,9 +9,9 @@ from optexec.impact import MixedPowerImpact, QuadraticImpact
 from optexec.simulate import (
     CoefficientSet,
     DeterministicStrategy,
+    FeedbackStrategy,
     Utility,
     compare_strategies,
-    feedback_strategy_from_policy,
     simulate,
     simulate_unimpacted,
 )
@@ -113,7 +113,7 @@ def test_cash_monotone_and_inventory_bounds():
 
 def test_feedback_strategy_tracks_closed_form():
     surf = solve_reduced_hjb(QUAD, 0.04, 1.0, 0.2, nt=150, nx=150)
-    fb = feedback_strategy_from_policy(surf)
+    fb = FeedbackStrategy(surf)
     xs = np.array([0.0, 0.03, 0.08, 0.15])
     speeds = fb.speeds(0.3, xs)
     assert speeds[0] == 0.0
@@ -126,7 +126,7 @@ def test_feedback_strategy_tracks_closed_form():
 def test_feedback_speed_projection_out_of_forbidden_interval():
     m = MixedPowerImpact(alpha=1.0, p_convex=2.0, p_concave=0.5, threshold=1.0)
     surf = solve_reduced_hjb(m, 0.05, 1.0, 1.0, nt=60, nx=60)
-    fb = feedback_strategy_from_policy(surf)
+    fb = FeedbackStrategy(surf)
     for t in (0.0, 0.25, 0.6, 0.99):
         sp = fb.speeds(t, np.linspace(0.0, 1.0, 257))
         assert np.all((sp == 0.0) | (sp > m.threshold))
@@ -178,7 +178,7 @@ def test_strategy_zoo_never_beats_solver_value():
         DeterministicStrategy(Schedule.constant(2.0 * sol.rate, 0.1 / (2.0 * sol.rate), 1.0)),
         DeterministicStrategy(Schedule.constant(1.0, 0.1, 1.0)),
         DeterministicStrategy(Schedule.constant(0.0, 0.0, 1.0)),
-        feedback_strategy_from_policy(surf),
+        FeedbackStrategy(surf),
     ]
     for strat in zoo:
         res = simulate(strat, BS, QUAD, 0.0, 0.1, 100.0, 1.0, 3000, 250, seed=47)
