@@ -27,7 +27,13 @@ import numpy as np
 from scipy import integrate
 
 from .errors import HypothesisViolation, NumericalFailure
-from .impact import ImpactModel, LevyEffectiveImpact, MixedPowerImpact, ShiftedConvexImpact
+from .impact import (
+    ImpactModel,
+    LevyEffectiveImpact,
+    MixedPowerImpact,
+    ShiftedConvexImpact,
+    increasing_root,
+)
 
 __all__ = [
     "MarketParams",
@@ -45,8 +51,6 @@ __all__ = [
     "QuasiBlock",
     "linear_quasi_block",
 ]
-
-_ROOT_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -121,9 +125,9 @@ class Schedule:
 def twap_rate(model: ImpactModel, decay: float) -> float:
     """The unique rate above the threshold with x*h(x) - g(x) = decay.
 
-    Bracketed bisection: the excess starts non-positive at the threshold,
-    is strictly increasing and diverges, so doubling the right end always
-    brackets.  Stops when |excess - decay| <= 1e-12 * (1 + decay).
+    The excess starts non-positive at the threshold, is strictly increasing
+    and diverges, so `increasing_root` brackets it and solves it with the
+    derivative x*h'(x).  Stops when |excess - decay| <= 1e-12 * (1 + decay).
     """
     if decay <= 0.0:
         raise ValueError("twap_rate needs a positive decay rate")
@@ -131,25 +135,14 @@ def twap_rate(model: ImpactModel, decay: float) -> float:
         raise ValueError(
             f"{model.family} impact has identically zero excess impact; no TWAP rate exists"
         )
-    lo = model.threshold
-    hi = model.threshold + 1.0
-    for _ in range(200):
-        if model.excess_impact(hi) >= decay:
-            break
-        hi = model.threshold + 2.0 * (hi - model.threshold)
-    else:
-        raise NumericalFailure("could not bracket the TWAP rate")
-    tol = _ROOT_RTOL * (1.0 + decay)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        val = model.excess_impact(mid)
-        if abs(val - decay) <= tol:
-            return mid
-        if val < decay:
-            lo = mid
-        else:
-            hi = mid
-    raise NumericalFailure("TWAP-rate bisection did not reach tolerance")
+    root = increasing_root(
+        lambda x: x * model._h(x) - model._g(x),
+        lambda x: x * model._dh(x),
+        np.array([float(decay)]),
+        model.threshold,
+        "TWAP rate",
+    )
+    return float(root[0])
 
 
 @dataclass(frozen=True)
@@ -342,7 +335,7 @@ def levy_effective_twap_rate(
           = decay,
 
     which is the excess-impact equation of the levy_effective family, so the
-    root is computed with the same bracketed bisection as every TWAP rate.
+    root is computed by `twap_rate` like every other TWAP rate.
     """
     model = LevyEffectiveImpact(gamma=gamma, alpha0=alpha0, alpha1=alpha1, beta1=beta1)
     return twap_rate(model, decay)

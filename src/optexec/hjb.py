@@ -276,8 +276,9 @@ def hjb_residual(surface: ValueSurface, model: ImpactModel) -> float:
 
     Recomputes the per-node optimal gain at each stored level and compares
     it with the forward time difference; the t = 0 and x = 0 boundary rows
-    are excluded.  For a converged solve the defect reflects only the
-    sub-stepping inside each stored step and shrinks with the grid.
+    are excluded.  The max is dominated by the start-up band (tiny
+    time-to-go, where the control cap binds) and the selling front, so it
+    does not shrink under refinement; it is not a convergence measure.
     """
     t_grid, x_grid, W = surface.t_grid, surface.x_grid, surface.values
     dt = float(t_grid[1] - t_grid[0])

@@ -45,6 +45,47 @@ def _match(x, out: np.ndarray):
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
+def increasing_root(f, df, target: np.ndarray, lo, what: str, hi=None) -> np.ndarray:
+    """Elementwise x >= lo with |f(x) - target| <= 1e-12 * (1 + target).
+
+    f must be increasing on [lo, inf) with f(lo) <= target and f -> infinity,
+    df its derivative (NaN where unknown); both act on float arrays.  `lo` is
+    a scalar or an array like `target`, and so is `hi` if given, with
+    f(hi) >= target.  Without `hi` the right end of each bracket [lo, hi]
+    grows by factors of 8 until f(hi) >= target.  Starting from lo, each
+    iteration evaluates f, shrinks the brackets by the sign of the error and
+    moves each unconverged element by the Newton step x - err / df(x), or to
+    its bracket midpoint where that step is not finite or leaves the open
+    bracket.  Converged elements stay where they are.
+    """
+    tol = _INVERSE_RTOL * (1.0 + target)
+    lo = np.broadcast_to(np.asarray(lo, dtype=float), target.shape)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if hi is None:
+            hi = lo + 1.0
+            for _ in range(500):
+                short = f(hi) < target
+                if not short.any():
+                    break
+                hi = np.where(short, lo + 8.0 * (hi - lo), hi)
+                if not np.isfinite(hi).all():
+                    raise NumericalFailure(f"{what} target beyond float range")
+            else:
+                raise NumericalFailure(f"could not bracket the {what}")
+        x = np.array(lo)
+        for _ in range(200):
+            err = f(x) - target
+            lo = np.where(err < 0.0, x, lo)
+            hi = np.where(err > 0.0, x, hi)
+            done = np.abs(err) <= tol
+            if done.all():
+                return x
+            step = x - err / df(x)
+            step = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
+            x = np.where(done, x, step)
+        raise NumericalFailure(f"{what} bisection did not reach tolerance")
+
+
 class ImpactModel:
     """Base class.  Subclasses fill in `_g` and `_h` on positive float arrays.
 
@@ -98,8 +139,11 @@ class ImpactModel:
     def h_inverse(self, ybar):
         """Inverse of h on its rising branch: the x >= threshold with h(x) = ybar.
 
-        Closed form where the family allows it, otherwise a doubling bracket
-        plus bisection, run until |h(x) - ybar| <= 1e-12 * (1 + ybar).
+        Closed form where the family allows it, otherwise `increasing_root`:
+        an analytic bracket where the family has one, else one grown by
+        factors of 8 past the threshold, then a safeguarded Newton iteration
+        on h (bisection where the model has no h'), run until
+        |h(x) - ybar| <= 1e-12 * (1 + ybar).
         """
         if not self.unbounded_marginal:
             raise MarginalNotInvertibleError(
@@ -119,31 +163,13 @@ class ImpactModel:
     def _h(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def _dh(self, x: np.ndarray) -> np.ndarray:
+        # h' = g''.  NaN means "not available": the generic inverse then
+        # takes a bisection step wherever it would take a Newton step.
+        return np.full_like(x, np.nan)
+
     def _h_inverse(self, ybar: np.ndarray) -> np.ndarray:
-        # Generic vectorized solve: bracket by geometric expansion past the
-        # threshold, then bisect.  Monotonicity of h above the threshold
-        # guarantees both stages terminate for any finite target.
-        lo = np.full_like(ybar, float(self.threshold))
-        hi = lo + 1.0
-        for _ in range(500):
-            short = self._h(hi) < ybar
-            if not short.any():
-                break
-            hi = np.where(short, self.threshold + 8.0 * (hi - self.threshold), hi)
-            if not np.isfinite(hi).all():
-                raise NumericalFailure("marginal inverse target beyond float range")
-        else:
-            raise NumericalFailure("could not bracket the marginal inverse")
-        mid = 0.5 * (lo + hi)
-        for _ in range(200):
-            hmid = self._h(mid)
-            if np.all(np.abs(hmid - ybar) <= _INVERSE_RTOL * (1.0 + ybar)):
-                return mid
-            low_side = hmid < ybar
-            lo = np.where(low_side, mid, lo)
-            hi = np.where(low_side, hi, mid)
-            mid = 0.5 * (lo + hi)
-        raise NumericalFailure("marginal inverse bisection did not reach tolerance")
+        return increasing_root(self._h, self._dh, ybar, self.threshold, "marginal inverse")
 
     # -- plumbing ---------------------------------------------------------------
 
@@ -357,6 +383,17 @@ class LevyEffectiveImpact(ImpactModel):
     def _h(self, x):
         u = self.alpha0 * self.beta1 * x * x
         return 2.0 * self.gamma * self.alpha0 * x + 2.0 * self.alpha0 * self.alpha1 * self.beta1 * x / (u + 1.0)
+
+    def _dh(self, x):
+        u = self.alpha0 * self.beta1 * x * x
+        c = 2.0 * self.alpha0 * self.alpha1 * self.beta1
+        return 2.0 * self.gamma * self.alpha0 + c * (1.0 - u) / (u + 1.0) ** 2
+
+    def _h_inverse(self, ybar):
+        # 2*gamma*alpha0*x <= h(x) <= 2*alpha0*(gamma + alpha1*beta1)*x brackets the root
+        slope = 2.0 * self.alpha0 * self.gamma
+        lo = ybar / (slope + 2.0 * self.alpha0 * self.alpha1 * self.beta1)
+        return increasing_root(self._h, self._dh, ybar, lo, "marginal inverse", hi=ybar / slope)
 
     def params(self):
         return {

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from optexec.impact import (
+    ImpactModel,
     LevyEffectiveImpact,
     LinearImpact,
     MarginalNotInvertibleError,
@@ -111,6 +112,85 @@ def test_h_inverse_bisection_residual():
         assert abs(lv.h(x) - ybar) <= 1e-12 * (1.0 + ybar)
 
 
+def _within_inverse_tol(m, x, ybar):
+    return np.all(np.abs(m.h(x) - ybar) <= 1e-12 * (1.0 + ybar))
+
+
+@pytest.mark.parametrize(
+    "lv",
+    [
+        LevyEffectiveImpact(gamma=1.0, alpha0=1.0, alpha1=2.0, beta1=2.0),
+        # convexity boundary alpha1 * beta1 == 8 * gamma: h' touches 0 at alpha0*beta1*x**2 = 3
+        LevyEffectiveImpact(gamma=0.5, alpha0=3.0, alpha1=2.0, beta1=2.0),
+    ],
+)
+def test_h_inverse_newton_meets_tolerance(lv):
+    ybar = np.logspace(-14, 8, 2000)
+    assert _within_inverse_tol(lv, lv.h_inverse(ybar), ybar)
+    x_flat = np.sqrt(3.0 / (lv.alpha0 * lv.beta1))
+    y_flat = lv.h(x_flat)
+    ybar = y_flat * (1.0 + np.linspace(-1e-3, 1e-3, 201))
+    assert _within_inverse_tol(lv, lv.h_inverse(ybar), ybar)
+
+
+class _NoDerivative(ImpactModel):
+    """g(x) = x**2 + x**4 with only `_g`/`_h`: the inverse must bisect."""
+
+    family = "no_derivative"
+
+    def _g(self, x):
+        return x**2 + x**4
+
+    def _h(self, x):
+        return 2.0 * x + 4.0 * x**3
+
+
+def test_h_inverse_bisection_fallback_without_derivative():
+    m = _NoDerivative()
+    ybar = np.logspace(-10, 6, 300)
+    x = m.h_inverse(ybar)
+    assert _within_inverse_tol(m, x, ybar)
+    assert np.all(x > 0.0)
+
+
+class _Kinked(ImpactModel):
+    """h rises steeply near x = 5 and is nearly flat elsewhere, so unguarded
+    Newton steps from 0 overshoot and cycle; the bracket must catch them."""
+
+    family = "kinked"
+
+    def _h(self, x):
+        return 1e-3 * x + np.arctan(x - 5.0) + np.arctan(5.0)
+
+    def _dh(self, x):
+        return 1e-3 + 1.0 / (1.0 + (x - 5.0) ** 2)
+
+
+def test_h_inverse_bracket_catches_newton_overshoot():
+    m = _Kinked()
+    ybar = np.linspace(0.01, 4.0, 200)
+    assert _within_inverse_tol(m, m.h_inverse(ybar), ybar)
+
+
+def test_h_inverse_evaluation_count():
+    # Newton from the analytic bracket needs 6 evaluations of h on this
+    # vector, where bisection to the same tolerance needed about 44; this
+    # pins the per-call cost.
+    lv = LevyEffectiveImpact(gamma=1.0, alpha0=1.0, alpha1=2.0, beta1=2.0)
+    plain_h = lv._h
+    calls = []
+
+    def counting_h(x):
+        calls.append(x.size)
+        return plain_h(x)
+
+    object.__setattr__(lv, "_h", counting_h)
+    ratio = np.geomspace(0.05, 500.0, 151)
+    x = lv.h_inverse(ratio)
+    assert _within_inverse_tol(lv, x, ratio)
+    assert 0 < len(calls) <= 12
+
+
 def test_linear_family_flagged():
     lin = LinearImpact(2.0)
     assert not lin.unbounded_marginal
@@ -166,6 +246,19 @@ def test_marginal_matches_finite_difference(x):
         step = 1e-7 * max(xq, 1.0)
         fd = (m.g(xq + step) - m.g(xq - step)) / (2.0 * step)
         assert m.h(xq) == pytest.approx(fd, rel=1e-6, abs=1e-9)
+
+
+@given(x=st.floats(min_value=0.05, max_value=30.0))
+@settings(max_examples=60, deadline=None)
+def test_marginal_derivative_matches_finite_difference(x):
+    with_dh = [m for m in ALL_INVERTIBLE if type(m)._dh is not ImpactModel._dh]
+    assert with_dh
+    for m in with_dh:
+        span_lo = m.threshold / 2.0 if m.threshold > 0 else 0.05
+        xq = span_lo + x * (10.0 * m.threshold + 10.0 - span_lo) / 30.0
+        step = 1e-6 * max(xq, 1.0)
+        fd = (m.h(xq + step) - m.h(xq - step)) / (2.0 * step)
+        assert m._dh(np.array([xq]))[0] == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
 
 def test_levy_effective_convexity():
