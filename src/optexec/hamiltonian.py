@@ -8,7 +8,9 @@ gradient p = (p_c, p_x, p_s), is driven by
 whose infimum over y >= 0 is the Hamiltonian.  For an S-shaped impact curve
 the minimizer is either 0 or the point on the rising marginal branch where
 h(y) equals the target ratio (s*p_c - p_x) / (s*p_s); it never falls in the
-concave interval (0, threshold].  `hamiltonian` evaluates the closed form,
+concave interval (0, threshold].  `best_response` is the one vectorised
+implementation of that argmax (the HJB solver calls it on whole grid rows);
+`optimal_speed` and `hamiltonian` are scalar wrappers over it, and
 `hamiltonian_bruteforce` is the independent grid+golden-section oracle.
 """
 
@@ -24,6 +26,7 @@ from .impact import ImpactModel
 __all__ = [
     "Gradient",
     "target_marginal_impact",
+    "best_response",
     "optimal_speed",
     "hamiltonian",
     "hamiltonian_bruteforce",
@@ -70,6 +73,36 @@ def running_gain_rate(y, s: float, p: Gradient, model: ImpactModel):
     return s * p.p_s * model.g(y) - (s * p.p_c - p.p_x) * np.asarray(y, dtype=float)
 
 
+def best_response(model: ImpactModel, a, b, y_max: float = math.inf, h_ymax: float = math.inf):
+    """Elementwise argmax of a*y - b*g(y) over y in {0} u (threshold, y_max], for b >= 0.
+
+    The maximizer is 0 or the point above the threshold where h(y) = a/b,
+    clipped to y_max; where b = 0 the ratio is +inf, -inf or NaN, giving
+    y_max, 0 and 0.  Ties (ratio at the marginal floor, zero gain) resolve
+    to 0.  `h_ymax` must be h(y_max); callers that solve many rows under one
+    cap compute it once.
+
+    Returns (speed, gain, capped): the maximizer, the maximal value (0 where
+    selling nothing is optimal) and the mask of elements whose interior
+    candidate reached the cap.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = a / b
+    candidate = ratio > model.marginal_floor
+    capped = candidate & (ratio >= h_ymax)
+    y = np.where(capped, y_max, 0.0)
+    inner = candidate & ~capped
+    if inner.any():
+        y[inner] = np.minimum(model.h_inverse(ratio[inner]), y_max)
+    # guard against a candidate rounding down onto the threshold
+    y[y <= model.threshold] = 0.0
+    val = y * a - b * model.g(y)
+    take = val > 0.0
+    return np.where(take, y, 0.0), np.where(take, val, 0.0), capped
+
+
 def optimal_speed(s: float, p: Gradient, model: ImpactModel) -> float:
     """Speed minimizing f over y >= 0: either 0 or strictly above the threshold.
 
@@ -79,26 +112,18 @@ def optimal_speed(s: float, p: Gradient, model: ImpactModel) -> float:
     _check_price(s)
     if p.p_s <= 0.0:
         return 0.0
-    ratio = target_marginal_impact(s, p)
-    if ratio <= model.marginal_floor:
-        return 0.0
-    y = model.h_inverse(ratio)
-    if model.g(y) < ratio * y and y > model.threshold:
-        return y
-    return 0.0
+    return float(best_response(model, s * p.p_c - p.p_x, s * p.p_s)[0])
 
 
 def hamiltonian(s: float, p: Gradient, model: ImpactModel) -> float:
-    """inf_{y >= 0} f(y): min(f at the clamped interior candidate, 0).
+    """inf_{y >= 0} f(y), the negated best-response gain; 0.0 (never -0.0) when no sale pays.
 
     Requires p_s > 0 (the regular region); always <= 0 since f(0) = 0.
     """
     _check_price(s)
     if p.p_s <= 0.0:
         raise ValueError("hamiltonian closed form needs p_s > 0")
-    ratio = target_marginal_impact(s, p)
-    y = model.h_inverse(max(ratio, model.marginal_floor))
-    return min(running_gain_rate(y, s, p, model), 0.0)
+    return 0.0 - float(best_response(model, s * p.p_c - p.p_x, s * p.p_s)[1])
 
 
 def _grid_golden_min(f, y_max: float, n: int):

@@ -8,9 +8,9 @@ c + s * W(t, x) with W solving (in the viscosity sense)
 
 where t is time-to-go and x remaining inventory.  The scheme marches
 forward in t with a backward (upwind) difference for dW/dx — the transport
-term moves information toward larger inventory — and picks each node's
-control from the closed-form Hamiltonian minimizer, falling back to a grid
-search on rows where W is too small for the target ratio to be conditioned.
+term moves information toward larger inventory — and picks each row's
+controls with one call of the control kernel `hamiltonian.best_response`,
+which covers W = 0 nodes as well.
 An explicit CFL bound dt * (y_max/dx + decay + g(y_max)) <= 1 is enforced by
 internal sub-stepping, which keeps every update a monotone combination of
 the previous level.
@@ -27,6 +27,7 @@ from scipy import optimize as sciopt
 
 from .closed_form import Schedule, twap_rate
 from .errors import NumericalFailure
+from .hamiltonian import best_response
 from .impact import ImpactModel, MarginalNotInvertibleError
 
 __all__ = [
@@ -38,8 +39,7 @@ __all__ = [
     "optimize_deterministic_schedule",
 ]
 
-_W_EPS = 1e-12
-_FALLBACK_POINTS = 64
+_W_EPS = 1e-12  # saturation counts skip W = 0 rows, where every selling node is capped
 
 
 @dataclass
@@ -91,63 +91,21 @@ class ValueSurface:
         return np.interp(x, self.x_grid, row)
 
 
-def _node_controls(model, W, dx, y_max, h_ymax, fb_grid, fb_g, eps):
+def _node_controls(model, W, dx, y_max, h_ymax):
     """Per-node argmax of psi(y) = y*(1 - Wx) - W*g(y) over {0} u (threshold, y_max].
 
-    Returns (speed, psi, saturated, conditioned) where `saturated` counts nodes
-    whose unclipped interior candidate exceeded y_max and `conditioned` the
-    nodes handled by the closed form (W above the conditioning floor).
+    One `best_response` call on the whole row, with the upwind coefficient
+    kappa = 1 - Wx set to 0 at x = 0, so that node sells nothing.  Returns
+    (speed, psi, saturated, conditioned): `conditioned` counts the interior
+    nodes with W above the floor and `saturated` those of them whose
+    interior candidate reached y_max.
     """
-    n = W.size
-    speed = np.zeros(n)
-    psi = np.zeros(n)
-    kappa = np.empty(n)
+    kappa = np.empty(W.size)
     kappa[0] = 0.0
     kappa[1:] = 1.0 - (W[1:] - W[:-1]) / dx
-
-    interior = np.zeros(n, dtype=bool)
-    interior[1:] = True
-    big = interior & (W > eps)
-    small = interior & ~big
-
-    saturated = 0
-    if big.any():
-        ratio = kappa[big] / W[big]
-        candidate = ratio > model.marginal_floor
-        if candidate.any():
-            nodes = np.flatnonzero(big)[candidate]
-            r = ratio[candidate]
-            capped = r >= h_ymax
-            saturated = int(np.count_nonzero(capped))
-            y = np.empty_like(r)
-            y[capped] = y_max
-            if (~capped).any():
-                y[~capped] = np.minimum(model.h_inverse(r[~capped]), y_max)
-            # guard against a candidate rounding down onto the threshold
-            y[y <= model.threshold] = 0.0
-            val = y * kappa[nodes] - W[nodes] * model.g(y)
-            take = val > 0.0
-            speed[nodes[take]] = y[take]
-            psi[nodes[take]] = val[take]
-
-    if small.any():
-        nodes = np.flatnonzero(small)
-        mat = np.outer(kappa[nodes], fb_grid) - np.outer(W[nodes], fb_g)
-        j = np.argmax(mat, axis=1)
-        speed[nodes] = fb_grid[j]
-        psi[nodes] = mat[np.arange(nodes.size), j]
-
-    return speed, psi, saturated, int(np.count_nonzero(big))
-
-
-def _fallback_grid(model, y_max):
-    # zero plus points strictly above the threshold, so the emitted speed can
-    # never land in the forbidden interval (0, threshold]; by the Hamiltonian
-    # structure the true minimizer is never there anyway.
-    span = y_max - model.threshold
-    pts = model.threshold + span * np.linspace(1.0 / _FALLBACK_POINTS, 1.0, _FALLBACK_POINTS)
-    grid = np.concatenate([[0.0], pts])
-    return grid, model.g(grid)
+    speed, psi, capped = best_response(model, kappa, W, y_max, h_ymax)
+    live = W[1:] > _W_EPS
+    return speed, psi, int(np.count_nonzero(capped[1:] & live)), int(np.count_nonzero(live))
 
 
 def _default_y_max(model, decay, horizon, x_max):
@@ -203,7 +161,6 @@ def _march(model, decay, horizon, x_max, nt, nx, y_max):
     dx = x_max / nx
 
     h_ymax = model.h(y_max)
-    fb_grid, fb_g = _fallback_grid(model, y_max)
     cfl_rate = y_max / dx + max(decay, 0.0) + model.g(y_max)
     n_sub = max(1, math.ceil(dt * cfl_rate))
     dtau = dt / n_sub
@@ -216,7 +173,7 @@ def _march(model, decay, horizon, x_max, nt, nx, y_max):
     conditioned = 0
 
     for lvl in range(nt + 1):
-        speed, psi, sat, cond = _node_controls(model, W, dx, y_max, h_ymax, fb_grid, fb_g, _W_EPS)
+        speed, psi, sat, cond = _node_controls(model, W, dx, y_max, h_ymax)
         values[lvl] = W
         policy[lvl] = speed
         saturated += sat
@@ -225,9 +182,7 @@ def _march(model, decay, horizon, x_max, nt, nx, y_max):
             break
         for k in range(n_sub):
             if k > 0:
-                speed, psi, sat, cond = _node_controls(
-                    model, W, dx, y_max, h_ymax, fb_grid, fb_g, _W_EPS
-                )
+                speed, psi, sat, cond = _node_controls(model, W, dx, y_max, h_ymax)
                 saturated += sat
                 conditioned += cond
             W = W + dtau * (psi - decay * W)
@@ -284,12 +239,9 @@ def hjb_residual(surface: ValueSurface, model: ImpactModel) -> float:
     dt = float(t_grid[1] - t_grid[0])
     dx = float(x_grid[1] - x_grid[0])
     h_ymax = model.h(surface.y_max)
-    fb_grid, fb_g = _fallback_grid(model, surface.y_max)
     worst = 0.0
     for lvl in range(1, t_grid.size - 1):
-        _, psi, _, _ = _node_controls(
-            model, W[lvl], dx, surface.y_max, h_ymax, fb_grid, fb_g, _W_EPS
-        )
+        _, psi, _, _ = _node_controls(model, W[lvl], dx, surface.y_max, h_ymax)
         resid = (W[lvl + 1] - W[lvl]) / dt - (psi - surface.decay * W[lvl])
         worst = max(worst, float(np.max(np.abs(resid[1:]))))
     return worst

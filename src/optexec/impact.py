@@ -151,7 +151,7 @@ class ImpactModel:
             )
         arr = np.atleast_1d(np.asarray(ybar, dtype=float))
         floor = self.marginal_floor
-        if np.any(arr < floor):
+        if not np.all(arr >= floor):  # also rejects NaN
             raise ValueError(f"h_inverse needs ybar >= h(threshold) = {floor}")
         return _match(ybar, self._h_inverse(arr))
 

@@ -104,8 +104,9 @@ class FeedbackStrategy:
     def speeds(self, t: float, remaining: np.ndarray) -> np.ndarray:
         ttg = min(max(self.horizon - t, 0.0), self.horizon)
         y = self.surface.policy_row(ttg, remaining)
-        y = np.where((y > 0.0) & (y <= self.threshold), 0.0, y)
-        return np.where(remaining > 0.0, np.maximum(y, 0.0), 0.0)
+        # every policy node is 0 or above the threshold, but interpolating
+        # between such a pair can land in (0, threshold]; the x = 0 column is 0
+        return np.where((y > 0.0) & (y <= self.threshold), 0.0, y)
 
 
 @dataclass(frozen=True)

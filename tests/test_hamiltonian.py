@@ -157,3 +157,50 @@ def test_factorization_through_unit_gradient():
             lhs = hamiltonian(s, p, m)
             rhs = s * p.p_s * hamiltonian(1.0, Gradient(ratio, 0.0, 1.0), m)
             assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
+
+
+_EDGE_A = np.array([1.0, -1.0, 0.0, 3.0, -2.0, 0.5])
+_EDGE_B = np.array([0.0, 0.0, 0.0, 1e-300, 1e-300, 1e-12])
+
+
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.floats(min_value=-5.0, max_value=20.0),
+            st.one_of(
+                st.just(0.0),
+                st.floats(min_value=1e-300, max_value=1e-8),
+                st.floats(min_value=1e-3, max_value=10.0),
+            ),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    span=st.floats(min_value=0.1, max_value=5.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_best_response_matches_dense_grid_argmax(rows, span):
+    # the control kernel against a dense-grid argmax over {0} u (threshold, y_max],
+    # including b = 0 (the HJB's W = 0 nodes), tiny b and negative a
+    from optexec.hamiltonian import best_response
+
+    a = np.concatenate([_EDGE_A, [r[0] for r in rows]])
+    b = np.concatenate([_EDGE_B, [r[1] for r in rows]])
+    n = 20000
+    for m in FAMILIES:
+        y_max = m.threshold + span
+        speed, gain, capped = best_response(m, a, b, y_max, m.h(y_max))
+        assert np.all((speed == 0.0) | ((speed > m.threshold) & (speed <= y_max)))
+        assert np.all((speed[capped] == y_max) | (speed[capped] == 0.0))
+        assert np.array_equal(gain, np.where(speed > 0.0, speed * a - b * m.g(speed), 0.0))
+        assert np.all(gain >= 0.0)
+
+        ys = np.concatenate([[0.0], m.threshold + span * np.arange(1, n + 1) / n])
+        gs = m.g(ys)
+        best = np.max(a[:, None] * ys[None, :] - b[:, None] * gs[None, :], axis=1)
+        rounding = 1e-12 * (1.0 + np.abs(a) * y_max + b * gs[-1])
+        # a grid point misses a smooth interior maximum by at most b * max|g''| * step**2 / 8;
+        # the bound below leaves out the 1/8
+        grid_loss = b * np.max(np.abs(np.diff(gs[1:], 2)))
+        assert np.all(gain >= best - rounding)
+        assert np.all(gain <= best + grid_loss + rounding)

@@ -4,7 +4,6 @@ import pytest
 from optexec.closed_form import mixed_power_solution, twap_rate, twap_solution
 from optexec.errors import NumericalFailure
 from optexec.hjb import (
-    _fallback_grid,
     _node_controls,
     extract_policy,
     full_value_from_reduced,
@@ -69,12 +68,11 @@ def test_monotone_update_in_neighbor_values():
     rng = np.random.default_rng(3)
     dx = 0.01
     y_max = 1.0
-    fb, fg = _fallback_grid(QUAD, y_max)
     h_ymax = QUAD.h(y_max)
     dtau = 0.5 / (y_max / dx + 0.04 + QUAD.g(y_max))
 
     def step(W):
-        _, psi, _, _ = _node_controls(QUAD, W, dx, y_max, h_ymax, fb, fg, 1e-12)
+        _, psi, _, _ = _node_controls(QUAD, W, dx, y_max, h_ymax)
         out = W + dtau * (psi - 0.04 * W)
         out[0] = 0.0
         return out
@@ -112,11 +110,10 @@ def test_residual_positive_and_converging_in_smooth_region():
     def smooth_max(s, model, nu):
         tg, xg, W = s.t_grid, s.x_grid, s.values
         dt, dx = tg[1] - tg[0], xg[1] - xg[0]
-        fb, fg = _fallback_grid(model, s.y_max)
         hy = model.h(s.y_max)
         worst = 0.0
         for lvl in range(1, tg.size - 1):
-            _, psi, _, _ = _node_controls(model, W[lvl], dx, s.y_max, hy, fb, fg, 1e-12)
+            _, psi, _, _ = _node_controls(model, W[lvl], dx, s.y_max, hy)
             r = np.abs((W[lvl + 1] - W[lvl]) / dt - (psi - s.decay * W[lvl]))
             keep = (xg < 0.5 * s.y_max * tg[lvl]) & (np.abs(xg - nu * tg[lvl]) > 0.03)
             keep[0] = False

@@ -105,6 +105,19 @@ def test_h_inverse_closed_forms():
     assert sc.h_inverse(0.0) == 1.0
 
 
+@pytest.mark.parametrize(
+    "m",
+    [QuadraticImpact(1.0), LevyEffectiveImpact(gamma=1.0, alpha0=1.0, alpha1=1.0, beta1=1.0)],
+    ids=["quadratic", "levy"],
+)
+def test_h_inverse_rejects_nan(m):
+    # a closed form would return nan silently, the iteration would exhaust its budget
+    with pytest.raises(ValueError):
+        m.h_inverse(float("nan"))
+    with pytest.raises(ValueError):
+        m.h_inverse(np.array([1.0, np.nan]))
+
+
 def test_h_inverse_bisection_residual():
     lv = LevyEffectiveImpact(gamma=1.0, alpha0=1.0, alpha1=1.0, beta1=1.0)
     for ybar in (0.3, 5.0, 120.0):
