@@ -14,6 +14,7 @@ are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -129,9 +130,9 @@ class ImpactModel:
         with np.errstate(over="ignore"):
             return _match(x, arr * self._h(arr) - self._g(arr))
 
-    @property
+    @cached_property
     def marginal_floor(self) -> float:
-        """Smallest marginal impact on the rising branch, h(threshold)."""
+        """Smallest marginal impact on the rising branch, h(threshold); computed once."""
         if self.threshold > 0.0:
             return float(self._h(np.array([self.threshold]))[0])
         return 0.0
@@ -175,10 +176,11 @@ class ImpactModel:
 
     def _rate_array(self, x, allow_zero: bool) -> np.ndarray:
         arr = np.atleast_1d(np.asarray(x, dtype=float))
+        # `not all(...)` rather than `any(...)` also rejects NaN
         if allow_zero:
-            if np.any(arr < 0.0):
+            if not np.all(arr >= 0.0):
                 raise ValueError("selling rate must be non-negative")
-        elif np.any(arr <= 0.0):
+        elif not np.all(arr > 0.0):
             raise ValueError("selling rate must be positive")
         return arr
 

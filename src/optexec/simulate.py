@@ -170,10 +170,20 @@ class UnimpactedResult:
 
 
 def _path_noise(seed: int, start: int, count: int, n_steps: int) -> np.ndarray:
+    """Standard normals for paths start .. start+count-1, one Philox stream each."""
     out = np.empty((count, n_steps))
+    bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    gen = np.random.Generator(bits)
+    state = bits.state  # a fresh stream's: empty buffer, no cached uint32
     for i in range(count):
-        bits = np.random.Philox(key=np.array([seed, start + i], dtype=np.uint64))
-        out[i] = np.random.Generator(bits).standard_normal(n_steps)
+        # this state with counter 0 and the path's key equals a fresh
+        # np.random.Philox(key=[seed, start + i]) bit for bit, without its set-up
+        state["state"] = {
+            "counter": np.zeros(4, dtype=np.uint64),
+            "key": np.array([seed, start + i], dtype=np.uint64),
+        }
+        bits.state = state
+        gen.standard_normal(out=out[i])
     return out
 
 
@@ -202,11 +212,25 @@ def simulate(
     return_paths: bool = False,
 ) -> SimResult:
     """Monte Carlo estimate of E[u(C_T, X_T, S_T)] under the given strategy."""
+    (res,) = _simulate_all(
+        [strategy], coeffs, model, c0, x0, s0, horizon, n_paths, n_steps, seed,
+        utility, log_floor, return_paths,
+    )
+    return res
+
+
+def _simulate_all(
+    strategies, coeffs, model, c0, x0, s0, horizon, n_paths, n_steps, seed,
+    utility=None, log_floor=-60.0, return_paths=False,
+) -> list:
+    """One SimResult per strategy, all driven by the same noise: each chunk's
+    noise block is drawn once and every strategy runs on it in turn."""
     _validate_common(n_paths, n_steps, seed, horizon)
     if x0 < 0.0 or s0 < 0.0:
         raise ValueError("need x0 >= 0 and s0 >= 0")
-    if abs(strategy.horizon - horizon) > 1e-12 * max(1.0, horizon):
-        raise ValueError("strategy horizon does not match the simulation horizon")
+    for strategy in strategies:
+        if abs(strategy.horizon - horizon) > 1e-12 * max(1.0, horizon):
+            raise ValueError("strategy horizon does not match the simulation horizon")
     probe = math.log(s0) if s0 > 0.0 else 0.0
     coeffs.spot_check(np.linspace(probe - 5.0, probe + 5.0, 9))
     utility = utility or Utility()
@@ -215,67 +239,80 @@ def simulate(
     sqdt = math.sqrt(dt)
     y0 = math.log(s0) if s0 > 0.0 else log_floor - 1.0
 
-    ct = np.empty(n_paths)
-    xt = np.empty(n_paths)
-    st = np.empty(n_paths)
-    absorbed_total = 0
-    hist = None
+    # per strategy: terminal (C, X, S), absorbed-path count and path history
+    terminal = [(np.empty(n_paths), np.empty(n_paths), np.empty(n_paths)) for _ in strategies]
+    absorbed = [0] * len(strategies)
+    hists = [None] * len(strategies)
     if return_paths:
-        hist = {
-            "t": np.linspace(0.0, horizon, n_steps + 1),
-            "S": np.empty((n_paths, n_steps + 1)),
-            "C": np.empty((n_paths, n_steps + 1)),
-            "X": np.empty((n_paths, n_steps + 1)),
-        }
+        hists = [
+            {
+                "t": np.linspace(0.0, horizon, n_steps + 1),
+                "S": np.empty((n_paths, n_steps + 1)),
+                "C": np.empty((n_paths, n_steps + 1)),
+                "X": np.empty((n_paths, n_steps + 1)),
+            }
+            for _ in strategies
+        ]
 
     for start in range(0, n_paths, _CHUNK):
         count = min(_CHUNK, n_paths - start)
+        rows = slice(start, start + count)
         noise = _path_noise(seed, start, count, n_steps)
-        Y = np.full(count, y0)
-        S = np.full(count, float(s0))
-        X = np.full(count, float(x0))
-        C = np.full(count, float(c0))
-        alive = np.full(count, s0 > 0.0)
-        if hist is not None:
-            hist["S"][start : start + count, 0] = S
-            hist["C"][start : start + count, 0] = C
-            hist["X"][start : start + count, 0] = X
-
-        for k in range(n_steps):
-            t = k * dt
-            sp = np.asarray(strategy.speeds(t, X), dtype=float)
-            sp = np.where(X > 0.0, sp, 0.0)
-            sell = np.minimum(sp * dt, X)
-            sp_eff = sell / dt
-            C = C + sell * S
-            X = X - sell
-            dY = (coeffs.drift(Y) - model.g(sp_eff)) * dt + coeffs.vol(Y) * sqdt * noise[:, k]
-            Y = np.where(alive, Y + dY, Y)
-            alive = alive & (Y >= log_floor)
-            S = np.where(alive, np.exp(Y), 0.0)
+        for j, strategy in enumerate(strategies):
+            hist = hists[j]
+            Y = np.full(count, y0)
+            S = np.full(count, float(s0))
+            X = np.full(count, float(x0))
+            C = np.full(count, float(c0))
+            alive = np.full(count, s0 > 0.0)
             if hist is not None:
-                hist["S"][start : start + count, k + 1] = S
-                hist["C"][start : start + count, k + 1] = C
-                hist["X"][start : start + count, k + 1] = X
+                hist["S"][rows, 0] = S
+                hist["C"][rows, 0] = C
+                hist["X"][rows, 0] = X
 
-        ct[start : start + count] = C
-        xt[start : start + count] = X
-        st[start : start + count] = S
-        absorbed_total += int(np.count_nonzero(~alive))
+            for k in range(n_steps):
+                t = k * dt
+                sp = np.asarray(strategy.speeds(t, X), dtype=float)
+                sp = np.where(X > 0.0, sp, 0.0)
+                sell = np.minimum(sp * dt, X)
+                sp_eff = sell / dt
+                C = C + sell * S
+                X = X - sell
+                dY = (coeffs.drift(Y) - model.g(sp_eff)) * dt + coeffs.vol(Y) * sqdt * noise[:, k]
+                Y = np.where(alive, Y + dY, Y)
+                alive = alive & (Y >= log_floor)
+                S = np.where(alive, np.exp(Y), 0.0)
+                if hist is not None:
+                    hist["S"][rows, k + 1] = S
+                    hist["C"][rows, k + 1] = C
+                    hist["X"][rows, k + 1] = X
 
-    utilities = utility.evaluate(ct, xt, st)
-    se = float(utilities.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
-    return SimResult(
-        mean_utility=float(utilities.mean()),
-        std_error=se,
-        n_paths=n_paths,
-        cash=_stats(ct),
-        inventory=_stats(xt),
-        price=_stats(st),
-        absorption_count=absorbed_total,
-        utilities=utilities,
-        paths=hist,
-    )
+            ct, xt, st = terminal[j]
+            ct[rows] = C
+            xt[rows] = X
+            st[rows] = S
+            absorbed[j] += int(np.count_nonzero(~alive))
+        # release this block before the next one is drawn, so one block is live at a time
+        del noise
+
+    results = []
+    for (ct, xt, st), n_absorbed, hist in zip(terminal, absorbed, hists):
+        utilities = utility.evaluate(ct, xt, st)
+        se = float(utilities.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
+        results.append(
+            SimResult(
+                mean_utility=float(utilities.mean()),
+                std_error=se,
+                n_paths=n_paths,
+                cash=_stats(ct),
+                inventory=_stats(xt),
+                price=_stats(st),
+                absorption_count=n_absorbed,
+                utilities=utilities,
+                paths=hist,
+            )
+        )
+    return results
 
 
 def simulate_unimpacted(
@@ -343,8 +380,11 @@ def compare_strategies(
     """Simulate named strategies under common random numbers and rank them.
 
     `strategies` is a sequence of (name, strategy) pairs sharing the same
-    horizon; the pairwise differences are computed path-by-path, so their
-    standard errors reflect the variance reduction of the shared noise.
+    horizon.  Each path's noise stream is drawn once and shared by every
+    compared strategy, so each strategy's utilities equal those of its own
+    `simulate` call with the same seed, bit for bit.  The pairwise
+    differences are computed path-by-path, so their standard errors reflect
+    the variance reduction of the shared noise.
     """
     strategies = list(strategies)
     if len(strategies) < 2:
@@ -353,19 +393,14 @@ def compare_strategies(
         if abs(s.horizon - horizon) > 1e-12 * max(1.0, horizon):
             raise ValueError(f"strategy {name!r} has a mismatched horizon")
 
-    utils = []
-    names = []
-    for name, s in strategies:
-        res = simulate(
-            s, coeffs, model, c0, x0, s0, horizon, n_paths, n_steps, seed, utility=utility
-        )
-        names.append(name)
-        utils.append(res.utilities)
-
-    means = [float(u.mean()) for u in utils]
-    ses = [
-        float(u.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0 for u in utils
-    ]
+    names = [name for name, _ in strategies]
+    results = _simulate_all(
+        [s for _, s in strategies], coeffs, model, c0, x0, s0, horizon, n_paths, n_steps, seed,
+        utility=utility,
+    )
+    utils = [res.utilities for res in results]
+    means = [res.mean_utility for res in results]
+    ses = [res.std_error for res in results]
     pairs = []
     for i in range(len(utils)):
         for j in range(i + 1, len(utils)):

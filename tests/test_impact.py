@@ -91,6 +91,28 @@ def test_domain_errors():
         q.excess_impact(-2.0)
 
 
+@pytest.mark.parametrize("curve", ["g", "h", "excess_impact"])
+@pytest.mark.parametrize(
+    "m",
+    [QuadraticImpact(1.0), MixedPowerImpact(alpha=1.0, p_convex=2.0, p_concave=0.5, threshold=1.0)],
+    ids=["quadratic", "mixed_power"],
+)
+def test_curves_reject_nan_rate(m, curve):
+    with pytest.raises(ValueError):
+        getattr(m, curve)(float("nan"))
+    with pytest.raises(ValueError):
+        getattr(m, curve)(np.array([1.0, np.nan]))
+
+
+@pytest.mark.parametrize("m", ALL_INVERTIBLE)
+def test_marginal_floor_is_h_at_threshold_once(m):
+    expected = m.h(m.threshold) if m.threshold > 0.0 else 0.0
+    assert m.marginal_floor == expected
+    # computed on first access and kept on the instance
+    assert vars(m)["marginal_floor"] == expected
+    assert m.marginal_floor == expected
+
+
 def test_h_inverse_closed_forms():
     q = QuadraticImpact(1.0)
     assert q.h_inverse(4.0) == 2.0

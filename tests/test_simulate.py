@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -11,10 +12,14 @@ from optexec.simulate import (
     DeterministicStrategy,
     FeedbackStrategy,
     Utility,
+    _path_noise,
     compare_strategies,
     simulate,
     simulate_unimpacted,
 )
+
+# the module, not the function `optexec.simulate` re-exported by the package
+SIM_MODULE = importlib.import_module("optexec.simulate")
 
 QUAD = QuadraticImpact(1.0)
 BS = CoefficientSet.black_scholes(-0.085, 0.3)  # decay 0.04
@@ -65,6 +70,60 @@ def test_bit_identical_reruns():
     assert a.cash.quantiles == b.cash.quantiles
     c = simulate(strat, BS, QUAD, 0.0, 0.1, 100.0, 1.0, 600, 100, seed=43)
     assert not np.array_equal(a.utilities, c.utilities)
+
+
+@pytest.mark.parametrize(
+    "seed, start, count, n_steps",
+    [(0, 0, 3, 64), (5, 4100, 4, 501), (2**63 - 1, 1, 2, 33)],
+)
+def test_path_noise_rows_are_fresh_philox_streams(seed, start, count, n_steps):
+    block = _path_noise(seed, start, count, n_steps)
+    for i in range(count):
+        bits = np.random.Philox(key=np.array([seed, start + i], dtype=np.uint64))
+        assert np.array_equal(block[i], np.random.Generator(bits).standard_normal(n_steps))
+
+
+def _twap_and_feedback():
+    strat, _ = twap_strategy()
+    surf = solve_reduced_hjb(QUAD, 0.04, 1.0, 0.2, nt=40, nx=40)
+    return [("twap", strat), ("feedback", FeedbackStrategy(surf))]
+
+
+def test_compare_strategies_equals_separate_simulate_runs():
+    named = _twap_and_feedback()
+    n_paths = 4096 + 17  # a full chunk and a partial one
+    run = (BS, QUAD, 0.0, 0.1, 100.0, 1.0, n_paths, 16)
+    comp = compare_strategies(named, *run, seed=19)
+    utils = [simulate(strat, *run, seed=19).utilities for _, strat in named]
+
+    def se(u):
+        return float(u.std(ddof=1) / math.sqrt(n_paths))
+
+    assert comp.means == [float(u.mean()) for u in utils]
+    assert comp.std_errors == [se(u) for u in utils]
+    d = utils[0] - utils[1]
+    assert comp.pairs == [("twap", "feedback", float(d.mean()), se(d))]
+
+
+def test_results_do_not_depend_on_chunking(monkeypatch):
+    named = _twap_and_feedback()
+    run = (BS, QUAD, 0.0, 0.1, 100.0, 1.0, 50, 30)
+
+    def everything():
+        res = simulate(named[1][1], *run, seed=23, return_paths=True)
+        ref = simulate_unimpacted(BS, 100.0, 1.0, 50, 30, seed=23, return_paths=True)
+        return res, ref, compare_strategies(named, *run, seed=23)
+
+    res, ref, comp = everything()
+    monkeypatch.setattr(SIM_MODULE, "_CHUNK", 7)  # 7 chunks of 7 paths and one of 1
+    res7, ref7, comp7 = everything()
+    assert np.array_equal(res7.utilities, res.utilities)
+    for key in ("S", "C", "X"):
+        assert np.array_equal(res7.paths[key], res.paths[key])
+    assert (res7.cash, res7.inventory, res7.price) == (res.cash, res.inventory, res.price)
+    assert res7.absorption_count == res.absorption_count
+    assert np.array_equal(ref7.paths, ref.paths)
+    assert comp7 == comp
 
 
 def test_pathwise_dominance_under_shared_noise():
