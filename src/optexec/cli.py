@@ -10,7 +10,6 @@ violation, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime
 import json
 import os
@@ -48,10 +47,36 @@ from .simulate import (
 OUTPUT_ENV_VAR = "OPTEXEC_OUTPUT_DIR"
 
 
+_CSV_ROWS = 1024  # rows formatted per write
+
+
 def _fmt(v) -> str:
     if isinstance(v, float):
         return format(v, ".17g")
     return str(v)
+
+
+def _csv_column(col):
+    """(format field, values) of one table column; float arrays take the fast .17g path."""
+    if isinstance(col, np.ndarray):
+        return ("{:.17g}" if col.dtype.kind == "f" else "{}"), col
+    return "{}", [_fmt(v) for v in col]
+
+
+def _write_csv(path: str, header, columns) -> None:
+    """Header plus one row per index of the equal-length columns, comma-separated with CRLF ends.
+
+    Each row is one format string; rows are formatted and written a block at
+    a time, so no table is ever held as text.
+    """
+    fields, cols = zip(*map(_csv_column, columns))
+    row = ",".join(fields) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, len(cols[0]), _CSV_ROWS):
+            block = [c[lo : lo + _CSV_ROWS] for c in cols]
+            block = [c.tolist() if isinstance(c, np.ndarray) else c for c in block]
+            fh.writelines(map(row.format, *block))
 
 
 def _write_artifacts(name: str, cfg: RunConfig, out_dir: str, summary: dict, tables: dict) -> None:
@@ -63,12 +88,8 @@ def _write_artifacts(name: str, cfg: RunConfig, out_dir: str, summary: dict, tab
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
     if "csv" in cfg.output.formats:
-        for tname, (header, rows) in tables.items():
-            with open(os.path.join(out_dir, f"{tname}.csv"), "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(header)
-                for row in rows:
-                    writer.writerow([_fmt(v) for v in row])
+        for tname, (header, columns) in tables.items():
+            _write_csv(os.path.join(out_dir, f"{tname}.csv"), header, columns)
     manifest = {
         "subcommand": name,
         "version": __version__,
@@ -81,8 +102,7 @@ def _write_artifacts(name: str, cfg: RunConfig, out_dir: str, summary: dict, tab
 
 
 def _schedule_table(schedule: Schedule, n: int):
-    t, r = schedule.sample(n)
-    return ["t", "rate"], list(zip(t.tolist(), r.tolist()))
+    return ["t", "rate"], schedule.sample(n)
 
 
 def _stats_dict(stats) -> dict:
@@ -233,11 +253,14 @@ def _solve_hjb(cfg: RunConfig):
             max_expansions=0,
         )
         summary["refinement_delta"] = abs(coarse.value_at(p.horizon, p.x0) - w_term)
-    rows = []
-    for l, t in enumerate(surface.t_grid):
-        for i, x in enumerate(surface.x_grid):
-            rows.append((t, x, surface.values[l, i], surface.policy[l, i]))
-    return summary, {"surface": (["t", "x", "W", "speed"], rows)}
+    nt, nx = surface.values.shape
+    columns = (
+        np.repeat(surface.t_grid, nx),
+        np.tile(surface.x_grid, nt),
+        surface.values.ravel(),
+        surface.policy.ravel(),
+    )
+    return summary, {"surface": (["t", "x", "W", "speed"], columns)}
 
 
 def _simulate(cfg: RunConfig):
@@ -264,13 +287,10 @@ def _simulate(cfg: RunConfig):
         small = simulate(
             *run, n_small, sim.n_steps, sim.seed, log_floor=sim.log_floor, return_paths=True
         )
-        rows = []
-        for i in range(small.n_paths):
-            for k, t in enumerate(small.paths["t"]):
-                rows.append(
-                    (i, t, small.paths["S"][i, k], small.paths["C"][i, k], small.paths["X"][i, k])
-                )
-        tables["paths"] = (["path", "t", "S", "C", "X"], rows)
+        t = small.paths["t"]
+        columns = [np.repeat(np.arange(small.n_paths), t.size), np.tile(t, small.n_paths)]
+        columns += [small.paths[k].ravel() for k in ("S", "C", "X")]
+        tables["paths"] = (["path", "t", "S", "C", "X"], columns)
     return summary, tables
 
 
@@ -300,8 +320,8 @@ def _compare(cfg: RunConfig):
             for a, b, d, se in comp.pairs
         ],
     }
-    rows = list(zip(comp.names, comp.means, comp.std_errors))
-    return summary, {"comparison": (["strategy", "mean", "std_error"], rows)}
+    columns = (comp.names, comp.means, comp.std_errors)
+    return summary, {"comparison": (["strategy", "mean", "std_error"], columns)}
 
 
 def _hamiltonian_check(cfg: RunConfig):
@@ -315,7 +335,7 @@ def _hamiltonian_check(cfg: RunConfig):
         "within_tol": bool(worst <= 1e-6),
     }
     header = ["s", "p_c", "p_x", "p_s", "H_closed", "H_brute", "speed"]
-    return summary, {"hamiltonian": (header, rows)}
+    return summary, {"hamiltonian": (header, np.array(rows).T)}
 
 
 def _impact_plot(cfg: RunConfig):
@@ -325,12 +345,9 @@ def _impact_plot(cfg: RunConfig):
         xs = np.logspace(np.log10(plot.x_min), np.log10(x_hi), plot.points)
     else:
         xs = np.linspace(plot.x_min, x_hi, plot.points)
-    rows = []
-    for x in xs:
-        hval = model.h(float(x)) if x > 0.0 else ""
-        rows.append((float(x), model.g(float(x)), hval))
+    hs = [model.h(float(x)) if x > 0.0 else "" for x in xs]
     summary = {"family": model.family, "threshold": model.threshold, "x_max": float(x_hi)}
-    return summary, {"impact": (["x", "g", "h"], rows)}
+    return summary, {"impact": (["x", "g", "h"], (xs, model.g(xs), hs))}
 
 
 _PROBLEM = ("impact", "market", "problem")

@@ -10,8 +10,17 @@ the minimizer is either 0 or the point on the rising marginal branch where
 h(y) equals the target ratio (s*p_c - p_x) / (s*p_s); it never falls in the
 concave interval (0, threshold].  `best_response` is the one vectorised
 implementation of that argmax (the HJB solver calls it on whole grid rows);
-`optimal_speed` and `hamiltonian` are scalar wrappers over it, and
-`hamiltonian_bruteforce` is the independent grid+golden-section oracle.
+`optimal_speed` and `hamiltonian` are scalar wrappers over it.
+
+The independent check is a brute-force minimum of f: a dense grid, then a
+golden-section refinement, with y_max doubled while the minimizer sits at
+the grid's right edge.  One private kernel, `_brute_min`, runs that search
+in lockstep over arrays of draws: each grid level is one `g` call shared
+by all draws, and each golden-section iteration is one `g` call over the
+draws still refining.  Every draw sees exactly the float operations of the
+one-draw search, so `hamiltonian_bruteforce` (one draw) and
+`closed_vs_brute_samples` (thousands) agree bit for bit.  The oracle never
+calls `best_response` or `h_inverse`.
 """
 
 from __future__ import annotations
@@ -70,7 +79,12 @@ def target_marginal_impact(s: float, p: Gradient) -> float:
 
 def running_gain_rate(y, s: float, p: Gradient, model: ImpactModel):
     """f(y) = s*p_s*g(y) - (s*p_c - p_x)*y; accepts scalar or array y."""
-    return s * p.p_s * model.g(y) - (s * p.p_c - p.p_x) * np.asarray(y, dtype=float)
+    return _gain_rate(model, s * p.p_c - p.p_x, s * p.p_s, np.asarray(y, dtype=float))
+
+
+def _gain_rate(model, a, b, y):
+    """f(y) = b*g(y) - a*y for a = s*p_c - p_x and b = s*p_s; the oracle minimizes it."""
+    return b * model.g(y) - a * y
 
 
 def best_response(model: ImpactModel, a, b, y_max: float = math.inf, h_ymax: float = math.inf):
@@ -126,33 +140,85 @@ def hamiltonian(s: float, p: Gradient, model: ImpactModel) -> float:
     return 0.0 - float(best_response(model, s * p.p_c - p.p_x, s * p.p_s)[1])
 
 
-def _grid_golden_min(f, y_max: float, n: int):
-    """Min of f over [0, y_max]: dense grid, then golden-section around the argmin."""
-    ys = np.linspace(0.0, y_max, n)
-    vals = f(ys)
-    i = int(np.argmin(vals))
-    best_y, best_v = float(ys[i]), float(vals[i])
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GRID_BLOCK = 1 << 15  # grid values per block of draws: 256 KB per buffer
 
-    a = float(ys[max(i - 1, 0)])
-    b = float(ys[min(i + 1, n - 1)])
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = float(f(c))
-    fd = float(f(d))
-    while b - a > 1e-10:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = float(f(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = float(f(d))
-    for y, v in ((c, fc), (d, fd)):
-        if v < best_v:
-            best_y, best_v = y, v
-    return best_y, best_v
+
+def _golden(model, a, b, lo, hi):
+    """Lockstep golden-section search of each draw's f on its own [lo, hi].
+
+    Every draw sees the float operations of the scalar textbook loop; each
+    iteration is one `g` call on the draws whose bracket is still wider
+    than 1e-10.  Returns the final interior points and values (c, fc, d, fd).
+    """
+    out = np.empty((4, a.size))
+    ids = np.arange(a.size)
+    c = hi - _INVPHI * (hi - lo)
+    d = lo + _INVPHI * (hi - lo)
+    fc = _gain_rate(model, a, b, c)
+    fd = _gain_rate(model, a, b, d)
+    while True:
+        go = hi - lo > 1e-10
+        if not go.all():
+            stop = ~go
+            out[:, ids[stop]] = c[stop], fc[stop], d[stop], fd[stop]
+            lo, hi, c, d, fc, fd, a, b, ids = (v[go] for v in (lo, hi, c, d, fc, fd, a, b, ids))
+            if not ids.size:
+                return out
+        left = fc < fd  # keep [lo, d] and probe a new c; else keep [c, hi] and probe a new d
+        lo = np.where(left, lo, c)
+        hi = np.where(left, d, hi)
+        y = np.where(left, hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo))
+        c, d = np.where(left, y, d), np.where(left, c, y)
+        fy = _gain_rate(model, a, b, y)
+        fc, fd = np.where(left, fy, fd), np.where(left, fc, fy)
+
+
+def _brute_min(model, a, b, y_max, n, max_doublings):
+    """Brute-force min of f(y) = b*g(y) - a*y over [0, y_max] for every draw (a, b) at once.
+
+    Per y_max level: one `g` call on the shared grid linspace(0, y_max, n),
+    each draw's grid argmin (over blocks of draws, so temporaries stay
+    small), then a golden-section refinement on the two grid cells around
+    it.  Draws whose minimizer sits at the right edge go on to the next
+    level with y_max doubled, at most `max_doublings` times.  Never touches
+    the closed form (`best_response`, `h_inverse`): it is the oracle that
+    checks it.  Returns arrays (argmin, min, y_max reached).
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    y_star, val, y_cap = np.empty(a.size), np.empty(a.size), np.full(a.size, float(y_max))
+    todo = np.arange(a.size)
+    rows = max(1, _GRID_BLOCK // n)
+    for _ in range(max_doublings + 1):
+        if not todo.size:
+            break
+        ys = np.linspace(0.0, y_max, n)
+        gs = model.g(ys)
+        at, bt = a[todo], b[todo]
+        i = np.empty(todo.size, dtype=np.intp)
+        best_v = np.empty(todo.size)
+        buf = np.empty((2, min(rows, todo.size), n))  # one allocation per level keeps peak RSS flat
+        for lo in range(0, todo.size, rows):
+            blk = slice(lo, lo + rows)
+            k = bt[blk].size
+            vals, ay = buf[0, :k], buf[1, :k]
+            np.multiply(bt[blk, None], gs, out=vals)
+            np.multiply(at[blk, None], ys, out=ay)
+            vals -= ay
+            i[blk] = np.argmin(vals, axis=1)
+            best_v[blk] = vals[np.arange(k), i[blk]]
+        best_y = ys[i]
+        c, fc, d, fd = _golden(model, at, bt, ys[np.maximum(i - 1, 0)], ys[np.minimum(i + 1, n - 1)])
+        for y, v in ((c, fc), (d, fd)):
+            better = v < best_v
+            best_y = np.where(better, y, best_y)
+            best_v = np.where(better, v, best_v)
+        y_star[todo], val[todo] = best_y, best_v
+        todo = todo[~(best_y < y_max * (1.0 - 2.0 / n))]
+        y_max *= 2.0
+        y_cap[todo] = y_max
+    return y_star, val, y_cap
 
 
 def hamiltonian_bruteforce(s: float, p: Gradient, model: ImpactModel, y_max: float, n: int = 4001) -> float:
@@ -165,35 +231,36 @@ def hamiltonian_bruteforce(s: float, p: Gradient, model: ImpactModel, y_max: flo
     _check_price(s)
     if n < 2 or y_max <= 0.0:
         raise ValueError("brute-force grid needs n >= 2 and y_max > 0")
-    return _grid_golden_min(lambda y: running_gain_rate(y, s, p, model), y_max, n)[1]
+    return float(_brute_min(model, [s * p.p_c - p.p_x], [s * p.p_s], y_max, n, 0)[1][0])
 
 
 def _brute_min_expanding(s, p, model, y_max0, n, max_doublings=20):
     """Brute minimum with y_max doubled while the argmin sits at the right edge."""
-    y_max = y_max0
-    for _ in range(max_doublings + 1):
-        y_star, v = _grid_golden_min(lambda y: running_gain_rate(y, s, p, model), y_max, n)
-        if y_star < y_max * (1.0 - 2.0 / n):
-            return y_star, v, y_max
-        y_max *= 2.0
-    return y_star, v, y_max
+    out = _brute_min(model, [s * p.p_c - p.p_x], [s * p.p_s], y_max0, n, max_doublings)
+    return tuple(float(v[0]) for v in out)
 
 
 def closed_vs_brute_samples(model: ImpactModel, n_draws: int, seed: int = 0, n_grid: int = 4001):
     """Random sweep comparing the closed-form Hamiltonian with the oracle.
 
     Returns a list of rows (s, p_c, p_x, p_s, H_closed, H_brute, speed); the
-    draws keep p_s positive so the closed form applies, and the brute y_max
+    draws keep p_s positive so the closed form applies.  The closed values
+    and speeds come from one `best_response` call over all draws, the brute
+    values from one lockstep `_brute_min` run over all draws, whose y_max
     starts at max(2*threshold + 1, 1) and doubles (up to 2**20 times the
-    start) whenever the grid argmin lands on the right endpoint.
+    start) for each draw whose argmin lands on the right endpoint.  Every
+    row is bit-identical to the one-draw calls `hamiltonian`,
+    `_brute_min_expanding` and `optimal_speed`.
     """
     rng = np.random.default_rng(seed)
-    rows = []
-    y_max0 = max(2.0 * model.threshold + 1.0, 1.0)
-    for _ in range(n_draws):
-        s = float(rng.uniform(0.2, 5.0))
-        p = Gradient(float(rng.normal(1.0, 1.0)), float(rng.normal(0.0, 1.0)), float(rng.uniform(0.05, 3.0)))
-        h_closed = hamiltonian(s, p, model)
-        _, h_brute, _ = _brute_min_expanding(s, p, model, y_max0, n_grid)
-        rows.append((s, p.p_c, p.p_x, p.p_s, h_closed, h_brute, optimal_speed(s, p, model)))
-    return rows
+    # one number at a time, (s, p_c, p_x, p_s) per draw: array draws would reorder the stream
+    draws = (
+        v
+        for _ in range(n_draws)
+        for v in (rng.uniform(0.2, 5.0), rng.normal(1.0, 1.0), rng.normal(0.0, 1.0), rng.uniform(0.05, 3.0))
+    )
+    s, p_c, p_x, p_s = np.fromiter(draws, float, 4 * n_draws).reshape(n_draws, 4).T
+    a, b = s * p_c - p_x, s * p_s
+    speed, gain, _ = best_response(model, a, b)
+    _, h_brute, _ = _brute_min(model, a, b, max(2.0 * model.threshold + 1.0, 1.0), n_grid, 20)
+    return list(zip(*(col.tolist() for col in (s, p_c, p_x, p_s, 0.0 - gain, h_brute, speed))))

@@ -65,20 +65,15 @@ class ValueSurface:
             raise ValueError(f"{name} = {v:g} outside the solved grid [{lo:g}, {hi:g}]")
         return min(max(v, lo), hi)
 
-    def _interp(self, field, t, x):
+    def value_at(self, t, x) -> float:
+        """Bilinear value lookup at one (time-to-go, inventory) point."""
         t = self._locate(self.t_grid, float(t), "t")
         x = self._locate(self.x_grid, float(x), "x")
         lt = int(np.searchsorted(self.t_grid, t))
         lt = min(max(lt, 1), self.t_grid.size - 1)
         wt = (t - self.t_grid[lt - 1]) / (self.t_grid[lt] - self.t_grid[lt - 1])
-        row = (1.0 - wt) * field[lt - 1] + wt * field[lt]
+        row = (1.0 - wt) * self.values[lt - 1] + wt * self.values[lt]
         return float(np.interp(x, self.x_grid, row))
-
-    def value_at(self, t, x) -> float:
-        return self._interp(self.values, t, x)
-
-    def policy_at(self, t, x) -> float:
-        return self._interp(self.policy, t, x)
 
     def policy_row(self, t, x_query: np.ndarray) -> np.ndarray:
         """Bilinear policy lookup for many inventories at one time-to-go."""

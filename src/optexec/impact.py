@@ -254,6 +254,14 @@ class MixedPowerImpact(ImpactModel):
         out[~lo] = self.alpha * self.p_convex * x[~lo] ** (self.p_convex - 1.0)
         return out
 
+    def _dh(self, x):
+        out = np.empty_like(x)
+        lo = x <= self.threshold
+        pc, px = self.p_concave, self.p_convex
+        out[lo] = self.beta * pc * (pc - 1.0) * x[lo] ** (pc - 2.0)
+        out[~lo] = self.alpha * px * (px - 1.0) * x[~lo] ** (px - 2.0)
+        return out
+
     def _h_inverse(self, ybar):
         x = (ybar / (self.alpha * self.p_convex)) ** (1.0 / (self.p_convex - 1.0))
         return np.maximum(x, self.threshold)
@@ -293,6 +301,10 @@ class ShiftedConvexImpact(ImpactModel):
     def _h(self, x):
         return self.power * np.maximum(x - self.threshold, 0.0) ** (self.power - 1.0)
 
+    def _dh(self, x):
+        p = self.power
+        return p * (p - 1.0) * np.maximum(x - self.threshold, 0.0) ** (p - 2.0)
+
     def _h_inverse(self, ybar):
         return self.threshold + (ybar / self.power) ** (1.0 / (self.power - 1.0))
 
@@ -317,6 +329,9 @@ class QuadraticImpact(ImpactModel):
 
     def _h(self, x):
         return 2.0 * self.alpha0 * x
+
+    def _dh(self, x):
+        return np.full_like(x, 2.0 * self.alpha0)
 
     def _h_inverse(self, ybar):
         return ybar / (2.0 * self.alpha0)

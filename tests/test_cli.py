@@ -457,3 +457,29 @@ def test_overrides_parsing():
     assert merged == {"a": {"k": "2"}, "b": {"x": "3"}}
     with pytest.raises(ConfigError):
         apply_overrides({}, ["nodots"])
+
+
+def test_csv_tables_match_the_csv_module(tmp_path):
+    # the column writer gives the bytes csv.writer gave for rows of .17g floats,
+    # ints and strings, across block boundaries and for mixed list columns
+    import csv
+
+    from optexec.cli import _CSV_ROWS, _fmt, _write_csv
+
+    n = 2 * _CSV_ROWS + 3
+    rng = np.random.default_rng(4)
+    floats = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
+    floats[:4] = [0.0, -0.0, 0.1, 1e16]
+    ints = np.arange(n)
+    mixed = ["" if i % 7 == 0 else float(v) for i, v in enumerate(floats)]
+    names = [f"rate:{i}" if i % 2 else "twap" for i in range(n)]
+    path = tmp_path / "t.csv"
+    _write_csv(str(path), ["a", "b", "c", "d"], (floats, ints, mixed, names))
+
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["a", "b", "c", "d"])
+        for row in zip(floats, ints.tolist(), mixed, names):
+            writer.writerow([_fmt(v) for v in row])
+    assert path.read_bytes() == ref.read_bytes()

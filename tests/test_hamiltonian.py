@@ -204,3 +204,116 @@ def test_best_response_matches_dense_grid_argmax(rows, span):
         grid_loss = b * np.max(np.abs(np.diff(gs[1:], 2)))
         assert np.all(gain >= best - rounding)
         assert np.all(gain <= best + grid_loss + rounding)
+
+
+def _bits(rows):
+    return np.asarray(rows, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("model", FAMILIES, ids=lambda m: m.family)
+def test_sample_rows_equal_one_draw_calls(model):
+    # the lockstep sweep gives every row the bits of the one-draw oracle and
+    # closed-form calls, including draws whose search doubled y_max
+    from optexec.hamiltonian import closed_vs_brute_samples
+
+    n_draws, seed = 80, 5
+    rows = closed_vs_brute_samples(model, n_draws, seed=seed, n_grid=1001)
+    rng = np.random.default_rng(seed)
+    y_max0 = max(2.0 * model.threshold + 1.0, 1.0)
+    expected, doubled = [], 0
+    for _ in range(n_draws):
+        s = float(rng.uniform(0.2, 5.0))
+        p = Gradient(float(rng.normal(1.0, 1.0)), float(rng.normal(0.0, 1.0)), float(rng.uniform(0.05, 3.0)))
+        _, h_brute, y_max = _brute_min_expanding(s, p, model, y_max0, 1001)
+        doubled += y_max > y_max0
+        expected.append((s, p.p_c, p.p_x, p.p_s, hamiltonian(s, p, model), h_brute, optimal_speed(s, p, model)))
+    assert np.array_equal(_bits(rows), _bits(expected))
+    if model is QUAD:
+        assert doubled >= 10
+
+
+def test_oracle_never_uses_the_closed_form(monkeypatch):
+    import importlib
+
+    from optexec.impact import ImpactModel
+
+    ham = importlib.import_module("optexec.hamiltonian")  # the package's `hamiltonian` is the function
+
+    p = Gradient(2.0, -0.5, 0.8)
+    before = [
+        (hamiltonian_bruteforce(1.3, p, m, y_max=5.0, n=501), _brute_min_expanding(1.3, p, m, 0.5, 501))
+        for m in FAMILIES
+    ]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle called the closed form")
+
+    monkeypatch.setattr(ImpactModel, "h_inverse", forbidden)
+    monkeypatch.setattr(ham, "best_response", forbidden)
+    after = [
+        (hamiltonian_bruteforce(1.3, p, m, y_max=5.0, n=501), _brute_min_expanding(1.3, p, m, 0.5, 501))
+        for m in FAMILIES
+    ]
+    assert after == before
+
+
+class _OffInverse(MixedPowerImpact):
+    """The mixed-power curve with a marginal inverse that is 0.1% too large."""
+
+    def _h_inverse(self, ybar):
+        return 1.001 * super()._h_inverse(ybar)
+
+
+def test_sample_sweep_detects_a_slightly_wrong_inverse():
+    from optexec.hamiltonian import closed_vs_brute_samples
+
+    def worst(model):
+        rows = closed_vs_brute_samples(model, 300, seed=3)
+        return max(abs(r[4] - r[5]) / (1.0 + abs(r[4])) for r in rows)
+
+    assert worst(MIXED) <= 1e-6
+    assert worst(_OffInverse(**MIXED.params())) > 1e-6
+
+
+def _textbook_min(f, y_max, n, max_doublings=20):
+    # scalar grid + golden-section search with y_max doubling, one float at a time
+    invphi = (5.0**0.5 - 1.0) / 2.0
+    for _ in range(max_doublings + 1):
+        ys = np.linspace(0.0, y_max, n)
+        vals = f(ys)
+        i = int(np.argmin(vals))
+        best_y, best_v = float(ys[i]), float(vals[i])
+        a, b = float(ys[max(i - 1, 0)]), float(ys[min(i + 1, n - 1)])
+        c, d = b - invphi * (b - a), a + invphi * (b - a)
+        fc, fd = float(f(c)), float(f(d))
+        while b - a > 1e-10:
+            if fc < fd:
+                b, d, fd = d, c, fc
+                c = b - invphi * (b - a)
+                fc = float(f(c))
+            else:
+                a, c, fc = c, d, fd
+                d = a + invphi * (b - a)
+                fd = float(f(d))
+        for y, v in ((c, fc), (d, fd)):
+            if v < best_v:
+                best_y, best_v = y, v
+        if best_y < y_max * (1.0 - 2.0 / n):
+            return best_y, best_v, y_max
+        y_max *= 2.0
+    return best_y, best_v, y_max
+
+
+@pytest.mark.parametrize("model", FAMILIES, ids=lambda m: m.family)
+def test_oracle_matches_textbook_scalar_search(model):
+    # the lockstep kernel does, per draw, the float operations of the scalar loop
+    from optexec.hamiltonian import running_gain_rate
+
+    rng = np.random.default_rng(11)
+    got, want = [], []
+    for _ in range(25):
+        s = float(rng.uniform(0.2, 5.0))
+        p = Gradient(float(rng.normal(1.0, 2.0)), float(rng.normal(0.0, 1.0)), float(rng.uniform(0.05, 3.0)))
+        got.append(_brute_min_expanding(s, p, model, 1.0, 501))
+        want.append(_textbook_min(lambda y: running_gain_rate(y, s, p, model), 1.0, 501))
+    assert np.array_equal(_bits(got), _bits(want))

@@ -226,6 +226,30 @@ def test_h_inverse_evaluation_count():
     assert 0 < len(calls) <= 12
 
 
+@pytest.mark.parametrize("model", ALL_INVERTIBLE, ids=repr)
+def test_twap_rate_evaluation_count(model):
+    # every family has a closed-form h', so the TWAP-rate root takes Newton
+    # steps: 6-14 evaluations of h (bracket growth included) on these decays,
+    # where bisection needed 34-45
+    from optexec.closed_form import twap_rate
+
+    plain_h = model._h
+    for decay in (1e-4, 0.04, 0.5, 2.0, 30.0):
+        calls = []
+
+        def counting_h(x):
+            calls.append(x.size)
+            return plain_h(x)
+
+        object.__setattr__(model, "_h", counting_h)
+        try:
+            rate = twap_rate(model, decay)
+        finally:
+            object.__setattr__(model, "_h", plain_h)
+        assert abs(model.excess_impact(rate) - decay) <= 1e-12 * (1.0 + decay)
+        assert 0 < len(calls) <= 16
+
+
 def test_linear_family_flagged():
     lin = LinearImpact(2.0)
     assert not lin.unbounded_marginal
