@@ -53,7 +53,8 @@ def increasing_root(f, df, target: np.ndarray, lo, what: str, hi=None) -> np.nda
     df its derivative (NaN where unknown); both act on float arrays.  `lo` is
     a scalar or an array like `target`, and so is `hi` if given, with
     f(hi) >= target.  Without `hi` the right end of each bracket [lo, hi]
-    grows by factors of 8 until f(hi) >= target.  Starting from lo, each
+    grows by factors of 8 until f(hi) >= target, and an element whose grown
+    f(hi) already meets the tolerance starts at hi.  Starting from lo, each
     iteration evaluates f, shrinks the brackets by the sign of the error and
     moves each unconverged element by the Newton step x - err / df(x), or to
     its bracket midpoint where that step is not finite or leaves the open
@@ -61,11 +62,13 @@ def increasing_root(f, df, target: np.ndarray, lo, what: str, hi=None) -> np.nda
     """
     tol = _INVERSE_RTOL * (1.0 + target)
     lo = np.broadcast_to(np.asarray(lo, dtype=float), target.shape)
+    x = np.array(lo)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if hi is None:
             hi = lo + 1.0
             for _ in range(500):
-                short = f(hi) < target
+                f_hi = f(hi)
+                short = f_hi < target
                 if not short.any():
                     break
                 hi = np.where(short, lo + 8.0 * (hi - lo), hi)
@@ -73,7 +76,10 @@ def increasing_root(f, df, target: np.ndarray, lo, what: str, hi=None) -> np.nda
                     raise NumericalFailure(f"{what} target beyond float range")
             else:
                 raise NumericalFailure(f"could not bracket the {what}")
-        x = np.array(lo)
+            # start at a right end that already meets the tolerance: the loop
+            # tests only x, and Newton steps from the left of a convex f
+            # overshoot such an end, so it would bisect all the way to it
+            x = np.where(np.abs(f_hi - target) <= tol, hi, x)
         for _ in range(200):
             err = f(x) - target
             lo = np.where(err < 0.0, x, lo)

@@ -6,6 +6,12 @@ a configurable floor the price is absorbed at zero for the rest of the path.
 Cash and inventory integrate with the explicit left-point rule, and a step
 that would oversell is clipped to the remaining inventory.
 
+A strategy's `speeds(t, remaining)` must be price-blind, as the optimal
+feedback of the risk-neutral reduction (value c + s*W(t, x)) is.  Every path
+then holds the same inventory, so it is marched once, with one `speeds` call
+per step on a length-1 array and one `g` call for all steps, and the
+per-path kernel advances only price and cash.
+
 Noise comes from counter-based Philox streams keyed by (seed, path_index),
 so results are bit-reproducible for a given (seed, n_paths, n_steps,
 strategy) regardless of chunking, and distinct strategies simulated with the
@@ -45,7 +51,8 @@ _CHUNK = 4096
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Bounded Lipschitz log-price coefficients with caller-declared bounds."""
+    """Bounded Lipschitz log-price coefficients with caller-declared bounds;
+    `drift` and `vol` act elementwise on float arrays of any shape."""
 
     drift: Callable[[np.ndarray], np.ndarray]
     vol: Callable[[np.ndarray], np.ndarray]
@@ -74,7 +81,8 @@ class CoefficientSet:
 
 
 class DeterministicStrategy:
-    """Open-loop selling along a fixed schedule."""
+    """Open-loop selling along a fixed schedule; price-blind, so the
+    simulator calls `speeds` once per step, on the inventory all paths share."""
 
     def __init__(self, schedule: Schedule):
         self.schedule = schedule
@@ -91,7 +99,9 @@ class FeedbackStrategy:
     The surface is indexed by time-to-go, so at calendar time t the speed is
     the bilinear policy at (horizon - t, remaining).  Interpolated speeds
     that land in the forbidden interval (0, threshold] are projected to 0,
-    so every emitted speed is 0 or strictly above the threshold.
+    so every emitted speed is 0 or strictly above the threshold.  The policy
+    reads (t, remaining) only: price-blind, so the simulator calls `speeds`
+    once per step, on the inventory all paths share.
     """
 
     def __init__(self, surface: ValueSurface):
@@ -219,12 +229,53 @@ def simulate(
     return res
 
 
+def _price_paths(sells, drags, coeffs, c0, s0, dt, n_paths, seed, log_floor, return_paths):
+    """Cash and price of n_paths paths for each row of `sells` (the amount
+    sold at each step) and `drags` (its impact drift g(sell/dt)), all rows
+    on the same noise, as one (rows, paths) array per step.  Returns the
+    terminal cash and price, (rows, n_paths) each, the absorbed-path count
+    of each row, and the (cash/price, rows, n_paths, n_steps + 1) history.
+    """
+    m, n_steps = sells.shape
+    sqdt = math.sqrt(dt)
+    y0 = math.log(s0) if s0 > 0.0 else log_floor - 1.0
+    cash, price = np.empty((m, n_paths)), np.empty((m, n_paths))
+    absorbed = np.zeros(m, dtype=int)
+    hist = np.empty((2, m, n_paths, n_steps + 1)) if return_paths else None
+    for start in range(0, n_paths, _CHUNK):
+        count = min(_CHUNK, n_paths - start)
+        rows = slice(start, start + count)
+        noise = _path_noise(seed, start, count, n_steps)
+        Y = np.full((m, count), y0)
+        S = np.full((m, count), float(s0))
+        C = np.full((m, count), float(c0))
+        alive = np.full((m, count), s0 > 0.0)
+        if hist is not None:
+            hist[:, :, rows, 0] = C, S
+        for k in range(n_steps):
+            xi = noise[:, k].copy()  # one contiguous copy of the strided column for all rows
+            C += sells[:, k : k + 1] * S
+            dY = (coeffs.drift(Y) - drags[:, k : k + 1]) * dt + coeffs.vol(Y) * sqdt * xi
+            np.add(Y, dY, out=Y, where=alive)
+            alive &= Y >= log_floor
+            S = np.where(alive, np.exp(Y), 0.0)
+            if hist is not None:
+                hist[:, :, rows, k + 1] = C, S
+        cash[:, rows] = C
+        price[:, rows] = S
+        absorbed += np.count_nonzero(~alive, axis=1)
+        # release this block before the next one is drawn, so one block is live at a time
+        del noise
+    return cash, price, absorbed, hist
+
+
 def _simulate_all(
     strategies, coeffs, model, c0, x0, s0, horizon, n_paths, n_steps, seed,
     utility=None, log_floor=-60.0, return_paths=False,
 ) -> list:
-    """One SimResult per strategy, all driven by the same noise: each chunk's
-    noise block is drawn once and every strategy runs on it in turn."""
+    """One SimResult per strategy, all driven by the same noise: each
+    strategy's inventory path is marched once, one `g` call gives every
+    step's impact drift, then `_price_paths` runs all strategies at once."""
     _validate_common(n_paths, n_steps, seed, horizon)
     if x0 < 0.0 or s0 < 0.0:
         raise ValueError("need x0 >= 0 and s0 >= 0")
@@ -236,80 +287,38 @@ def _simulate_all(
     utility = utility or Utility()
 
     dt = horizon / n_steps
-    sqdt = math.sqrt(dt)
-    y0 = math.log(s0) if s0 > 0.0 else log_floor - 1.0
-
-    # per strategy: terminal (C, X, S), absorbed-path count and path history
-    terminal = [(np.empty(n_paths), np.empty(n_paths), np.empty(n_paths)) for _ in strategies]
-    absorbed = [0] * len(strategies)
-    hists = [None] * len(strategies)
-    if return_paths:
-        hists = [
-            {
-                "t": np.linspace(0.0, horizon, n_steps + 1),
-                "S": np.empty((n_paths, n_steps + 1)),
-                "C": np.empty((n_paths, n_steps + 1)),
-                "X": np.empty((n_paths, n_steps + 1)),
-            }
-            for _ in strategies
-        ]
-
-    for start in range(0, n_paths, _CHUNK):
-        count = min(_CHUNK, n_paths - start)
-        rows = slice(start, start + count)
-        noise = _path_noise(seed, start, count, n_steps)
-        for j, strategy in enumerate(strategies):
-            hist = hists[j]
-            Y = np.full(count, y0)
-            S = np.full(count, float(s0))
-            X = np.full(count, float(x0))
-            C = np.full(count, float(c0))
-            alive = np.full(count, s0 > 0.0)
-            if hist is not None:
-                hist["S"][rows, 0] = S
-                hist["C"][rows, 0] = C
-                hist["X"][rows, 0] = X
-
-            for k in range(n_steps):
-                t = k * dt
-                sp = np.asarray(strategy.speeds(t, X), dtype=float)
-                sp = np.where(X > 0.0, sp, 0.0)
-                sell = np.minimum(sp * dt, X)
-                sp_eff = sell / dt
-                C = C + sell * S
-                X = X - sell
-                dY = (coeffs.drift(Y) - model.g(sp_eff)) * dt + coeffs.vol(Y) * sqdt * noise[:, k]
-                Y = np.where(alive, Y + dY, Y)
-                alive = alive & (Y >= log_floor)
-                S = np.where(alive, np.exp(Y), 0.0)
-                if hist is not None:
-                    hist["S"][rows, k + 1] = S
-                    hist["C"][rows, k + 1] = C
-                    hist["X"][rows, k + 1] = X
-
-            ct, xt, st = terminal[j]
-            ct[rows] = C
-            xt[rows] = X
-            st[rows] = S
-            absorbed[j] += int(np.count_nonzero(~alive))
-        # release this block before the next one is drawn, so one block is live at a time
-        del noise
+    sells = np.empty((len(strategies), n_steps))
+    xs = np.full((len(strategies), n_steps + 1), float(x0))
+    for j, strategy in enumerate(strategies):
+        for k in range(n_steps):
+            X = xs[j, k : k + 1]  # the inventory every path holds
+            sp = np.where(X > 0.0, np.asarray(strategy.speeds(k * dt, X), dtype=float), 0.0)
+            sells[j, k] = np.minimum(sp * dt, X)[0]
+            xs[j, k + 1] = X[0] - sells[j, k]
+    cash, price, absorbed, hist = _price_paths(
+        sells, model.g(sells / dt), coeffs, c0, s0, dt, n_paths, seed, log_floor, return_paths
+    )
 
     results = []
-    for (ct, xt, st), n_absorbed, hist in zip(terminal, absorbed, hists):
-        utilities = utility.evaluate(ct, xt, st)
+    for j in range(len(strategies)):
+        inventory = np.full(n_paths, xs[j, -1])
+        utilities = utility.evaluate(cash[j], inventory, price[j])
         se = float(utilities.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
+        paths = None
+        if return_paths:
+            t = np.linspace(0.0, horizon, n_steps + 1)
+            paths = {"t": t, "S": hist[1, j], "C": hist[0, j], "X": np.tile(xs[j], (n_paths, 1))}
         results.append(
             SimResult(
                 mean_utility=float(utilities.mean()),
                 std_error=se,
                 n_paths=n_paths,
-                cash=_stats(ct),
-                inventory=_stats(xt),
-                price=_stats(st),
-                absorption_count=n_absorbed,
+                cash=_stats(cash[j]),
+                inventory=_stats(inventory),
+                price=_stats(price[j]),
+                absorption_count=int(absorbed[j]),
                 utilities=utilities,
-                paths=hist,
+                paths=paths,
             )
         )
     return results
@@ -330,27 +339,14 @@ def simulate_unimpacted(
     _validate_common(n_paths, n_steps, seed, horizon)
     if s0 < 0.0:
         raise ValueError("s0 must be non-negative")
-    dt = horizon / n_steps
-    sqdt = math.sqrt(dt)
-    y0 = math.log(s0) if s0 > 0.0 else -math.inf
-
-    zt = np.empty(n_paths)
-    hist = np.empty((n_paths, n_steps + 1)) if return_paths else None
-    for start in range(0, n_paths, _CHUNK):
-        count = min(_CHUNK, n_paths - start)
-        noise = _path_noise(seed, start, count, n_steps)
-        Y = np.full(count, y0)
-        if hist is not None:
-            hist[start : start + count, 0] = s0
-        for k in range(n_steps):
-            # same grouping as the controlled step with g = 0, so a zero-impact
-            # run reproduces this price bit for bit
-            dY = coeffs.drift(Y) * dt + coeffs.vol(Y) * sqdt * noise[:, k]
-            Y = Y + dY
-            if hist is not None:
-                hist[start : start + count, k + 1] = np.exp(Y)
-        zt[start : start + count] = np.exp(Y) if s0 > 0.0 else 0.0
-    return UnimpactedResult(price=_stats(zt), paths=hist)
+    # a row that sells nothing, has zero drag and is never absorbed: the
+    # controlled step with g = 0 (drift - 0.0 is drift), so a zero-impact run
+    # reproduces this price bit for bit; s0 = 0 stays at Y = -inf, S = 0
+    zero = np.zeros((1, n_steps))
+    _, price, _, hist = _price_paths(
+        zero, zero, coeffs, 0.0, s0, horizon / n_steps, n_paths, seed, -math.inf, return_paths
+    )
+    return UnimpactedResult(price=_stats(price[0]), paths=None if hist is None else hist[1, 0])
 
 
 @dataclass

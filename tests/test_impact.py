@@ -250,6 +250,27 @@ def test_twap_rate_evaluation_count(model):
         assert 0 < len(calls) <= 16
 
 
+@pytest.mark.parametrize("decay, most", [(0.04, 8), (1.0, 10), (30.0, 8)])
+def test_twap_rate_accepts_bracket_end_root(decay, most):
+    # at decay 1 the root of x**2 = decay is the first grown bracket end,
+    # hi = threshold + 1 = 1; testing only x, the root finder used to bisect
+    # all the way to it (42 evaluations of h) against 8 at the other decays
+    from optexec.closed_form import twap_rate
+
+    model = QuadraticImpact(1.0)
+    plain_h = model._h
+    calls = []
+
+    def counting_h(x):
+        calls.append(x.size)
+        return plain_h(x)
+
+    object.__setattr__(model, "_h", counting_h)
+    rate = twap_rate(model, decay)
+    assert 0 < len(calls) <= most
+    assert abs(model.excess_impact(rate) - decay) <= 1e-12 * (1.0 + decay)
+
+
 def test_linear_family_flagged():
     lin = LinearImpact(2.0)
     assert not lin.unbounded_marginal

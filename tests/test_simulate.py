@@ -126,6 +126,64 @@ def test_results_do_not_depend_on_chunking(monkeypatch):
     assert comp7 == comp
 
 
+class _CountingStrategy:
+    def __init__(self, inner):
+        self.inner, self.horizon, self.calls = inner, inner.horizon, 0
+
+    def speeds(self, t, remaining):
+        self.calls += 1
+        return self.inner.speeds(t, remaining)
+
+
+@pytest.fixture(scope="module")
+def mixed_zoo():
+    m = MixedPowerImpact(alpha=1.0, p_convex=2.0, p_concave=0.5, threshold=1.0)
+    return m, {
+        "twap": DeterministicStrategy(twap_solution(0.0, 0.5, 100.0, m, 0.04, 1.0).schedule),
+        "threshold": DeterministicStrategy(Schedule.constant(m.threshold, 0.5 / m.threshold, 1.0)),
+        "feedback": FeedbackStrategy(solve_reduced_hjb(m, 0.04, 1.0, 1.0, nt=40, nx=40)),
+    }
+
+
+@pytest.mark.parametrize("name", ["twap", "threshold", "feedback"])
+def test_every_path_holds_the_same_inventory(mixed_zoo, name):
+    # speeds see (t, remaining) only and every path starts at x0, so the
+    # inventory path is shared; the simulator marches it once
+    model, zoo = mixed_zoo
+    res = simulate(zoo[name], BS, model, 0.0, 0.5, 100.0, 1.0, 40, 50, seed=3, return_paths=True)
+    X = res.paths["X"]
+    assert X.shape == (40, 51)
+    assert np.all(X == X[0])
+    assert X[0, 0] == 0.5 and X[0, -1] < 0.5
+    assert res.inventory.quantiles[0] == res.inventory.quantiles[-1] == X[0, -1]
+
+
+def test_strategy_and_impact_calls_do_not_depend_on_paths(monkeypatch):
+    n_steps = 30
+    counts = []
+    base = _twap_and_feedback()
+    for n_paths, chunk in ((1, 4096), (50, 4096), (50, 7)):
+        monkeypatch.setattr(SIM_MODULE, "_CHUNK", chunk)
+        model = QuadraticImpact(1.0)
+        g_calls = []
+        plain_g = model.g
+
+        def counting_g(x):
+            g_calls.append(np.shape(x))
+            return plain_g(x)
+
+        object.__setattr__(model, "g", counting_g)
+        named = [(name, _CountingStrategy(s)) for name, s in base]
+        run = (BS, model, 0.0, 0.1, 100.0, 1.0, n_paths, n_steps)
+        simulate(named[0][1], *run, seed=4)
+        assert named[0][1].calls == n_steps
+        compare_strategies(named, *run, seed=4)
+        assert [s.calls for _, s in named] == [2 * n_steps, n_steps]
+        counts.append(g_calls)
+    # one g call per run, on every step's rate of every strategy at once
+    assert counts == [[(1, n_steps), (2, n_steps)]] * 3
+
+
 def test_pathwise_dominance_under_shared_noise():
     strat, _ = twap_strategy()
     n_paths, n_steps = 300, 200
