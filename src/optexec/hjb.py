@@ -130,26 +130,35 @@ def solve_reduced_hjb(
     `y_max` truncates the control; if the interior candidate hits the cap on
     more than `saturation_tol` of the conditioned nodes, the solve is
     repeated with y_max doubled, up to `max_expansions` times, and the final
-    saturation fraction is reported on the surface.
+    saturation fraction is reported on the surface.  Every attempt but the
+    last stops at the first sub-step where its saturated-node count alone
+    exceeds `saturation_tol` of the most nodes the whole march can condition,
+    since its verdict is then certain; the returned surface is the same as
+    with every attempt run in full.  An abandoned attempt never runs its
+    later growth-guard checks.
     """
     if nt < 2 or nx < 2:
         raise ValueError("need nt >= 2 and nx >= 2 grid cells")
     if horizon <= 0.0 or x_max <= 0.0:
         raise ValueError("horizon and x_max must be positive")
+    if max_expansions < 0:
+        raise ValueError("max_expansions must be non-negative")
     if y_max is None:
         y_max = _default_y_max(model, decay, horizon, x_max)
     if y_max <= model.threshold:
         raise ValueError("y_max must exceed the impact threshold or the policy range is empty")
 
-    for attempt in range(max_expansions + 1):
-        surface = _march(model, decay, horizon, x_max, nt, nx, y_max)
-        if surface.saturation_fraction <= saturation_tol or attempt == max_expansions:
+    for _ in range(max_expansions):
+        surface = _march(model, decay, horizon, x_max, nt, nx, y_max, saturation_tol)
+        if surface is not None and surface.saturation_fraction <= saturation_tol:
             return surface
         y_max *= 2.0
-    return surface
+    return _march(model, decay, horizon, x_max, nt, nx, y_max)
 
 
-def _march(model, decay, horizon, x_max, nt, nx, y_max):
+def _march(model, decay, horizon, x_max, nt, nx, y_max, abandon_above=None):
+    """One attempt at a fixed y_max.  With `abandon_above`, return None as
+    soon as the saturation fraction is sure to end above it."""
     t_grid = np.linspace(0.0, horizon, nt + 1)
     x_grid = np.linspace(0.0, x_max, nx + 1)
     dt = horizon / nt
@@ -166,6 +175,10 @@ def _march(model, decay, horizon, x_max, nt, nx, y_max):
     W = np.zeros(nx + 1)
     saturated = 0
     conditioned = 0
+    # each of the nt*n_sub + 1 control calls conditions at most nx nodes, and
+    # float division is monotone, so once saturated / most_conditioned is
+    # above the tolerance the final fraction is too
+    most_conditioned = (nt * n_sub + 1) * nx
 
     for lvl in range(nt + 1):
         speed, psi, sat, cond = _node_controls(model, W, dx, y_max, h_ymax)
@@ -180,6 +193,8 @@ def _march(model, decay, horizon, x_max, nt, nx, y_max):
                 speed, psi, sat, cond = _node_controls(model, W, dx, y_max, h_ymax)
                 saturated += sat
                 conditioned += cond
+            if abandon_above is not None and saturated / most_conditioned > abandon_above:
+                return None
             W = W + dtau * (psi - decay * W)
             W[0] = 0.0
             if W[-1] > guard:

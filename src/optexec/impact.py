@@ -158,7 +158,7 @@ class ImpactModel:
             )
         arr = np.atleast_1d(np.asarray(ybar, dtype=float))
         floor = self.marginal_floor
-        if not np.all(arr >= floor):  # also rejects NaN
+        if arr.size and not arr.min() >= floor:  # a NaN makes the min NaN and fails
             raise ValueError(f"h_inverse needs ybar >= h(threshold) = {floor}")
         return _match(ybar, self._h_inverse(arr))
 
@@ -182,11 +182,12 @@ class ImpactModel:
 
     def _rate_array(self, x, allow_zero: bool) -> np.ndarray:
         arr = np.atleast_1d(np.asarray(x, dtype=float))
-        # `not all(...)` rather than `any(...)` also rejects NaN
+        # one reduction; a NaN makes the min NaN, which fails both tests
+        lowest = arr.min() if arr.size else np.inf
         if allow_zero:
-            if not np.all(arr >= 0.0):
+            if not lowest >= 0.0:
                 raise ValueError("selling rate must be non-negative")
-        elif not np.all(arr > 0.0):
+        elif not lowest > 0.0:
             raise ValueError("selling rate must be positive")
         return arr
 

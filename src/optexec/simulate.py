@@ -235,7 +235,10 @@ def _price_paths(sells, drags, coeffs, c0, s0, dt, n_paths, seed, log_floor, ret
     on the same noise, as one (rows, paths) array per step.  Returns the
     terminal cash and price, (rows, n_paths) each, the absorbed-path count
     of each row, and the (cash/price, rows, n_paths, n_steps + 1) history.
+    Spot-checks the coefficients' declared bounds around log(s0) first.
     """
+    probe = math.log(s0) if s0 > 0.0 else 0.0
+    coeffs.spot_check(np.linspace(probe - 5.0, probe + 5.0, 9))
     m, n_steps = sells.shape
     sqdt = math.sqrt(dt)
     y0 = math.log(s0) if s0 > 0.0 else log_floor - 1.0
@@ -282,8 +285,6 @@ def _simulate_all(
     for strategy in strategies:
         if abs(strategy.horizon - horizon) > 1e-12 * max(1.0, horizon):
             raise ValueError("strategy horizon does not match the simulation horizon")
-    probe = math.log(s0) if s0 > 0.0 else 0.0
-    coeffs.spot_check(np.linspace(probe - 5.0, probe + 5.0, 9))
     utility = utility or Utility()
 
     dt = horizon / n_steps

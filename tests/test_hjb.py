@@ -3,7 +3,10 @@ import pytest
 
 from optexec.closed_form import mixed_power_solution, twap_rate, twap_solution
 from optexec.errors import NumericalFailure
+import optexec.hjb as hjb
 from optexec.hjb import (
+    _default_y_max,
+    _march,
     _node_controls,
     extract_policy,
     full_value_from_reduced,
@@ -11,10 +14,11 @@ from optexec.hjb import (
     optimize_deterministic_schedule,
     solve_reduced_hjb,
 )
-from optexec.impact import MixedPowerImpact, QuadraticImpact
+from optexec.impact import LevyEffectiveImpact, MixedPowerImpact, QuadraticImpact
 
 QUAD = QuadraticImpact(1.0)
 MIXED = MixedPowerImpact(alpha=1.0, p_convex=2.0, p_concave=0.5, threshold=1.0)
+LEVY = LevyEffectiveImpact(gamma=1.0, alpha0=1.0, alpha1=2.0, beta1=2.0)
 
 BENCH = dict(decay=0.04, horizon=1.0, x_max=0.2)
 
@@ -152,6 +156,8 @@ def test_solver_input_validation():
         solve_reduced_hjb(QUAD, 0.04, -1.0, 0.2)
     with pytest.raises(ValueError):
         solve_reduced_hjb(MIXED, 0.05, 1.0, 1.0, y_max=0.5)  # below the threshold
+    with pytest.raises(ValueError):
+        solve_reduced_hjb(QUAD, 0.04, 1.0, 0.2, nt=10, nx=10, max_expansions=-1)
 
 
 def test_negative_decay_is_stable():
@@ -213,3 +219,48 @@ def test_saturation_reporting():
     assert surf.y_max == 1.0
     expanded = solve_reduced_hjb(QUAD, nt=60, nx=60, y_max=1.0, max_expansions=2, **BENCH)
     assert expanded.y_max >= surf.y_max
+
+
+def _solve_every_attempt(model, nt, nx, y_max, max_expansions, saturation_tol, decay, horizon, x_max):
+    """The restart loop with every attempt run in full: the early stop's reference."""
+    if y_max is None:
+        y_max = _default_y_max(model, decay, horizon, x_max)
+    for attempt in range(max_expansions + 1):
+        surface = _march(model, decay, horizon, x_max, nt, nx, y_max)
+        if surface.saturation_fraction <= saturation_tol or attempt == max_expansions:
+            return surface
+        y_max *= 2.0
+
+
+@pytest.mark.parametrize("saturation_tol", [1e-3, 0.2, 1.0])
+@pytest.mark.parametrize("max_expansions", [0, 1, 2])
+@pytest.mark.parametrize("small_cap", [False, True], ids=["default_y_max", "small_y_max"])
+@pytest.mark.parametrize("model", [QUAD, MIXED, LEVY], ids=["quadratic", "mixed_power", "levy"])
+def test_early_stop_returns_the_same_surface(model, small_cap, max_expansions, saturation_tol):
+    # the small cap is 1.0 above the threshold: 1.0 for the convex families
+    y_max = model.threshold + 1.0 if small_cap else None
+    kw = dict(nt=40, nx=40, y_max=y_max, max_expansions=max_expansions, saturation_tol=saturation_tol)
+    got = solve_reduced_hjb(model, **kw, **BENCH)
+    ref = _solve_every_attempt(model, **kw, **BENCH)
+    assert got.values.tobytes() == ref.values.tobytes()
+    assert got.policy.tobytes() == ref.policy.tobytes()
+    assert got.y_max == ref.y_max
+    assert got.saturation_fraction == ref.saturation_fraction
+
+
+def test_doomed_attempts_stop_early(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return _node_controls(*args)
+
+    monkeypatch.setattr(hjb, "_node_controls", counted)
+    surf = solve_reduced_hjb(QUAD, nt=100, nx=100, y_max=1.0, max_expansions=2, **BENCH)
+    total = len(calls)
+    assert surf.y_max == 4.0  # the y_max 1 and 2 attempts were both rejected
+    calls.clear()
+    # the last attempt alone, run in full: its nt*n_sub + 1 control calls
+    last = solve_reduced_hjb(QUAD, nt=100, nx=100, y_max=4.0, max_expansions=0, **BENCH)
+    assert last.values.tobytes() == surf.values.tobytes()
+    assert len(calls) <= total <= len(calls) + 20

@@ -104,6 +104,70 @@ def test_curves_reject_nan_rate(m, curve):
         getattr(m, curve)(np.array([1.0, np.nan]))
 
 
+def _old_rate_array(x, allow_zero):
+    """The element-wise checks the one-reduction checks replaced: the reference."""
+    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    if allow_zero:
+        if not np.all(arr >= 0.0):
+            raise ValueError("selling rate must be non-negative")
+    elif not np.all(arr > 0.0):
+        raise ValueError("selling rate must be positive")
+    return arr
+
+
+def _old_h_inverse_input(m, ybar):
+    arr = np.atleast_1d(np.asarray(ybar, dtype=float))
+    floor = m.marginal_floor
+    if not np.all(arr >= floor):
+        raise ValueError(f"h_inverse needs ybar >= h(threshold) = {floor}")
+    return arr
+
+
+def _old_excess_impact(m, x):
+    arr = _old_rate_array(x, allow_zero=False)
+    return arr * m._h(arr) - m._g(arr)
+
+
+_OLD_CURVES = {
+    "g": lambda m, x: m._g(_old_rate_array(x, allow_zero=True)),
+    "h": lambda m, x: m._h(_old_rate_array(x, allow_zero=False)),
+    "excess_impact": _old_excess_impact,
+    "h_inverse": lambda m, x: m._h_inverse(_old_h_inverse_input(m, x)),
+}
+
+
+def _outcome(fn):
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf in excess_impact
+        try:
+            return fn()
+        except ValueError as exc:
+            return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [0.5, np.array(0.5), np.array([]), float("nan"), np.array([0.5, np.nan]), -1.0, 0.0,
+     np.inf, np.array([0.0, 2.0])],
+    ids=["scalar", "0d", "empty", "nan", "nan_in_array", "minus_one", "zero", "inf", "zero_in_array"],
+)
+@pytest.mark.parametrize("curve", sorted(_OLD_CURVES))
+@pytest.mark.parametrize(
+    "m",
+    [QuadraticImpact(1.0), MixedPowerImpact(alpha=1.0, p_convex=2.0, p_concave=0.5, threshold=1.0)],
+    ids=["quadratic", "mixed_power"],
+)
+def test_input_checks_are_unchanged(m, curve, x):
+    got = _outcome(lambda: getattr(m, curve)(x))
+    out = _outcome(lambda: _OLD_CURVES[curve](m, x))
+    if isinstance(out, tuple):
+        assert got == out
+    elif np.ndim(x) == 0:
+        assert type(got) is float and np.array_equal(got, out[0], equal_nan=True)
+    else:
+        assert type(got) is np.ndarray and got.shape == out.shape
+        assert got.tobytes() == out.tobytes()
+
+
 @pytest.mark.parametrize("m", ALL_INVERTIBLE)
 def test_marginal_floor_is_h_at_threshold_once(m):
     expected = m.h(m.threshold) if m.threshold > 0.0 else 0.0

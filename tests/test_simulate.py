@@ -323,6 +323,12 @@ def test_coefficient_bounds_spot_check():
     )
     with pytest.raises(ValueError):
         lying.spot_check(np.array([0.0]))
+    # both simulators check the declared bounds before they march
+    strat, _ = twap_strategy()
+    with pytest.raises(ValueError, match="drift exceeds its declared bound"):
+        simulate(strat, lying, QUAD, 0.0, 0.1, 100.0, 1.0, 10, 10, seed=0)
+    with pytest.raises(ValueError, match="drift exceeds its declared bound"):
+        simulate_unimpacted(lying, 100.0, 1.0, 10, 10, seed=0)
 
 
 def test_input_validation():
