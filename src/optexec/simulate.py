@@ -1,4 +1,4 @@
-"""Euler-Maruyama simulation of controlled liquidation.
+"""Monte Carlo simulation of controlled liquidation.
 
 Paths evolve in log-price space, dY = (b(Y) - g(x_t)) dt + vol(Y) dW, and
 are exponentiated back, which keeps prices non-negative; once Y falls below
@@ -10,7 +10,20 @@ A strategy's `speeds(t, remaining)` must be price-blind, as the optimal
 feedback of the risk-neutral reduction (value c + s*W(t, x)) is.  Every path
 then holds the same inventory, so it is marched once, with one `speeds` call
 per step on a length-1 array and one `g` call for all steps, and the
-per-path kernel advances only price and cash.
+per-path work advances only price and cash.
+
+For constant coefficients (a set built by `CoefficientSet.black_scholes`)
+the impact drift is the same on every path, so strategy j's log-price is the
+unimpacted one minus a deterministic drag, Y_j,k = Yref_k - G_j,k with
+G_j,k = sum_{l<k} g(sell_j,l/dt)*dt.  Each chunk then builds Yref once, as
+one running sum over its noise block in place (the float operations of the
+zero-drag Euler step), and reads every strategy's price S_j,k =
+exp(Yref_k)*exp(-G_j,k) and terminal cash off it, with no per-step loop.
+G >= 0, so exp(-G) <= 1 and no controlled price exceeds the reference price
+`simulate_unimpacted` reports for the same path.  Only paths whose lowest
+Yref minus G's largest value falls below the floor can be absorbed, and only
+those get the per-step floor check.  A state-dependent `CoefficientSet` runs
+the Euler-Maruyama step loop instead.
 
 Noise comes from counter-based Philox streams keyed by (seed, path_index),
 so results are bit-reproducible for a given (seed, n_paths, n_steps,
@@ -21,7 +34,7 @@ same seed share noise path-by-path (common random numbers).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -47,27 +60,39 @@ __all__ = [
 
 QUANTILE_LEVELS = (0.05, 0.25, 0.5, 0.75, 0.95)
 _CHUNK = 4096
+_CASH_ROWS = 256  # rows per cash sub-block: a 1 MB temporary at 500 steps
 
 
 @dataclass(frozen=True)
 class CoefficientSet:
     """Bounded Lipschitz log-price coefficients with caller-declared bounds;
-    `drift` and `vol` act elementwise on float arrays of any shape."""
+    `drift` and `vol` act elementwise on float arrays of any shape.
+
+    `constants` is (mu, sigma) for a set built by `black_scholes` and None
+    otherwise; it is no constructor argument, so only a set whose drift and
+    vol really are those constants takes the simulator's factorised march.
+    """
 
     drift: Callable[[np.ndarray], np.ndarray]
     vol: Callable[[np.ndarray], np.ndarray]
     drift_bound: float
     vol_bound: float
+    constants: Optional[tuple] = field(default=None, init=False)
 
     @classmethod
     def black_scholes(cls, mu: float, sigma: float) -> "CoefficientSet":
+        if not (math.isfinite(mu) and math.isfinite(sigma)):
+            raise ValueError("mu and sigma must be finite")
+
         def drift(y):
             return np.full_like(np.asarray(y, dtype=float), mu)
 
         def vol(y):
             return np.full_like(np.asarray(y, dtype=float), sigma)
 
-        return cls(drift=drift, vol=vol, drift_bound=abs(mu), vol_bound=abs(sigma))
+        coeffs = cls(drift=drift, vol=vol, drift_bound=abs(mu), vol_bound=abs(sigma))
+        object.__setattr__(coeffs, "constants", (float(mu), float(sigma)))
+        return coeffs
 
     def spot_check(self, ys) -> None:
         """Verify the declared bounds on a sample of log-prices."""
@@ -185,21 +210,23 @@ def _path_noise(seed: int, start: int, count: int, n_steps: int) -> np.ndarray:
     bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
     gen = np.random.Generator(bits)
     state = bits.state  # a fresh stream's: empty buffer, no cached uint32
+    key = np.array([seed, start], dtype=np.uint64)
+    state["state"] = {"counter": np.zeros(4, dtype=np.uint64), "key": key}
     for i in range(count):
         # this state with counter 0 and the path's key equals a fresh
-        # np.random.Philox(key=[seed, start + i]) bit for bit, without its set-up
-        state["state"] = {
-            "counter": np.zeros(4, dtype=np.uint64),
-            "key": np.array([seed, start + i], dtype=np.uint64),
-        }
+        # np.random.Philox(key=[seed, start + i]) bit for bit, without its
+        # set-up; the setter copies the arrays, so they can be reused
+        key[1] = start + i
         bits.state = state
         gen.standard_normal(out=out[i])
     return out
 
 
-def _validate_common(n_paths, n_steps, seed, horizon):
+def _validate_common(n_paths, n_steps, seed, horizon, s0, c0=0.0, x0=0.0):
     if n_paths < 1 or n_steps < 1:
         raise ValueError("need n_paths >= 1 and n_steps >= 1")
+    if not all(math.isfinite(v) for v in (c0, x0, s0, horizon)):
+        raise ValueError("c0, x0, s0 and horizon must be finite")
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
     if not isinstance(seed, (int, np.integer)) or seed < 0 or seed >= 2**63:
@@ -232,44 +259,116 @@ def simulate(
 def _price_paths(sells, drags, coeffs, c0, s0, dt, n_paths, seed, log_floor, return_paths):
     """Cash and price of n_paths paths for each row of `sells` (the amount
     sold at each step) and `drags` (its impact drift g(sell/dt)), all rows
-    on the same noise, as one (rows, paths) array per step.  Returns the
-    terminal cash and price, (rows, n_paths) each, the absorbed-path count
-    of each row, and the (cash/price, rows, n_paths, n_steps + 1) history.
-    Spot-checks the coefficients' declared bounds around log(s0) first.
+    on the same noise.  Returns the terminal cash and price, (rows, n_paths)
+    each, the absorbed-path count of each row, and the (cash/price, rows,
+    n_paths, n_steps + 1) history.  Spot-checks the coefficients' declared
+    bounds around log(s0) first.
     """
     probe = math.log(s0) if s0 > 0.0 else 0.0
     coeffs.spot_check(np.linspace(probe - 5.0, probe + 5.0, 9))
     m, n_steps = sells.shape
-    sqdt = math.sqrt(dt)
-    y0 = math.log(s0) if s0 > 0.0 else log_floor - 1.0
+    hist = np.empty((2, m, n_paths, n_steps + 1)) if return_paths else None
+    if s0 == 0.0:
+        # every path starts absorbed: price 0 and cash c0 throughout, whatever the noise
+        if hist is not None:
+            hist[0], hist[1] = c0, 0.0
+        return np.full((m, n_paths), float(c0)), np.zeros((m, n_paths)), np.full(m, n_paths), hist
+    march = _factorised_chunk if coeffs.constants is not None else _euler_chunk
     cash, price = np.empty((m, n_paths)), np.empty((m, n_paths))
     absorbed = np.zeros(m, dtype=int)
-    hist = np.empty((2, m, n_paths, n_steps + 1)) if return_paths else None
     for start in range(0, n_paths, _CHUNK):
         count = min(_CHUNK, n_paths - start)
         rows = slice(start, start + count)
-        noise = _path_noise(seed, start, count, n_steps)
-        Y = np.full((m, count), y0)
-        S = np.full((m, count), float(s0))
-        C = np.full((m, count), float(c0))
-        alive = np.full((m, count), s0 > 0.0)
-        if hist is not None:
-            hist[:, :, rows, 0] = C, S
-        for k in range(n_steps):
-            xi = noise[:, k].copy()  # one contiguous copy of the strided column for all rows
-            C += sells[:, k : k + 1] * S
-            dY = (coeffs.drift(Y) - drags[:, k : k + 1]) * dt + coeffs.vol(Y) * sqdt * xi
-            np.add(Y, dY, out=Y, where=alive)
-            alive &= Y >= log_floor
-            S = np.where(alive, np.exp(Y), 0.0)
-            if hist is not None:
-                hist[:, :, rows, k + 1] = C, S
-        cash[:, rows] = C
-        price[:, rows] = S
-        absorbed += np.count_nonzero(~alive, axis=1)
-        # release this block before the next one is drawn, so one block is live at a time
-        del noise
+        # the block is only referenced inside `march`, so one block is live at a time
+        absorbed += march(
+            _path_noise(seed, start, count, n_steps), sells, drags, coeffs, c0, s0, dt,
+            log_floor, cash[:, rows], price[:, rows], None if hist is None else hist[:, :, rows],
+        )
     return cash, price, absorbed, hist
+
+
+def _factorised_chunk(noise, sells, drags, coeffs, c0, s0, dt, log_floor, cash, price, hist):
+    """One chunk under constant coefficients: the noise block becomes the
+    unimpacted log-price Yref in place, and each strategy's price and cash
+    are read off it through its drag G.  Fills `cash`, `price` and `hist`
+    and returns each strategy's absorbed-path count."""
+    mu, sigma = coeffs.constants
+    m, n = sells.shape
+    # Yref_k = y0 + dY_0 + ... + dY_{k-1}, summed in order, dY_l = mu*dt + (sigma*sqdt)*xi_l
+    noise *= sigma * math.sqrt(dt)
+    noise += mu * dt
+    noise[:, 0] += math.log(s0)
+    Y = np.add.accumulate(noise, axis=1, out=noise)
+    G = np.zeros((m, n + 1))  # G_j,k = sum_{l<k} drag_j,l*dt
+    np.add.accumulate(drags * dt, axis=1, out=G[:, 1:])
+    # float subtraction is monotone, so fl(Yref_k - G_j,k) >= fl(min Yref - max G_j):
+    # only rows where that bound crosses the floor can be absorbed
+    y_low = Y.min(axis=1)
+    alive = {}
+    for j, g_top in enumerate(G.max(axis=1)):
+        at_risk = np.flatnonzero(y_low - g_top < log_floor)
+        if at_risk.size:
+            ok = Y[at_risk] - G[j, 1:] >= log_floor
+            alive[j] = at_risk, np.logical_and.accumulate(ok, axis=1)
+    Z = np.exp(Y, out=Y)
+    discount = np.exp(-G)
+    # cash_j = c0 + sum_k sell_j,k*S_j,k with S_j,k = Z_k*discount_j,k and S_j,0 = s0
+    weights = sells * discount[:, :n]
+    absorbed = np.zeros(m, dtype=int)
+    for j in range(m):
+        head, w = c0 + sells[j, 0] * s0, weights[j, 1:]
+        # per-row pairwise sums, a few hundred rows at a time: no 16 MB temporary,
+        # and no BLAS mat-vec, whose summation order could depend on the row count
+        for lo in range(0, Z.shape[0], _CASH_ROWS):
+            block = Z[lo : lo + _CASH_ROWS, : n - 1]
+            cash[j, lo : lo + _CASH_ROWS] = head + (block * w).sum(axis=1)
+        price[j] = Z[:, -1] * discount[j, -1]
+        if hist is not None:
+            hist[1, j, :, 0] = s0
+            np.multiply(Z, discount[j, 1:], out=hist[1, j, :, 1:])
+        if j in alive:
+            at_risk, ok = alive[j]
+            live = np.where(ok, Z[at_risk], 0.0)
+            cash[j, at_risk] = head + (live[:, : n - 1] * w).sum(axis=1)
+            price[j, at_risk] = live[:, -1] * discount[j, -1]
+            if hist is not None:
+                hist[1, j, at_risk, 1:] = live * discount[j, 1:]
+            absorbed[j] = np.count_nonzero(~ok[:, -1])
+        if hist is not None:
+            # the running left-point cash; its last column is the terminal cash up to rounding
+            C = hist[0, j]
+            C[:, 0] = c0
+            np.multiply(hist[1, j, :, :-1], sells[j], out=C[:, 1:])
+            np.add.accumulate(C, axis=1, out=C)
+    return absorbed
+
+
+def _euler_chunk(noise, sells, drags, coeffs, c0, s0, dt, log_floor, cash, price, hist):
+    """One chunk of the Euler-Maruyama step loop, for coefficients that
+    depend on the log-price: all strategies advance as one (rows, paths)
+    array per step.  Fills `cash`, `price` and `hist` and returns each
+    strategy's absorbed-path count."""
+    m, n_steps = sells.shape
+    count = noise.shape[0]
+    sqdt = math.sqrt(dt)
+    Y = np.full((m, count), math.log(s0))
+    S = np.full((m, count), float(s0))
+    C = np.full((m, count), float(c0))
+    alive = np.ones((m, count), dtype=bool)
+    if hist is not None:
+        hist[:, :, :, 0] = C, S
+    for k in range(n_steps):
+        xi = noise[:, k].copy()  # one contiguous copy of the strided column for all rows
+        C += sells[:, k : k + 1] * S
+        dY = (coeffs.drift(Y) - drags[:, k : k + 1]) * dt + coeffs.vol(Y) * sqdt * xi
+        np.add(Y, dY, out=Y, where=alive)
+        alive &= Y >= log_floor
+        S = np.where(alive, np.exp(Y), 0.0)
+        if hist is not None:
+            hist[:, :, :, k + 1] = C, S
+    cash[:] = C
+    price[:] = S
+    return np.count_nonzero(~alive, axis=1)
 
 
 def _simulate_all(
@@ -279,7 +378,7 @@ def _simulate_all(
     """One SimResult per strategy, all driven by the same noise: each
     strategy's inventory path is marched once, one `g` call gives every
     step's impact drift, then `_price_paths` runs all strategies at once."""
-    _validate_common(n_paths, n_steps, seed, horizon)
+    _validate_common(n_paths, n_steps, seed, horizon, s0, c0, x0)
     if x0 < 0.0 or s0 < 0.0:
         raise ValueError("need x0 >= 0 and s0 >= 0")
     for strategy in strategies:
@@ -337,12 +436,12 @@ def simulate_unimpacted(
     """Impact-free reference price driven by the same noise streams as
     `simulate` with matching (seed, path_index): under shared noise the
     controlled price never exceeds this one."""
-    _validate_common(n_paths, n_steps, seed, horizon)
+    _validate_common(n_paths, n_steps, seed, horizon, s0)
     if s0 < 0.0:
         raise ValueError("s0 must be non-negative")
-    # a row that sells nothing, has zero drag and is never absorbed: the
-    # controlled step with g = 0 (drift - 0.0 is drift), so a zero-impact run
-    # reproduces this price bit for bit; s0 = 0 stays at Y = -inf, S = 0
+    # a row that sells nothing, has zero drag and is never absorbed: a
+    # zero-impact strategy's row in either march (exp(-G) = 1, or drift - 0.0
+    # in the Euler step), so such a run reproduces this price bit for bit
     zero = np.zeros((1, n_steps))
     _, price, _, hist = _price_paths(
         zero, zero, coeffs, 0.0, s0, horizon / n_steps, n_paths, seed, -math.inf, return_paths

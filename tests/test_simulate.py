@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import math
 
@@ -24,6 +25,13 @@ SIM_MODULE = importlib.import_module("optexec.simulate")
 QUAD = QuadraticImpact(1.0)
 BS = CoefficientSet.black_scholes(-0.085, 0.3)  # decay 0.04
 FLAT = CoefficientSet.black_scholes(-0.04, 0.0)
+# a bounded drift that depends on the log-price: no factorisation, so the Euler loop runs
+MEAN_REVERT = CoefficientSet(
+    drift=lambda y: 0.05 * np.tanh(y - math.log(100.0)),
+    vol=lambda y: np.full_like(y, 0.3),
+    drift_bound=0.05,
+    vol_bound=0.3,
+)
 
 
 def twap_strategy(x0=0.1, horizon=1.0):
@@ -116,6 +124,7 @@ def test_results_do_not_depend_on_chunking(monkeypatch):
 
     res, ref, comp = everything()
     monkeypatch.setattr(SIM_MODULE, "_CHUNK", 7)  # 7 chunks of 7 paths and one of 1
+    monkeypatch.setattr(SIM_MODULE, "_CASH_ROWS", 3)  # cash sums over 3 rows at a time
     res7, ref7, comp7 = everything()
     assert np.array_equal(res7.utilities, res.utilities)
     for key in ("S", "C", "X"):
@@ -124,6 +133,90 @@ def test_results_do_not_depend_on_chunking(monkeypatch):
     assert res7.absorption_count == res.absorption_count
     assert np.array_equal(ref7.paths, ref.paths)
     assert comp7 == comp
+
+
+def test_state_dependent_coefficients_keep_the_contracts(monkeypatch):
+    assert MEAN_REVERT.constants is None
+    assert dataclasses.replace(BS, drift=MEAN_REVERT.drift).constants is None
+
+    def refuse(*args):
+        raise AssertionError("the factorised march ran on state-dependent coefficients")
+
+    monkeypatch.setattr(SIM_MODULE, "_factorised_chunk", refuse)
+    named = _twap_and_feedback() + [("idle", DeterministicStrategy(Schedule.constant(0.0, 0.0, 1.0)))]
+    run = (MEAN_REVERT, QUAD, 0.0, 0.1, 100.0, 1.0, 50, 30)
+
+    def everything():
+        sims = [simulate(strat, *run, seed=23, return_paths=True) for _, strat in named]
+        ref = simulate_unimpacted(MEAN_REVERT, 100.0, 1.0, 50, 30, seed=23, return_paths=True)
+        return sims, ref, compare_strategies(named, *run, seed=23)
+
+    sims, ref, comp = everything()
+    assert comp.means == [float(res.utilities.mean()) for res in sims]
+    assert comp.std_errors == [res.std_error for res in sims]
+    assert np.array_equal(sims[-1].paths["S"], ref.paths)  # zero impact: the reference price
+    monkeypatch.setattr(SIM_MODULE, "_CHUNK", 7)
+    sims7, ref7, comp7 = everything()
+    assert comp7 == comp
+    assert np.array_equal(ref7.paths, ref.paths)
+    for res7, res in zip(sims7, sims):
+        assert np.array_equal(res7.utilities, res.utilities)
+        for key in ("S", "C", "X"):
+            assert np.array_equal(res7.paths[key], res.paths[key])
+
+
+def _euler_loop(sells, drags, coeffs, c0, s0, dt, n_paths, seed, log_floor, return_paths):
+    """The per-step Euler loop `_price_paths` ran for every coefficient set
+    before the factorised march, on one block: the reference for it."""
+    m, n_steps = sells.shape
+    noise = _path_noise(seed, 0, n_paths, n_steps)
+    Y = np.full((m, n_paths), math.log(s0) if s0 > 0.0 else log_floor - 1.0)
+    S = np.full((m, n_paths), float(s0))
+    C = np.full((m, n_paths), float(c0))
+    alive = np.full((m, n_paths), s0 > 0.0)
+    hist = np.empty((2, m, n_paths, n_steps + 1))
+    hist[:, :, :, 0] = C, S
+    for k in range(n_steps):
+        C += sells[:, k : k + 1] * S
+        dY = (coeffs.drift(Y) - drags[:, k : k + 1]) * dt + coeffs.vol(Y) * math.sqrt(dt) * noise[:, k]
+        np.add(Y, dY, out=Y, where=alive)
+        alive &= Y >= log_floor
+        S = np.where(alive, np.exp(Y), 0.0)
+        hist[:, :, :, k + 1] = C, S
+    return C, S, np.count_nonzero(~alive, axis=1), hist if return_paths else None
+
+
+@pytest.mark.parametrize(
+    "name, s0, log_floor, absorbed",
+    [
+        ("twap", 100.0, -60.0, 0),
+        ("threshold", 100.0, -60.0, 0),
+        ("feedback", 100.0, -60.0, 0),
+        ("feedback", 0.0, -60.0, 60),
+        ("crush", 100.0, -20.0, 60),
+        ("crush", 100.0, -45.7, None),  # about half the paths reach -45.7
+        ("crush", 100.0, -math.inf, 0),
+    ],
+)
+def test_factorised_march_matches_the_euler_loop(mixed_zoo, monkeypatch, name, s0, log_floor, absorbed):
+    model, zoo = mixed_zoo
+    if name == "crush":
+        strat, model, x0 = DeterministicStrategy(Schedule.constant(50.0, 0.02, 1.0)), QUAD, 1.0
+    else:
+        strat, x0 = zoo[name], 0.5
+    run = (strat, BS, model, 0.0, x0, s0, 1.0, 60, 400, 2)
+    res = simulate(*run, log_floor=log_floor, return_paths=True)
+    assert np.array_equal(simulate(*run, log_floor=log_floor).utilities, res.utilities)
+    monkeypatch.setattr(SIM_MODULE, "_price_paths", _euler_loop)
+    ref = simulate(*run, log_floor=log_floor, return_paths=True)
+    assert res.absorption_count == ref.absorption_count
+    if absorbed is None:  # the floor splits the paths
+        assert 0 < ref.absorption_count < 60
+    else:
+        assert ref.absorption_count == absorbed
+    for key in ("S", "C"):
+        np.testing.assert_allclose(res.paths[key], ref.paths[key], rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(res.utilities, ref.utilities, rtol=1e-12, atol=0.0)
 
 
 class _CountingStrategy:
@@ -331,6 +424,12 @@ def test_coefficient_bounds_spot_check():
         simulate_unimpacted(lying, 100.0, 1.0, 10, 10, seed=0)
 
 
+@pytest.mark.parametrize("mu, sigma", [(math.nan, 0.3), (-0.085, math.nan), (math.inf, 0.3)])
+def test_black_scholes_rejects_non_finite_coefficients(mu, sigma):
+    with pytest.raises(ValueError, match="must be finite"):
+        CoefficientSet.black_scholes(mu, sigma)
+
+
 def test_input_validation():
     strat, _ = twap_strategy()
     with pytest.raises(ValueError):
@@ -342,3 +441,18 @@ def test_input_validation():
     wrong_horizon = DeterministicStrategy(Schedule.constant(0.1, 0.5, 2.0))
     with pytest.raises(ValueError):
         simulate(wrong_horizon, BS, QUAD, 0.0, 0.1, 100.0, 1.0, 10, 10, seed=0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["c0", "x0", "s0", "horizon"])
+def test_non_finite_inputs_are_rejected(name, value):
+    strat, _ = twap_strategy()
+    args = {"c0": 0.0, "x0": 0.1, "s0": 100.0, "horizon": 1.0, name: value}
+    run = (args["c0"], args["x0"], args["s0"], args["horizon"], 10, 10)
+    with pytest.raises(ValueError, match="must be finite"):
+        simulate(strat, BS, QUAD, *run, seed=0)
+    with pytest.raises(ValueError, match="must be finite"):
+        compare_strategies([("a", strat), ("b", strat)], BS, QUAD, *run, seed=0)
+    if name in ("s0", "horizon"):
+        with pytest.raises(ValueError, match="must be finite"):
+            simulate_unimpacted(BS, args["s0"], args["horizon"], 10, 10, seed=0)
