@@ -9,8 +9,8 @@ numbers Monte Carlo confirmation.
 """
 
 from optexec import (
-    CoefficientSet,
     DeterministicStrategy,
+    MarketParams,
     Schedule,
     ShiftedConvexImpact,
     compare_strategies,
@@ -34,7 +34,7 @@ def main():
     ]
     tbl = compare_strategies(
         strategies,
-        CoefficientSet.black_scholes(-(DECAY + 0.5 * 0.3**2), 0.3),
+        MarketParams.from_drift_vol(-(DECAY + 0.5 * 0.3**2), 0.3),
         MODEL, 0.0, X0, S0, HORIZON,
         n_paths=20_000, n_steps=500, seed=11,
     )

@@ -9,8 +9,8 @@ optimizer, and a Monte Carlo run must all land on the same number.
 import time
 
 from optexec import (
-    CoefficientSet,
     DeterministicStrategy,
+    MarketParams,
     QuadraticImpact,
     optimize_deterministic_schedule,
     simulate,
@@ -41,7 +41,7 @@ def main():
     t0 = time.monotonic()
     res = simulate(
         DeterministicStrategy(sol.schedule),
-        CoefficientSet.black_scholes(-0.085, 0.3),
+        MarketParams.from_drift_vol(-0.085, 0.3),
         MODEL, 0.0, X0, S0, HORIZON,
         n_paths=50_000, n_steps=500, seed=1,
     )

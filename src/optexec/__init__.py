@@ -50,7 +50,6 @@ from .impact import (
     validate_s_shape,
 )
 from .simulate import (
-    CoefficientSet,
     DeterministicStrategy,
     FeedbackStrategy,
     SimResult,

@@ -37,7 +37,6 @@ from .impact import (
     ShiftedConvexImpact,
 )
 from .simulate import (
-    CoefficientSet,
     DeterministicStrategy,
     FeedbackStrategy,
     compare_strategies,
@@ -266,8 +265,7 @@ def _solve_hjb(cfg: RunConfig):
 def _simulate(cfg: RunConfig):
     p, sim = cfg.problem, cfg.sim
     strategy = _build_strategy(sim.strategy, cfg)
-    coeffs = CoefficientSet.black_scholes(cfg.market.mu, cfg.market.sigma)
-    run = (strategy, coeffs, cfg.model, p.c0, p.x0, p.s0, p.horizon)
+    run = (strategy, cfg.market, cfg.model, p.c0, p.x0, p.s0, p.horizon)
     res = simulate(*run, sim.n_paths, sim.n_steps, sim.seed, log_floor=sim.log_floor)
     summary = {
         "strategy": sim.strategy,
@@ -297,10 +295,9 @@ def _simulate(cfg: RunConfig):
 def _compare(cfg: RunConfig):
     p, sim = cfg.problem, cfg.sim
     named = [(name, _build_strategy(name, cfg)) for name in cfg.compare.strategies]
-    coeffs = CoefficientSet.black_scholes(cfg.market.mu, cfg.market.sigma)
     comp = compare_strategies(
         named,
-        coeffs,
+        cfg.market,
         cfg.model,
         p.c0,
         p.x0,

@@ -20,6 +20,7 @@ regularized Beta of the standard libraries).
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -66,6 +67,8 @@ class MarketParams:
     decay: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.mu, self.sigma, self.decay)):
+            raise ValueError("mu, sigma and decay must be finite")
         if self.sigma < 0.0:
             raise ValueError("sigma must be non-negative")
         if self.mu + 0.5 * self.sigma * self.sigma + self.decay != 0.0:
@@ -180,6 +183,18 @@ def twap_solution(
     )
 
 
+def _checked_quad(what: str, integrand, upper: float) -> float:
+    """Integral of `integrand` over [0, upper] by adaptive quadrature at
+    relative accuracy 1e-12; a non-finite value or an error estimate above
+    1e-8 relative raises NumericalFailure."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        val, err = integrate.quad(integrand, 0.0, upper, epsabs=0.0, epsrel=1e-12, limit=400)
+    if not math.isfinite(val) or (val != 0.0 and err > 1e-8 * abs(val)):
+        raise NumericalFailure(f"{what} quadrature unreliable: value {val}, error {err}")
+    return val
+
+
 def incomplete_beta(z: float, a: float, b: float) -> float:
     """The reciprocal-integrand incomplete Beta: integral of
     1 / (x**(a-1) * (1-x)**(b-1)) from 0 to z.
@@ -216,14 +231,7 @@ def incomplete_beta(z: float, a: float, b: float) -> float:
 
         upper = z
 
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.quad(integrand, 0.0, upper, epsabs=0.0, epsrel=1e-12, limit=400)
-    if not math.isfinite(val) or (val != 0.0 and err > 1e-8 * abs(val)):
-        raise NumericalFailure(f"incomplete Beta quadrature unreliable: value {val}, error {err}")
-    return val
+    return _checked_quad("incomplete Beta", integrand, upper)
 
 
 def _beta_via_log_substitution(w: float, a: float) -> float:
@@ -238,16 +246,7 @@ def _beta_via_log_substitution(w: float, a: float) -> float:
         v = u**k
         return k * u ** (k - 1.0) * (-math.expm1(-v)) ** (1.0 - a)
 
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.quad(
-            integrand, 0.0, w ** (1.0 / k), epsabs=0.0, epsrel=1e-12, limit=400
-        )
-    if not math.isfinite(val) or (val != 0.0 and err > 1e-8 * abs(val)):
-        raise NumericalFailure("large-horizon Beta quadrature unreliable")
-    return val
+    return _checked_quad("large-horizon Beta", integrand, w ** (1.0 / k))
 
 
 @dataclass(frozen=True)

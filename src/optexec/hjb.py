@@ -65,23 +65,23 @@ class ValueSurface:
             raise ValueError(f"{name} = {v:g} outside the solved grid [{lo:g}, {hi:g}]")
         return min(max(v, lo), hi)
 
-    def value_at(self, t, x) -> float:
-        """Bilinear value lookup at one (time-to-go, inventory) point."""
+    def _row_at(self, field, t) -> np.ndarray:
+        """`field` (values or policy) at time-to-go t, linear between grid rows."""
         t = self._locate(self.t_grid, float(t), "t")
-        x = self._locate(self.x_grid, float(x), "x")
         lt = int(np.searchsorted(self.t_grid, t))
         lt = min(max(lt, 1), self.t_grid.size - 1)
         wt = (t - self.t_grid[lt - 1]) / (self.t_grid[lt] - self.t_grid[lt - 1])
-        row = (1.0 - wt) * self.values[lt - 1] + wt * self.values[lt]
+        return (1.0 - wt) * field[lt - 1] + wt * field[lt]
+
+    def value_at(self, t, x) -> float:
+        """Bilinear value lookup at one (time-to-go, inventory) point."""
+        row = self._row_at(self.values, t)
+        x = self._locate(self.x_grid, float(x), "x")
         return float(np.interp(x, self.x_grid, row))
 
     def policy_row(self, t, x_query: np.ndarray) -> np.ndarray:
         """Bilinear policy lookup for many inventories at one time-to-go."""
-        t = self._locate(self.t_grid, float(t), "t")
-        lt = int(np.searchsorted(self.t_grid, t))
-        lt = min(max(lt, 1), self.t_grid.size - 1)
-        wt = (t - self.t_grid[lt - 1]) / (self.t_grid[lt] - self.t_grid[lt - 1])
-        row = (1.0 - wt) * self.policy[lt - 1] + wt * self.policy[lt]
+        row = self._row_at(self.policy, t)
         x = np.clip(np.asarray(x_query, dtype=float), self.x_grid[0], self.x_grid[-1])
         return np.interp(x, self.x_grid, row)
 

@@ -1,8 +1,8 @@
-"""Monte Carlo simulation of controlled liquidation.
+"""Monte Carlo simulation of controlled liquidation in the Black-Scholes market.
 
-Paths evolve in log-price space, dY = (b(Y) - g(x_t)) dt + vol(Y) dW, and
-are exponentiated back, which keeps prices non-negative; once Y falls below
-a configurable floor the price is absorbed at zero for the rest of the path.
+Paths evolve in log-price space, dY = (mu - g(x_t)) dt + sigma dW, and are
+exponentiated back, which keeps prices non-negative; once Y falls below a
+configurable floor the price is absorbed at zero for the rest of the path.
 Cash and inventory integrate with the explicit left-point rule, and a step
 that would oversell is clipped to the remaining inventory.
 
@@ -12,18 +12,16 @@ then holds the same inventory, so it is marched once, with one `speeds` call
 per step on a length-1 array and one `g` call for all steps, and the
 per-path work advances only price and cash.
 
-For constant coefficients (a set built by `CoefficientSet.black_scholes`)
-the impact drift is the same on every path, so strategy j's log-price is the
-unimpacted one minus a deterministic drag, Y_j,k = Yref_k - G_j,k with
-G_j,k = sum_{l<k} g(sell_j,l/dt)*dt.  Each chunk then builds Yref once, as
-one running sum over its noise block in place (the float operations of the
+The impact drift is then the same on every path, so strategy j's log-price
+is the unimpacted one minus a deterministic drag, Y_j,k = Yref_k - G_j,k with
+G_j,k = sum_{l<k} g(sell_j,l/dt)*dt.  Each chunk builds Yref once, as one
+running sum over its noise block in place (the float operations of the
 zero-drag Euler step), and reads every strategy's price S_j,k =
 exp(Yref_k)*exp(-G_j,k) and terminal cash off it, with no per-step loop.
 G >= 0, so exp(-G) <= 1 and no controlled price exceeds the reference price
 `simulate_unimpacted` reports for the same path.  Only paths whose lowest
 Yref minus G's largest value falls below the floor can be absorbed, and only
-those get the per-step floor check.  A state-dependent `CoefficientSet` runs
-the Euler-Maruyama step loop instead.
+those get the per-step floor check.
 
 Noise comes from counter-based Philox streams keyed by (seed, path_index),
 so results are bit-reproducible for a given (seed, n_paths, n_steps,
@@ -34,17 +32,16 @@ same seed share noise path-by-path (common random numbers).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .closed_form import Schedule
+from .closed_form import MarketParams, Schedule
 from .hjb import ValueSurface
 from .impact import ImpactModel
 
 __all__ = [
-    "CoefficientSet",
     "DeterministicStrategy",
     "FeedbackStrategy",
     "Utility",
@@ -61,48 +58,6 @@ __all__ = [
 QUANTILE_LEVELS = (0.05, 0.25, 0.5, 0.75, 0.95)
 _CHUNK = 4096
 _CASH_ROWS = 256  # rows per cash sub-block: a 1 MB temporary at 500 steps
-
-
-@dataclass(frozen=True)
-class CoefficientSet:
-    """Bounded Lipschitz log-price coefficients with caller-declared bounds;
-    `drift` and `vol` act elementwise on float arrays of any shape.
-
-    `constants` is (mu, sigma) for a set built by `black_scholes` and None
-    otherwise; it is no constructor argument, so only a set whose drift and
-    vol really are those constants takes the simulator's factorised march.
-    """
-
-    drift: Callable[[np.ndarray], np.ndarray]
-    vol: Callable[[np.ndarray], np.ndarray]
-    drift_bound: float
-    vol_bound: float
-    constants: Optional[tuple] = field(default=None, init=False)
-
-    @classmethod
-    def black_scholes(cls, mu: float, sigma: float) -> "CoefficientSet":
-        if not (math.isfinite(mu) and math.isfinite(sigma)):
-            raise ValueError("mu and sigma must be finite")
-
-        def drift(y):
-            return np.full_like(np.asarray(y, dtype=float), mu)
-
-        def vol(y):
-            return np.full_like(np.asarray(y, dtype=float), sigma)
-
-        coeffs = cls(drift=drift, vol=vol, drift_bound=abs(mu), vol_bound=abs(sigma))
-        object.__setattr__(coeffs, "constants", (float(mu), float(sigma)))
-        return coeffs
-
-    def spot_check(self, ys) -> None:
-        """Verify the declared bounds on a sample of log-prices."""
-        ys = np.asarray(ys, dtype=float)
-        b = np.asarray(self.drift(ys), dtype=float)
-        v = np.asarray(self.vol(ys), dtype=float)
-        if np.any(np.abs(b) > self.drift_bound * (1.0 + 1e-12) + 1e-15):
-            raise ValueError("drift exceeds its declared bound")
-        if np.any(np.abs(v) > self.vol_bound * (1.0 + 1e-12) + 1e-15):
-            raise ValueError("volatility exceeds its declared bound")
 
 
 class DeterministicStrategy:
@@ -235,7 +190,7 @@ def _validate_common(n_paths, n_steps, seed, horizon, s0, c0=0.0, x0=0.0):
 
 def simulate(
     strategy,
-    coeffs: CoefficientSet,
+    market: MarketParams,
     model: ImpactModel,
     c0: float,
     x0: float,
@@ -250,22 +205,19 @@ def simulate(
 ) -> SimResult:
     """Monte Carlo estimate of E[u(C_T, X_T, S_T)] under the given strategy."""
     (res,) = _simulate_all(
-        [strategy], coeffs, model, c0, x0, s0, horizon, n_paths, n_steps, seed,
+        [strategy], market, model, c0, x0, s0, horizon, n_paths, n_steps, seed,
         utility, log_floor, return_paths,
     )
     return res
 
 
-def _price_paths(sells, drags, coeffs, c0, s0, dt, n_paths, seed, log_floor, return_paths):
+def _price_paths(sells, drags, market, c0, s0, dt, n_paths, seed, log_floor, return_paths):
     """Cash and price of n_paths paths for each row of `sells` (the amount
     sold at each step) and `drags` (its impact drift g(sell/dt)), all rows
     on the same noise.  Returns the terminal cash and price, (rows, n_paths)
     each, the absorbed-path count of each row, and the (cash/price, rows,
-    n_paths, n_steps + 1) history.  Spot-checks the coefficients' declared
-    bounds around log(s0) first.
+    n_paths, n_steps + 1) history.
     """
-    probe = math.log(s0) if s0 > 0.0 else 0.0
-    coeffs.spot_check(np.linspace(probe - 5.0, probe + 5.0, 9))
     m, n_steps = sells.shape
     hist = np.empty((2, m, n_paths, n_steps + 1)) if return_paths else None
     if s0 == 0.0:
@@ -273,26 +225,25 @@ def _price_paths(sells, drags, coeffs, c0, s0, dt, n_paths, seed, log_floor, ret
         if hist is not None:
             hist[0], hist[1] = c0, 0.0
         return np.full((m, n_paths), float(c0)), np.zeros((m, n_paths)), np.full(m, n_paths), hist
-    march = _factorised_chunk if coeffs.constants is not None else _euler_chunk
     cash, price = np.empty((m, n_paths)), np.empty((m, n_paths))
     absorbed = np.zeros(m, dtype=int)
     for start in range(0, n_paths, _CHUNK):
         count = min(_CHUNK, n_paths - start)
         rows = slice(start, start + count)
-        # the block is only referenced inside `march`, so one block is live at a time
-        absorbed += march(
-            _path_noise(seed, start, count, n_steps), sells, drags, coeffs, c0, s0, dt,
+        # the block is only referenced inside the call, so one block is live at a time
+        absorbed += _factorised_chunk(
+            _path_noise(seed, start, count, n_steps), sells, drags, market, c0, s0, dt,
             log_floor, cash[:, rows], price[:, rows], None if hist is None else hist[:, :, rows],
         )
     return cash, price, absorbed, hist
 
 
-def _factorised_chunk(noise, sells, drags, coeffs, c0, s0, dt, log_floor, cash, price, hist):
-    """One chunk under constant coefficients: the noise block becomes the
-    unimpacted log-price Yref in place, and each strategy's price and cash
-    are read off it through its drag G.  Fills `cash`, `price` and `hist`
-    and returns each strategy's absorbed-path count."""
-    mu, sigma = coeffs.constants
+def _factorised_chunk(noise, sells, drags, market, c0, s0, dt, log_floor, cash, price, hist):
+    """One chunk: the noise block becomes the unimpacted log-price Yref in
+    place, and each strategy's price and cash are read off it through its
+    drag G.  Fills `cash`, `price` and `hist` and returns each strategy's
+    absorbed-path count."""
+    mu, sigma = market.mu, market.sigma
     m, n = sells.shape
     # Yref_k = y0 + dY_0 + ... + dY_{k-1}, summed in order, dY_l = mu*dt + (sigma*sqdt)*xi_l
     noise *= sigma * math.sqrt(dt)
@@ -343,36 +294,8 @@ def _factorised_chunk(noise, sells, drags, coeffs, c0, s0, dt, log_floor, cash, 
     return absorbed
 
 
-def _euler_chunk(noise, sells, drags, coeffs, c0, s0, dt, log_floor, cash, price, hist):
-    """One chunk of the Euler-Maruyama step loop, for coefficients that
-    depend on the log-price: all strategies advance as one (rows, paths)
-    array per step.  Fills `cash`, `price` and `hist` and returns each
-    strategy's absorbed-path count."""
-    m, n_steps = sells.shape
-    count = noise.shape[0]
-    sqdt = math.sqrt(dt)
-    Y = np.full((m, count), math.log(s0))
-    S = np.full((m, count), float(s0))
-    C = np.full((m, count), float(c0))
-    alive = np.ones((m, count), dtype=bool)
-    if hist is not None:
-        hist[:, :, :, 0] = C, S
-    for k in range(n_steps):
-        xi = noise[:, k].copy()  # one contiguous copy of the strided column for all rows
-        C += sells[:, k : k + 1] * S
-        dY = (coeffs.drift(Y) - drags[:, k : k + 1]) * dt + coeffs.vol(Y) * sqdt * xi
-        np.add(Y, dY, out=Y, where=alive)
-        alive &= Y >= log_floor
-        S = np.where(alive, np.exp(Y), 0.0)
-        if hist is not None:
-            hist[:, :, :, k + 1] = C, S
-    cash[:] = C
-    price[:] = S
-    return np.count_nonzero(~alive, axis=1)
-
-
 def _simulate_all(
-    strategies, coeffs, model, c0, x0, s0, horizon, n_paths, n_steps, seed,
+    strategies, market, model, c0, x0, s0, horizon, n_paths, n_steps, seed,
     utility=None, log_floor=-60.0, return_paths=False,
 ) -> list:
     """One SimResult per strategy, all driven by the same noise: each
@@ -396,7 +319,7 @@ def _simulate_all(
             sells[j, k] = np.minimum(sp * dt, X)[0]
             xs[j, k + 1] = X[0] - sells[j, k]
     cash, price, absorbed, hist = _price_paths(
-        sells, model.g(sells / dt), coeffs, c0, s0, dt, n_paths, seed, log_floor, return_paths
+        sells, model.g(sells / dt), market, c0, s0, dt, n_paths, seed, log_floor, return_paths
     )
 
     results = []
@@ -425,7 +348,7 @@ def _simulate_all(
 
 
 def simulate_unimpacted(
-    coeffs: CoefficientSet,
+    market: MarketParams,
     s0: float,
     horizon: float,
     n_paths: int,
@@ -440,11 +363,11 @@ def simulate_unimpacted(
     if s0 < 0.0:
         raise ValueError("s0 must be non-negative")
     # a row that sells nothing, has zero drag and is never absorbed: a
-    # zero-impact strategy's row in either march (exp(-G) = 1, or drift - 0.0
-    # in the Euler step), so such a run reproduces this price bit for bit
+    # zero-impact strategy's row (exp(-G) = 1), so such a run reproduces this
+    # price bit for bit
     zero = np.zeros((1, n_steps))
     _, price, _, hist = _price_paths(
-        zero, zero, coeffs, 0.0, s0, horizon / n_steps, n_paths, seed, -math.inf, return_paths
+        zero, zero, market, 0.0, s0, horizon / n_steps, n_paths, seed, -math.inf, return_paths
     )
     return UnimpactedResult(price=_stats(price[0]), paths=None if hist is None else hist[1, 0])
 
@@ -462,7 +385,7 @@ class StrategyComparison:
 
 def compare_strategies(
     strategies,
-    coeffs: CoefficientSet,
+    market: MarketParams,
     model: ImpactModel,
     c0: float,
     x0: float,
@@ -485,13 +408,10 @@ def compare_strategies(
     strategies = list(strategies)
     if len(strategies) < 2:
         raise ValueError("need at least two strategies to compare")
-    for name, s in strategies:
-        if abs(s.horizon - horizon) > 1e-12 * max(1.0, horizon):
-            raise ValueError(f"strategy {name!r} has a mismatched horizon")
 
     names = [name for name, _ in strategies]
     results = _simulate_all(
-        [s for _, s in strategies], coeffs, model, c0, x0, s0, horizon, n_paths, n_steps, seed,
+        [s for _, s in strategies], market, model, c0, x0, s0, horizon, n_paths, n_steps, seed,
         utility=utility,
     )
     utils = [res.utilities for res in results]

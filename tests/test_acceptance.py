@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from optexec.closed_form import (
+    MarketParams,
     Schedule,
     extreme_comparison,
     levy_effective_twap_rate,
@@ -33,7 +34,6 @@ from optexec.impact import (
     ShiftedConvexImpact,
 )
 from optexec.simulate import (
-    CoefficientSet,
     DeterministicStrategy,
     compare_strategies,
     simulate,
@@ -166,7 +166,7 @@ def test_criterion_6_monte_carlo_consistency():
     t0 = time.monotonic()
     res = simulate(
         strat,
-        CoefficientSet.black_scholes(-0.085, 0.3),
+        MarketParams.from_drift_vol(-0.085, 0.3),
         QUAD,
         0.0,
         0.1,
@@ -180,7 +180,7 @@ def test_criterion_6_monte_carlo_consistency():
     z = abs(res.mean_utility - TWAP_BENCH.value) / res.std_error
     flat = simulate(
         strat,
-        CoefficientSet.black_scholes(-0.04, 0.0),
+        MarketParams.from_drift_vol(-0.04, 0.0),
         QUAD,
         0.0,
         0.1,
@@ -198,12 +198,12 @@ def test_criterion_6_monte_carlo_consistency():
 def test_criterion_7_extreme_impact_ordering():
     comp = extreme_comparison(SHIFTED, 0.5, 100.0, 0.05, 1.0)
     ok = comp.optimal_value > comp.threshold_value
-    coeffs = CoefficientSet.black_scholes(-0.095, 0.3)  # decay 0.05
+    market = MarketParams.from_drift_vol(-0.095, 0.3)  # decay 0.05
     fast = DeterministicStrategy(Schedule.constant(comp.rate, 0.5 / comp.rate, 1.0))
     slow = DeterministicStrategy(Schedule.constant(1.0, 0.5, 1.0))
     tbl = compare_strategies(
         [("optimal", fast), ("threshold", slow)],
-        coeffs,
+        market,
         SHIFTED,
         0.0,
         0.5,
@@ -262,11 +262,11 @@ def test_criterion_10_quasi_block_limit():
 
 def test_criterion_11_pathwise_dominance():
     strat = DeterministicStrategy(TWAP_BENCH.schedule)
-    coeffs = CoefficientSet.black_scholes(-0.085, 0.3)
+    market = MarketParams.from_drift_vol(-0.085, 0.3)
     res = simulate(
-        strat, coeffs, QUAD, 0.0, 0.1, 100.0, 1.0, n_paths=1000, n_steps=200, seed=303, return_paths=True
+        strat, market, QUAD, 0.0, 0.1, 100.0, 1.0, n_paths=1000, n_steps=200, seed=303, return_paths=True
     )
-    ref = simulate_unimpacted(coeffs, 100.0, 1.0, n_paths=1000, n_steps=200, seed=303, return_paths=True)
+    ref = simulate_unimpacted(market, 100.0, 1.0, n_paths=1000, n_steps=200, seed=303, return_paths=True)
     gap = float(np.max(res.paths["S"] - ref.paths))
     ok = gap <= 1e-12
     report(11, ok, f"max (controlled - reference) price over 1000 paths: {gap:.2e}")

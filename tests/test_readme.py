@@ -1,0 +1,28 @@
+"""The README's library quick start runs and gives the numbers its comments promise."""
+
+import pathlib
+import re
+
+import pytest
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _quick_start() -> str:
+    section = README.read_text(encoding="utf-8").split("## Library quick start", 1)[1]
+    match = re.search(r"```python\n(.*?)```", section, re.S)
+    assert match, "no python block under 'Library quick start'"
+    return match.group(1)
+
+
+def test_library_quick_start():
+    scope = {}
+    exec(compile(_quick_start(), str(README), "exec"), scope)
+    sol, surface, res = scope["sol"], scope["surface"], scope["res"]
+    # "9.8026..., 0.2": the rate is 0.2 up to the root finder's rounding
+    assert sol.rate == pytest.approx(0.2, rel=1e-9)
+    assert sol.value == pytest.approx(9.8026, abs=5e-5)
+    # "same number from the PDE": criterion 4's 400x400 tolerance
+    assert 100.0 * surface.value_at(1.0, 0.1) == pytest.approx(sol.value, rel=1e-2)
+    # "same number again, within noise": criterion 6's three standard errors
+    assert abs(res.mean_utility - sol.value) <= 3.0 * res.std_error

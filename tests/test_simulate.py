@@ -1,15 +1,13 @@
-import dataclasses
 import importlib
 import math
 
 import numpy as np
 import pytest
 
-from optexec.closed_form import Schedule, twap_solution
+from optexec.closed_form import MarketParams, Schedule, twap_solution
 from optexec.hjb import solve_reduced_hjb
 from optexec.impact import MixedPowerImpact, QuadraticImpact
 from optexec.simulate import (
-    CoefficientSet,
     DeterministicStrategy,
     FeedbackStrategy,
     Utility,
@@ -23,15 +21,8 @@ from optexec.simulate import (
 SIM_MODULE = importlib.import_module("optexec.simulate")
 
 QUAD = QuadraticImpact(1.0)
-BS = CoefficientSet.black_scholes(-0.085, 0.3)  # decay 0.04
-FLAT = CoefficientSet.black_scholes(-0.04, 0.0)
-# a bounded drift that depends on the log-price: no factorisation, so the Euler loop runs
-MEAN_REVERT = CoefficientSet(
-    drift=lambda y: 0.05 * np.tanh(y - math.log(100.0)),
-    vol=lambda y: np.full_like(y, 0.3),
-    drift_bound=0.05,
-    vol_bound=0.3,
-)
+BS = MarketParams.from_drift_vol(-0.085, 0.3)  # decay 0.04
+FLAT = MarketParams.from_drift_vol(-0.04, 0.0)
 
 
 def twap_strategy(x0=0.1, horizon=1.0):
@@ -135,39 +126,9 @@ def test_results_do_not_depend_on_chunking(monkeypatch):
     assert comp7 == comp
 
 
-def test_state_dependent_coefficients_keep_the_contracts(monkeypatch):
-    assert MEAN_REVERT.constants is None
-    assert dataclasses.replace(BS, drift=MEAN_REVERT.drift).constants is None
-
-    def refuse(*args):
-        raise AssertionError("the factorised march ran on state-dependent coefficients")
-
-    monkeypatch.setattr(SIM_MODULE, "_factorised_chunk", refuse)
-    named = _twap_and_feedback() + [("idle", DeterministicStrategy(Schedule.constant(0.0, 0.0, 1.0)))]
-    run = (MEAN_REVERT, QUAD, 0.0, 0.1, 100.0, 1.0, 50, 30)
-
-    def everything():
-        sims = [simulate(strat, *run, seed=23, return_paths=True) for _, strat in named]
-        ref = simulate_unimpacted(MEAN_REVERT, 100.0, 1.0, 50, 30, seed=23, return_paths=True)
-        return sims, ref, compare_strategies(named, *run, seed=23)
-
-    sims, ref, comp = everything()
-    assert comp.means == [float(res.utilities.mean()) for res in sims]
-    assert comp.std_errors == [res.std_error for res in sims]
-    assert np.array_equal(sims[-1].paths["S"], ref.paths)  # zero impact: the reference price
-    monkeypatch.setattr(SIM_MODULE, "_CHUNK", 7)
-    sims7, ref7, comp7 = everything()
-    assert comp7 == comp
-    assert np.array_equal(ref7.paths, ref.paths)
-    for res7, res in zip(sims7, sims):
-        assert np.array_equal(res7.utilities, res.utilities)
-        for key in ("S", "C", "X"):
-            assert np.array_equal(res7.paths[key], res.paths[key])
-
-
-def _euler_loop(sells, drags, coeffs, c0, s0, dt, n_paths, seed, log_floor, return_paths):
-    """The per-step Euler loop `_price_paths` ran for every coefficient set
-    before the factorised march, on one block: the reference for it."""
+def _euler_loop(sells, drags, market, c0, s0, dt, n_paths, seed, log_floor, return_paths):
+    """The per-step Euler-Maruyama loop `_price_paths` ran before the
+    factorised march, on one block: the reference for it."""
     m, n_steps = sells.shape
     noise = _path_noise(seed, 0, n_paths, n_steps)
     Y = np.full((m, n_paths), math.log(s0) if s0 > 0.0 else log_floor - 1.0)
@@ -178,7 +139,7 @@ def _euler_loop(sells, drags, coeffs, c0, s0, dt, n_paths, seed, log_floor, retu
     hist[:, :, :, 0] = C, S
     for k in range(n_steps):
         C += sells[:, k : k + 1] * S
-        dY = (coeffs.drift(Y) - drags[:, k : k + 1]) * dt + coeffs.vol(Y) * math.sqrt(dt) * noise[:, k]
+        dY = (market.mu - drags[:, k : k + 1]) * dt + market.sigma * math.sqrt(dt) * noise[:, k]
         np.add(Y, dY, out=Y, where=alive)
         alive &= Y >= log_floor
         S = np.where(alive, np.exp(Y), 0.0)
@@ -360,7 +321,7 @@ def test_compare_strategies_guards():
     with pytest.raises(ValueError):
         compare_strategies([("a", strat)], BS, QUAD, 0.0, 0.1, 100.0, 1.0, 10, 10, seed=0)
     other = DeterministicStrategy(Schedule.constant(0.0, 0.0, 2.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="horizon"):
         compare_strategies(
             [("a", strat), ("b", other)], BS, QUAD, 0.0, 0.1, 100.0, 1.0, 10, 10, seed=0
         )
@@ -408,26 +369,18 @@ def test_custom_utility_and_spot_checks():
         bad.spot_check_monotone([(0.0, 0.0, 1.0)])
 
 
-def test_coefficient_bounds_spot_check():
-    BS.spot_check(np.linspace(-5.0, 5.0, 11))
-    lying = CoefficientSet(
-        drift=lambda y: np.full_like(y, 1.0), vol=lambda y: np.full_like(y, 0.1),
-        drift_bound=0.5, vol_bound=0.2,
-    )
-    with pytest.raises(ValueError):
-        lying.spot_check(np.array([0.0]))
-    # both simulators check the declared bounds before they march
-    strat, _ = twap_strategy()
-    with pytest.raises(ValueError, match="drift exceeds its declared bound"):
-        simulate(strat, lying, QUAD, 0.0, 0.1, 100.0, 1.0, 10, 10, seed=0)
-    with pytest.raises(ValueError, match="drift exceeds its declared bound"):
-        simulate_unimpacted(lying, 100.0, 1.0, 10, 10, seed=0)
-
-
-@pytest.mark.parametrize("mu, sigma", [(math.nan, 0.3), (-0.085, math.nan), (math.inf, 0.3)])
+@pytest.mark.parametrize(
+    "mu, sigma", [(math.nan, 0.3), (-0.085, math.nan), (math.inf, 0.3), (-0.085, math.inf)]
+)
 def test_black_scholes_rejects_non_finite_coefficients(mu, sigma):
     with pytest.raises(ValueError, match="must be finite"):
-        CoefficientSet.black_scholes(mu, sigma)
+        MarketParams.from_drift_vol(mu, sigma)
+
+
+@pytest.mark.parametrize("decay", [math.nan, math.inf])
+def test_market_from_decay_rejects_non_finite_decay(decay):
+    with pytest.raises(ValueError, match="must be finite"):
+        MarketParams.from_decay(decay)
 
 
 def test_input_validation():
