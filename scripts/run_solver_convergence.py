@@ -3,8 +3,9 @@
 
 Two benchmarks with known closed forms: the constant-rate value for
 quadratic impact (small inventory) and the large-inventory value for the
-pure convex power.  Prints the error at each refinement and the empirical
-contraction factor.
+pure convex power.  Prints the error at each refinement next to the
+control calls the solve made (one for the first level and two per SSP-RK2
+sub-step, from `ValueSurface.substeps`) and the empirical contraction factor.
 """
 
 import time
@@ -26,7 +27,11 @@ def study(name, model, decay, horizon, x0, x_max, exact, grids=(100, 200, 400, 8
         t0 = time.monotonic()
         surf = solve_reduced_hjb(model, decay, horizon, x_max, nt=n, nx=n)
         w = surf.value_at(horizon, x0)
-        line = f"  {n:4d}x{n:<4d} W={w:.8f}  rel err {abs(w - exact) / exact:.2e}  {time.monotonic() - t0:5.1f}s"
+        calls = 1 + 2 * int(surf.substeps.sum())
+        line = (
+            f"  {n:4d}x{n:<4d} W={w:.8f}  rel err {abs(w - exact) / exact:.2e}"
+            f"  {calls:6d} control calls  {time.monotonic() - t0:5.1f}s"
+        )
         if prev_w is not None:
             delta = abs(w - prev_w)
             if prev is not None and delta > 0:

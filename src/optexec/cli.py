@@ -163,7 +163,6 @@ def _solve_surface(cfg: RunConfig):
         nt=solver.nt,
         nx=solver.nx,
         y_max=solver.y_max,
-        max_expansions=solver.max_expansions,
     )
 
 
@@ -249,7 +248,6 @@ def _solve_hjb(cfg: RunConfig):
             nt=max(cfg.solver.nt // 2, 2),
             nx=max(cfg.solver.nx // 2, 2),
             y_max=surface.y_max,
-            max_expansions=0,
         )
         summary["refinement_delta"] = abs(coarse.value_at(p.horizon, p.x0) - w_term)
     nt, nx = surface.values.shape

@@ -45,7 +45,6 @@ class SolverSettings:
     nx: int = 400
     x_max: Optional[float] = None
     y_max: Optional[float] = None
-    max_expansions: int = 2
     refine: bool = True
 
     def __post_init__(self):
@@ -55,8 +54,6 @@ class SolverSettings:
             raise ConfigError("solver.x_max must be positive")
         if self.y_max is not None and self.y_max <= 0.0:
             raise ConfigError("solver.y_max must be positive")
-        if self.max_expansions < 0:
-            raise ConfigError("solver.max_expansions must be non-negative")
 
 
 @dataclass(frozen=True)

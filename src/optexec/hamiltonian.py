@@ -96,9 +96,8 @@ def best_response(model: ImpactModel, a, b, y_max: float = math.inf, h_ymax: flo
     to 0.  `h_ymax` must be h(y_max); callers that solve many rows under one
     cap compute it once.
 
-    Returns (speed, gain, capped): the maximizer, the maximal value (0 where
-    selling nothing is optimal) and the mask of elements whose interior
-    candidate reached the cap.
+    Returns (speed, gain): the maximizer and the maximal value (0 where
+    selling nothing is optimal).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -114,7 +113,7 @@ def best_response(model: ImpactModel, a, b, y_max: float = math.inf, h_ymax: flo
     y[y <= model.threshold] = 0.0
     val = y * a - b * model.g(y)
     take = val > 0.0
-    return np.where(take, y, 0.0), np.where(take, val, 0.0), capped
+    return np.where(take, y, 0.0), np.where(take, val, 0.0)
 
 
 def optimal_speed(s: float, p: Gradient, model: ImpactModel) -> float:
@@ -261,6 +260,6 @@ def closed_vs_brute_samples(model: ImpactModel, n_draws: int, seed: int = 0, n_g
     )
     s, p_c, p_x, p_s = np.fromiter(draws, float, 4 * n_draws).reshape(n_draws, 4).T
     a, b = s * p_c - p_x, s * p_s
-    speed, gain, _ = best_response(model, a, b)
+    speed, gain = best_response(model, a, b)
     _, h_brute, _ = _brute_min(model, a, b, max(2.0 * model.threshold + 1.0, 1.0), n_grid, 20)
     return list(zip(*(col.tolist() for col in (s, p_c, p_x, p_s, 0.0 - gain, h_brute, speed))))

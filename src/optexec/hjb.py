@@ -11,9 +11,11 @@ forward in t with a backward (upwind) difference for dW/dx — the transport
 term moves information toward larger inventory — and picks each row's
 controls with one call of the control kernel `hamiltonian.best_response`,
 which covers W = 0 nodes as well.
-An explicit CFL bound dt * (y_max/dx + decay + g(y_max)) <= 1 is enforced by
-internal sub-stepping, which keeps every update a monotone combination of
-the previous level.
+Each time step is crossed in SSP-RK2 sub-steps W <- W/2 + E(E(W))/2 of
+explicit Euler steps E, sized so that h * (y/dx + decay + g(y)) <= 1 at the
+speeds each stage's row chooses.  E is a max of maps affine in the previous
+row, the one at the chosen speed with non-negative coefficients, so raising
+any input never lowers the update, and y_max costs sub-steps only where used.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ __all__ = [
     "optimize_deterministic_schedule",
 ]
 
-_W_EPS = 1e-12  # saturation counts skip W = 0 rows, where every selling node is capped
+_W_EPS = 1e-12  # saturation counts skip W = 0 nodes, where every selling node is capped
 
 
 @dataclass
@@ -48,6 +50,7 @@ class ValueSurface:
 
     `t_grid` is time-to-go in [0, horizon]; `values[l, i]` approximates
     W(t_grid[l], x_grid[i]) and `policy[l, i]` the maximizing speed there.
+    `substeps[l]` counts the sub-steps from level l to l + 1 (two control calls each).
     """
 
     t_grid: np.ndarray
@@ -58,6 +61,7 @@ class ValueSurface:
     threshold: float
     y_max: float
     saturation_fraction: float
+    substeps: np.ndarray
 
     def _locate(self, grid, v, name):
         lo, hi = float(grid[0]), float(grid[-1])
@@ -87,20 +91,48 @@ class ValueSurface:
 
 
 def _node_controls(model, W, dx, y_max, h_ymax):
-    """Per-node argmax of psi(y) = y*(1 - Wx) - W*g(y) over {0} u (threshold, y_max].
+    """Per-node (speed, psi): argmax and max of psi(y) = y*(1 - Wx) - W*g(y)
+    over {0} u (threshold, y_max].
 
     One `best_response` call on the whole row, with the upwind coefficient
-    kappa = 1 - Wx set to 0 at x = 0, so that node sells nothing.  Returns
-    (speed, psi, saturated, conditioned): `conditioned` counts the interior
-    nodes with W above the floor and `saturated` those of them whose
-    interior candidate reached y_max.
+    kappa = 1 - Wx set to 0 at x = 0, so that node sells nothing.
     """
     kappa = np.empty(W.size)
     kappa[0] = 0.0
     kappa[1:] = 1.0 - (W[1:] - W[:-1]) / dx
-    speed, psi, capped = best_response(model, kappa, W, y_max, h_ymax)
-    live = W[1:] > _W_EPS
-    return speed, psi, int(np.count_nonzero(capped[1:] & live)), int(np.count_nonzero(live))
+    return best_response(model, kappa, W, y_max, h_ymax)
+
+
+def _cfl_rate(model, speed, dx, decay):
+    """max of y/dx + max(decay, 0) + g(y) over the speeds y, set by the fastest
+    since g is non-decreasing; a non-finite rate raises."""
+    top = float(np.max(speed))
+    rate = top / dx + max(decay, 0.0) + (model.g(top) if top >= 0.0 else math.nan)
+    if not math.isfinite(rate):
+        raise NumericalFailure(f"sub-step rate {rate} at speed {top}: the controls left the finite range")
+    return rate
+
+
+def _euler(W, psi, h, decay):
+    """Explicit Euler step of size h from W with gains psi; x = 0 stays 0."""
+    out = W + h * (psi - decay * W)
+    out[0] = 0.0
+    return out
+
+
+def _substep(model, W, psi, rate, left, dx, decay, y_max, h_ymax):
+    """SSP-RK2 step W/2 + E(E(W))/2 of size h = left/n, n = ceil(left*rate), with
+    `psi` and `rate` those of W.  Redone at the larger rate while E(W)'s own rate
+    breaks h*rate <= 1 (n grows each time; the cap's rate bounds it).  Returns (W, h, n)."""
+    while True:
+        n = max(1, math.ceil(left * rate))
+        h = left / n
+        W1 = _euler(W, psi, h, decay)
+        speed1, psi1 = _node_controls(model, W1, dx, y_max, h_ymax)
+        rate1 = _cfl_rate(model, speed1, dx, decay)
+        if h * rate1 <= 1.0:
+            return 0.5 * W + 0.5 * _euler(W1, psi1, h, decay), h, n
+        rate = rate1
 
 
 def _default_y_max(model, decay, horizon, x_max):
@@ -121,87 +153,59 @@ def solve_reduced_hjb(
     nt: int = 400,
     nx: int = 400,
     y_max: Optional[float] = None,
-    max_expansions: int = 2,
-    saturation_tol: float = 1e-3,
 ) -> ValueSurface:
     """March the reduced equation on an (nt x nx)-cell grid over
     [0, horizon] x [0, x_max] and record the value and the policy.
 
-    `y_max` truncates the control; if the interior candidate hits the cap on
-    more than `saturation_tol` of the conditioned nodes, the solve is
-    repeated with y_max doubled, up to `max_expansions` times, and the final
-    saturation fraction is reported on the surface.  Every attempt but the
-    last stops at the first sub-step where its saturated-node count alone
-    exceeds `saturation_tol` of the most nodes the whole march can condition,
-    since its verdict is then certain; the returned surface is the same as
-    with every attempt run in full.  An abandoned attempt never runs its
-    later growth-guard checks.
+    `y_max` caps the control (default 4 * `_default_y_max`).  Each time step
+    is crossed in `_substep`s sized by the row's fastest chosen speed.
+    `saturation_fraction` is the share of conditioned stored nodes (W above
+    the floor, x > 0) whose speed sits at the cap.
     """
     if nt < 2 or nx < 2:
         raise ValueError("need nt >= 2 and nx >= 2 grid cells")
     if horizon <= 0.0 or x_max <= 0.0:
         raise ValueError("horizon and x_max must be positive")
-    if max_expansions < 0:
-        raise ValueError("max_expansions must be non-negative")
     if y_max is None:
-        y_max = _default_y_max(model, decay, horizon, x_max)
+        y_max = 4.0 * _default_y_max(model, decay, horizon, x_max)
     if y_max <= model.threshold:
         raise ValueError("y_max must exceed the impact threshold or the policy range is empty")
 
-    for _ in range(max_expansions):
-        surface = _march(model, decay, horizon, x_max, nt, nx, y_max, saturation_tol)
-        if surface is not None and surface.saturation_fraction <= saturation_tol:
-            return surface
-        y_max *= 2.0
-    return _march(model, decay, horizon, x_max, nt, nx, y_max)
-
-
-def _march(model, decay, horizon, x_max, nt, nx, y_max, abandon_above=None):
-    """One attempt at a fixed y_max.  With `abandon_above`, return None as
-    soon as the saturation fraction is sure to end above it."""
     t_grid = np.linspace(0.0, horizon, nt + 1)
     x_grid = np.linspace(0.0, x_max, nx + 1)
     dt = horizon / nt
     dx = x_max / nx
-
+    _cfl_rate(model, y_max, dx, decay)  # the bound every retry stays under must be finite
     h_ymax = model.h(y_max)
-    cfl_rate = y_max / dx + max(decay, 0.0) + model.g(y_max)
-    n_sub = max(1, math.ceil(dt * cfl_rate))
-    dtau = dt / n_sub
     guard = x_max * math.exp(max(0.0, -decay) * horizon) * (1.0 + 1e-6) + 1e-9
 
     values = np.empty((nt + 1, nx + 1))
     policy = np.empty((nt + 1, nx + 1))
+    substeps = np.zeros(nt, dtype=int)
     W = np.zeros(nx + 1)
-    saturated = 0
-    conditioned = 0
-    # each of the nt*n_sub + 1 control calls conditions at most nx nodes, and
-    # float division is monotone, so once saturated / most_conditioned is
-    # above the tolerance the final fraction is too
-    most_conditioned = (nt * n_sub + 1) * nx
+    speed, psi = _node_controls(model, W, dx, y_max, h_ymax)
 
     for lvl in range(nt + 1):
-        speed, psi, sat, cond = _node_controls(model, W, dx, y_max, h_ymax)
         values[lvl] = W
         policy[lvl] = speed
-        saturated += sat
-        conditioned += cond
         if lvl == nt:
             break
-        for k in range(n_sub):
-            if k > 0:
-                speed, psi, sat, cond = _node_controls(model, W, dx, y_max, h_ymax)
-                saturated += sat
-                conditioned += cond
-            if abandon_above is not None and saturated / most_conditioned > abandon_above:
-                return None
-            W = W + dtau * (psi - decay * W)
-            W[0] = 0.0
+        left = dt
+        while True:
+            rate = _cfl_rate(model, speed, dx, decay)
+            W, h, n = _substep(model, W, psi, rate, left, dx, decay, y_max, h_ymax)
+            substeps[lvl] += 1
             if W[-1] > guard:
                 raise NumericalFailure(
                     "reduced-value growth guard tripped: decay too negative for this impact"
                 )
+            speed, psi = _node_controls(model, W, dx, y_max, h_ymax)
+            if n == 1:
+                break
+            left -= h
 
+    live = values[:, 1:] > _W_EPS
+    at_cap = np.count_nonzero(live & (policy[:, 1:] == y_max))
     return ValueSurface(
         t_grid=t_grid,
         x_grid=x_grid,
@@ -210,7 +214,8 @@ def _march(model, decay, horizon, x_max, nt, nx, y_max, abandon_above=None):
         decay=decay,
         threshold=model.threshold,
         y_max=y_max,
-        saturation_fraction=saturated / max(conditioned, 1),
+        saturation_fraction=float(at_cap / max(np.count_nonzero(live), 1)),
+        substeps=substeps,
     )
 
 
@@ -251,7 +256,7 @@ def hjb_residual(surface: ValueSurface, model: ImpactModel) -> float:
     h_ymax = model.h(surface.y_max)
     worst = 0.0
     for lvl in range(1, t_grid.size - 1):
-        _, psi, _, _ = _node_controls(model, W[lvl], dx, surface.y_max, h_ymax)
+        _, psi = _node_controls(model, W[lvl], dx, surface.y_max, h_ymax)
         resid = (W[lvl + 1] - W[lvl]) / dt - (psi - surface.decay * W[lvl])
         worst = max(worst, float(np.max(np.abs(resid[1:]))))
     return worst

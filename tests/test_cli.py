@@ -340,6 +340,17 @@ def test_exit_codes(bench_config, tmp_path):
     assert main(["twap", "--config", bench_config, "--set", "problem.x0=0.5"]) == 3
 
 
+def test_retired_solver_key_is_a_config_error(bench_config, tmp_path, capsys):
+    # a config written for the retired y_max restart loop fails loudly,
+    # like any other unknown key
+    path = tmp_path / "old.ini"
+    path.write_text(BENCH_INI.replace("refine = false", "refine = false\nmax_expansions = 2"))
+    assert main(["solve-hjb", "--config", str(path), "--output", str(tmp_path / "run")]) == 2
+    assert "unknown key(s) in [solver]: ['max_expansions']" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="max_expansions"):
+        build_run_config({"solver": {"max_expansions": "2"}})
+
+
 def test_output_env_var(bench_config, tmp_path, monkeypatch):
     target = tmp_path / "from_env"
     monkeypatch.setenv("OPTEXEC_OUTPUT_DIR", str(target))
@@ -379,7 +390,6 @@ FULL_MAPPING = {
         "nx": "60",
         "x_max": "0.2",
         "y_max": "5",
-        "max_expansions": "1",
         "refine": "off",
     },
     "sim": {
@@ -397,7 +407,7 @@ FULL_MAPPING = {
 }
 
 DEFAULT_RESOLVED = {
-    "solver": {"nt": "400", "nx": "400", "max_expansions": "2", "refine": "true"},
+    "solver": {"nt": "400", "nx": "400", "refine": "true"},
     "sim": {
         "n_paths": "10000",
         "n_steps": "1000",
@@ -427,7 +437,6 @@ FULL_RESOLVED = {
         "nx": "60",
         "x_max": "0.2",
         "y_max": "5.0",
-        "max_expansions": "1",
         "refine": "false",
     },
     "sim": {

@@ -5,9 +5,10 @@ from optexec.closed_form import mixed_power_solution, twap_rate, twap_solution
 from optexec.errors import NumericalFailure
 import optexec.hjb as hjb
 from optexec.hjb import (
-    _default_y_max,
-    _march,
+    _cfl_rate,
+    _euler,
     _node_controls,
+    _substep,
     extract_policy,
     full_value_from_reduced,
     hjb_residual,
@@ -67,28 +68,47 @@ def test_policy_range_with_positive_threshold():
 
 
 def test_monotone_update_in_neighbor_values():
-    # raising any input value never lowers the updated value: evaluate one
-    # explicit substep by hand on random rows and perturb
+    # raising any input value never lowers the updated value: size one
+    # SSP-RK2 sub-step on a random row as the solver does, then take a step
+    # of that size from the row with one value raised.  Slopes below 1.2
+    # mix zero, interior and capped speeds in each row.
     rng = np.random.default_rng(3)
-    dx = 0.01
-    y_max = 1.0
+    dx, decay, y_max = 0.01, 0.04, 100.0
     h_ymax = QUAD.h(y_max)
-    dtau = 0.5 / (y_max / dx + 0.04 + QUAD.g(y_max))
+    below_cap = 0
 
-    def step(W):
-        _, psi, _, _ = _node_controls(QUAD, W, dx, y_max, h_ymax)
-        out = W + dtau * (psi - 0.04 * W)
-        out[0] = 0.0
-        return out
+    def ssp(W, h):
+        _, psi = _node_controls(QUAD, W, dx, y_max, h_ymax)
+        W1 = _euler(W, psi, h, decay)
+        _, psi1 = _node_controls(QUAD, W1, dx, y_max, h_ymax)
+        return 0.5 * W + 0.5 * _euler(W1, psi1, h, decay)
 
     for _ in range(20):
-        W = np.sort(rng.uniform(0.0, 0.01, 12))
-        W[0] = 0.0
-        base = step(W)
+        W = np.concatenate([[0.0], np.cumsum(rng.uniform(0.0, 1.2 * dx, 11))])
+        speed, psi = _node_controls(QUAD, W, dx, y_max, h_ymax)
+        below_cap += speed.max() < y_max
+        rate = _cfl_rate(QUAD, speed, dx, decay)
+        base, h, _ = _substep(QUAD, W, psi, rate, 0.05, dx, decay, y_max, h_ymax)
+        assert np.array_equal(ssp(W, h), base)
         j = int(rng.integers(1, 12))
         bumped = W.copy()
-        bumped[j] += 1e-6
-        assert np.all(step(bumped) >= base - 1e-15)
+        bumped[j] += 10.0 ** rng.uniform(-8.0, -3.0)
+        assert np.all(ssp(bumped, h) >= base - 1e-15)
+    assert below_cap >= 10  # most steps are sized by speeds under the cap
+
+
+def test_substep_retries_until_the_second_stage_is_monotone():
+    # a rate far below the row's own sizes a step whose intermediate row
+    # breaks h * rate <= 1, so the step is redone with that row's rate
+    dx, decay, y_max = 0.01, 0.04, 1.0
+    h_ymax = QUAD.h(y_max)
+    W = np.linspace(0.0, 0.005, 12)
+    _, psi = _node_controls(QUAD, W, dx, y_max, h_ymax)
+    new, h, n = _substep(QUAD, W, psi, 1.0, 0.05, dx, decay, y_max, h_ymax)
+    assert n > 1 and h == 0.05 / n
+    speed1, _ = _node_controls(QUAD, _euler(W, psi, h, decay), dx, y_max, h_ymax)
+    assert h * _cfl_rate(QUAD, speed1, dx, decay) <= 1.0
+    assert np.all(np.isfinite(new)) and new[0] == 0.0
 
 
 def test_refinement_contraction_on_benchmark():
@@ -102,7 +122,7 @@ def test_refinement_contraction_on_benchmark():
 
 
 def test_residual_of_zero_surface_is_control_bound():
-    surf = solve_reduced_hjb(QUAD, nt=10, nx=10, y_max=1.0, max_expansions=0, **BENCH)
+    surf = solve_reduced_hjb(QUAD, nt=10, nx=10, y_max=1.0, **BENCH)
     surf.values[:] = 0.0
     # with W = 0 everywhere the best gain at every node is y_max itself
     assert hjb_residual(surf, QUAD) == pytest.approx(1.0, rel=1e-12)
@@ -117,7 +137,7 @@ def test_residual_positive_and_converging_in_smooth_region():
         hy = model.h(s.y_max)
         worst = 0.0
         for lvl in range(1, tg.size - 1):
-            _, psi, _, _ = _node_controls(model, W[lvl], dx, s.y_max, hy)
+            _, psi = _node_controls(model, W[lvl], dx, s.y_max, hy)
             r = np.abs((W[lvl + 1] - W[lvl]) / dt - (psi - s.decay * W[lvl]))
             keep = (xg < 0.5 * s.y_max * tg[lvl]) & (np.abs(xg - nu * tg[lvl]) > 0.03)
             keep[0] = False
@@ -128,7 +148,7 @@ def test_residual_positive_and_converging_in_smooth_region():
     nu = twap_rate(QUAD, 0.04)
     res = []
     for n in (50, 100, 200):
-        s = solve_reduced_hjb(QUAD, nt=n, nx=n, y_max=1.0, max_expansions=0, **BENCH)
+        s = solve_reduced_hjb(QUAD, nt=n, nx=n, y_max=1.0, **BENCH)
         assert hjb_residual(s, QUAD) > 0.0
         res.append(smooth_max(s, QUAD, nu))
     assert res[0] > res[1] > res[2]
@@ -156,8 +176,6 @@ def test_solver_input_validation():
         solve_reduced_hjb(QUAD, 0.04, -1.0, 0.2)
     with pytest.raises(ValueError):
         solve_reduced_hjb(MIXED, 0.05, 1.0, 1.0, y_max=0.5)  # below the threshold
-    with pytest.raises(ValueError):
-        solve_reduced_hjb(QUAD, 0.04, 1.0, 0.2, nt=10, nx=10, max_expansions=-1)
 
 
 def test_negative_decay_is_stable():
@@ -213,42 +231,21 @@ class TestScheduleOptimizer:
 
 
 def test_saturation_reporting():
-    surf = solve_reduced_hjb(QUAD, nt=60, nx=60, y_max=1.0, max_expansions=0, **BENCH)
-    assert 0.0 <= surf.saturation_fraction <= 1.0
-    # y_max kept as requested when expansion is disabled
+    surf = solve_reduced_hjb(QUAD, nt=60, nx=60, y_max=1.0, **BENCH)
     assert surf.y_max == 1.0
-    expanded = solve_reduced_hjb(QUAD, nt=60, nx=60, y_max=1.0, max_expansions=2, **BENCH)
-    assert expanded.y_max >= surf.y_max
+    assert surf.substeps.shape == (60,)
+    assert np.all(surf.substeps >= 1)
+    # the share of conditioned stored nodes whose speed sits at the cap
+    live = surf.values > hjb._W_EPS
+    live[:, 0] = False
+    at_cap = live & (surf.policy == surf.y_max)
+    assert surf.saturation_fraction == at_cap.sum() / live.sum()
+    assert 0.0 < surf.saturation_fraction < 1.0
+    wider = solve_reduced_hjb(QUAD, nt=60, nx=60, y_max=4.0, **BENCH)
+    assert wider.saturation_fraction < surf.saturation_fraction
 
 
-def _solve_every_attempt(model, nt, nx, y_max, max_expansions, saturation_tol, decay, horizon, x_max):
-    """The restart loop with every attempt run in full: the early stop's reference."""
-    if y_max is None:
-        y_max = _default_y_max(model, decay, horizon, x_max)
-    for attempt in range(max_expansions + 1):
-        surface = _march(model, decay, horizon, x_max, nt, nx, y_max)
-        if surface.saturation_fraction <= saturation_tol or attempt == max_expansions:
-            return surface
-        y_max *= 2.0
-
-
-@pytest.mark.parametrize("saturation_tol", [1e-3, 0.2, 1.0])
-@pytest.mark.parametrize("max_expansions", [0, 1, 2])
-@pytest.mark.parametrize("small_cap", [False, True], ids=["default_y_max", "small_y_max"])
-@pytest.mark.parametrize("model", [QUAD, MIXED, LEVY], ids=["quadratic", "mixed_power", "levy"])
-def test_early_stop_returns_the_same_surface(model, small_cap, max_expansions, saturation_tol):
-    # the small cap is 1.0 above the threshold: 1.0 for the convex families
-    y_max = model.threshold + 1.0 if small_cap else None
-    kw = dict(nt=40, nx=40, y_max=y_max, max_expansions=max_expansions, saturation_tol=saturation_tol)
-    got = solve_reduced_hjb(model, **kw, **BENCH)
-    ref = _solve_every_attempt(model, **kw, **BENCH)
-    assert got.values.tobytes() == ref.values.tobytes()
-    assert got.policy.tobytes() == ref.policy.tobytes()
-    assert got.y_max == ref.y_max
-    assert got.saturation_fraction == ref.saturation_fraction
-
-
-def test_doomed_attempts_stop_early(monkeypatch):
+def test_control_calls_follow_the_substeps(monkeypatch):
     calls = []
 
     def counted(*args):
@@ -256,11 +253,35 @@ def test_doomed_attempts_stop_early(monkeypatch):
         return _node_controls(*args)
 
     monkeypatch.setattr(hjb, "_node_controls", counted)
-    surf = solve_reduced_hjb(QUAD, nt=100, nx=100, y_max=1.0, max_expansions=2, **BENCH)
-    total = len(calls)
-    assert surf.y_max == 4.0  # the y_max 1 and 2 attempts were both rejected
-    calls.clear()
-    # the last attempt alone, run in full: its nt*n_sub + 1 control calls
-    last = solve_reduced_hjb(QUAD, nt=100, nx=100, y_max=4.0, max_expansions=0, **BENCH)
-    assert last.values.tobytes() == surf.values.tobytes()
-    assert len(calls) <= total <= len(calls) + 20
+    surf = solve_reduced_hjb(QUAD, nt=60, nx=60, **BENCH)
+    # one call for the first level and two per sub-step: no step was redone
+    assert len(calls) == 1 + 2 * int(surf.substeps.sum())
+
+
+def test_large_cap_costs_few_control_calls():
+    # sub-steps follow the speeds the rows choose, so a 16x larger cap only
+    # adds steps on the early levels where some node sells at the cap
+    base = solve_reduced_hjb(QUAD, nt=400, nx=400, **BENCH)
+    wide = solve_reduced_hjb(QUAD, nt=400, nx=400, y_max=16.0 * base.y_max, **BENCH)
+    assert base.y_max == 4.0
+
+    def calls(s):
+        return 1 + 2 * int(s.substeps.sum())
+
+    assert calls(wide) <= 1.25 * calls(base)
+
+
+def test_non_finite_rate_raises(monkeypatch):
+    # a cap whose impact overflows has no finite step bound
+    with pytest.raises(NumericalFailure, match="rate"):
+        solve_reduced_hjb(QUAD, nt=10, nx=10, y_max=1e200, **BENCH)
+
+    def poisoned(model, W, dx, y_max, h_ymax):
+        speed, psi = _node_controls(model, W, dx, y_max, h_ymax)
+        if W[-1] > 0.0:
+            speed[3] = np.nan
+        return speed, psi
+
+    monkeypatch.setattr(hjb, "_node_controls", poisoned)
+    with pytest.raises(NumericalFailure, match="rate"):
+        solve_reduced_hjb(QUAD, nt=10, nx=10, **BENCH)
