@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from optexec.errors import NumericalFailure
 import optexec.hjb as hjb
 from optexec.hjb import (
     _cfl_rate,
+    _default_y_max,
     _euler,
     _node_controls,
     _substep,
@@ -243,6 +246,117 @@ def test_saturation_reporting():
     assert 0.0 < surf.saturation_fraction < 1.0
     wider = solve_reduced_hjb(QUAD, nt=60, nx=60, y_max=4.0, **BENCH)
     assert wider.saturation_fraction < surf.saturation_fraction
+
+
+def _march_every_trial_in_full(model, nt, nx, y_max, decay, horizon, x_max):
+    """The march with each sub-step sized by max_i(y_i/dx + max(decay, 0) + g(y_i))
+    over the whole row and every trial step run through both stages before its
+    verdict: the reference for the solver's top-speed rate and early stop."""
+    dt, dx = horizon / nt, x_max / nx
+    h_ymax = model.h(y_max)
+
+    def rate_of(speed):
+        return float(np.max(speed / dx + max(decay, 0.0) + model.g(speed)))
+
+    def euler(W, psi, h):
+        out = W + h * (psi - decay * W)
+        out[0] = 0.0
+        return out
+
+    W = np.zeros(nx + 1)
+    speed, psi = _node_controls(model, W, dx, y_max, h_ymax)
+    values, policy, substeps = [W], [speed], []
+    for _ in range(nt):
+        left, count = dt, 0
+        while True:
+            rate = rate_of(speed)
+            while True:
+                n = max(1, math.ceil(left * rate))
+                h = left / n
+                W1 = euler(W, psi, h)
+                speed1, psi1 = _node_controls(model, W1, dx, y_max, h_ymax)
+                trial = 0.5 * W + 0.5 * euler(W1, psi1, h)
+                if h * rate_of(speed1) <= 1.0:
+                    break
+                rate = rate_of(speed1)
+            W = trial
+            count += 1
+            speed, psi = _node_controls(model, W, dx, y_max, h_ymax)
+            if n == 1:
+                break
+            left -= h
+        values.append(W)
+        policy.append(speed)
+        substeps.append(count)
+    return np.array(values), np.array(policy), np.array(substeps)
+
+
+@pytest.mark.parametrize("horizon", [1e-3, 0.2, 1.0])
+@pytest.mark.parametrize("doublings", [0, 1, 2])
+@pytest.mark.parametrize("small_cap", [False, True], ids=["default_y_max", "small_y_max"])
+@pytest.mark.parametrize("model", [QUAD, MIXED, LEVY], ids=["quadratic", "mixed_power", "levy"])
+def test_early_stop_returns_the_same_surface(model, small_cap, doublings, horizon):
+    # the solver sizes a sub-step by the row's fastest speed alone (g is
+    # non-decreasing) and drops a trial once its intermediate row breaks the
+    # bound; neither may change a bit against the reference.  The caps are
+    # those the retired restart loop tried: a start doubled 0, 1 or 2 times
+    # (the small start is 1.0 above the threshold: 1.0 for the convex families)
+    decay, x_max = BENCH["decay"], BENCH["x_max"]
+    start = model.threshold + 1.0 if small_cap else _default_y_max(model, decay, horizon, x_max)
+    y_max = start * 2.0**doublings
+    # two doublings of the default start are the solver's own default cap
+    asked = None if not small_cap and doublings == 2 else y_max
+    got = solve_reduced_hjb(model, decay, horizon, x_max, nt=40, nx=40, y_max=asked)
+    values, policy, substeps = _march_every_trial_in_full(model, 40, 40, y_max, decay, horizon, x_max)
+    assert got.y_max == y_max
+    assert got.values.tobytes() == values.tobytes()
+    assert got.policy.tobytes() == policy.tobytes()
+    assert np.array_equal(got.substeps, substeps)
+    live = values[:, 1:] > 1e-12
+    at_cap = live & (policy[:, 1:] == y_max)
+    assert got.saturation_fraction == at_cap.sum() / live.sum()
+
+
+def test_doomed_attempts_stop_early(monkeypatch):
+    # a trial whose intermediate row breaks h * rate <= 1 is doomed once that
+    # row's controls are known: it is dropped before its second Euler stage,
+    # and the step it settles on is the one running every trial in full gives
+    dx, decay, y_max = 0.01, 0.04, 1.0
+    h_ymax = QUAD.h(y_max)
+    W = np.linspace(0.0, 0.005, 12)
+    _, psi = _node_controls(QUAD, W, dx, y_max, h_ymax)
+    stage_sizes, control_calls = [], []
+
+    def counted_euler(W, psi, h, decay):
+        stage_sizes.append(h)
+        return _euler(W, psi, h, decay)
+
+    def counted_controls(*args):
+        control_calls.append(args)
+        return _node_controls(*args)
+
+    monkeypatch.setattr(hjb, "_euler", counted_euler)
+    monkeypatch.setattr(hjb, "_node_controls", counted_controls)
+    new, h, n = _substep(QUAD, W, psi, 1.0, 0.05, dx, decay, y_max, h_ymax)
+    monkeypatch.undo()
+    trials = len(control_calls)
+    assert trials >= 2  # at least one doomed trial before the accepted one
+    assert len(stage_sizes) == trials + 1  # only the accepted trial took a second stage
+    assert stage_sizes[-2] == stage_sizes[-1] == h
+    assert len(set(stage_sizes[:-1])) == trials  # each trial its own size
+
+    rate, full_trials = 1.0, 0
+    while True:
+        full_trials += 1
+        m = max(1, math.ceil(0.05 * rate))
+        W1 = _euler(W, psi, 0.05 / m, decay)
+        speed1, psi1 = _node_controls(QUAD, W1, dx, y_max, h_ymax)
+        full = 0.5 * W + 0.5 * _euler(W1, psi1, 0.05 / m, decay)
+        if (0.05 / m) * _cfl_rate(QUAD, speed1, dx, decay) <= 1.0:
+            break
+        rate = _cfl_rate(QUAD, speed1, dx, decay)
+    assert full_trials == trials and m == n
+    assert full.tobytes() == new.tobytes()
 
 
 def test_control_calls_follow_the_substeps(monkeypatch):
