@@ -132,7 +132,7 @@ def twap_rate(model: ImpactModel, decay: float) -> float:
     and diverges, so `increasing_root` brackets it and solves it with the
     derivative x*h'(x).  Stops when |excess - decay| <= 1e-12 * (1 + decay).
     """
-    if decay <= 0.0:
+    if not decay > 0.0:  # a NaN decay fails here too
         raise ValueError("twap_rate needs a positive decay rate")
     if not model.unbounded_marginal:
         raise ValueError(
@@ -164,6 +164,8 @@ def twap_solution(
     Valid under x0 <= rate * horizon; outside that the constant-rate result
     does not apply and the caller is pointed at the HJB solver.
     """
+    if not all(math.isfinite(v) for v in (c0, x0, s0, horizon)):
+        raise ValueError("c0, x0, s0 and horizon must be finite")
     if x0 < 0.0 or s0 < 0.0 or horizon <= 0.0:
         raise ValueError("need x0 >= 0, s0 >= 0 and a positive horizon")
     rate = twap_rate(model, decay)

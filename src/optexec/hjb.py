@@ -266,90 +266,84 @@ def hjb_residual(surface: ValueSurface, model: ImpactModel) -> float:
 
 
 def _piecewise_proceeds(rates, model, decay, dt):
-    """Exact discounted proceeds of a piecewise-constant schedule (s0 = 1)."""
-    val = 0.0
-    expo = 0.0
-    for yk in rates:
-        yk = float(yk)
-        lam = decay + model.g(yk)
-        w = lam * dt
-        seg = yk * dt if abs(w) < 1e-14 else yk * (-math.expm1(-w)) / lam
-        val += math.exp(-expo) * seg
-        expo += w
-    return val
+    """Exact discounted proceeds of a piecewise-constant schedule (s0 = 1) and
+    their gradient in the rates.
+
+    Piece k earns e^{-E_k}*seg_k, with w_k = (decay + g(y_k))*dt, E_k the sum
+    of the earlier w and seg_k = y_k*(1 - e^{-w_k})/(decay + g(y_k)) (y_k*dt
+    when |w_k| < 1e-14).  So dP/dy_j = e^{-E_j}*dseg_j/dy_j - dt*h(y_j)*
+    sum_{k>j} e^{-E_k}*seg_k, with h taken as 0 at a zero rate.
+    """
+    y = np.asarray(rates, dtype=float)
+    lam = decay + model.g(y)
+    w = lam * dt
+    disc = np.exp(-np.concatenate(([0.0], np.cumsum(w[:-1]))))
+    hy = np.zeros_like(y)
+    hy[y > 0.0] = model.h(y[y > 0.0])
+    flat = np.abs(w) < 1e-14
+    lam_safe = np.where(flat, 1.0, lam)
+    # f = seg/y and df/dlam, with their lam -> 0 limits dt and -dt^2/2
+    f = np.where(flat, dt, -np.expm1(-w) / lam_safe)
+    df = np.where(flat, -0.5 * dt * dt, (dt * np.exp(-w) - f) / lam_safe)
+    terms = disc * y * f
+    later = np.concatenate((np.cumsum(terms[::-1])[-2::-1], [0.0]))
+    return float(np.sum(terms)), disc * (f + y * hy * df) - dt * hy * later
 
 
 def optimize_deterministic_schedule(
-    model: ImpactModel,
-    decay: float,
-    horizon: float,
-    x0: float,
-    n_pieces: int,
-    n_random_starts: int = 4,
-    seed: int = 0,
+    model: ImpactModel, decay: float, horizon: float, x0: float, n_pieces: int
 ):
     """Maximize discounted proceeds over piecewise-constant schedules.
 
-    A projected multi-start Nelder-Mead search over `n_pieces` equal pieces
-    with rates clipped non-negative and scaled so total sales never exceed
-    x0; the per-piece objective is evaluated in closed form.  Serves as an
-    independent lower-bound oracle for the solver: its value can never
-    exceed W(horizon, x0) beyond discretization error.
+    SLSQP with the exact gradient of `_piecewise_proceeds` over `n_pieces`
+    equal pieces, under the bounds y >= 0 and the budget dt*sum(y) <= x0,
+    from three starts: the uniform rate x0/horizon, 2*x0/horizon over the
+    first half, and, when x0 <= rate*horizon, the TWAP rate until x0 is sold.
+    The objective is not concave (g is concave below its threshold), and
+    where h(0+) = inf a tiny rate has a huge gradient that can break a run
+    down; the TWAP start sells above the threshold, out of the concave band
+    the other two may start in.  The result is the best feasible schedule
+    any run evaluated.
+    Serves as an independent lower-bound oracle for the solver: its value
+    can never exceed W(horizon, x0) beyond discretization error.
 
     Returns (value, schedule) with the value normalized to c0 = 0, s0 = 1.
     """
     if n_pieces < 1:
         raise ValueError("need at least one schedule piece")
+    if not all(math.isfinite(v) for v in (decay, horizon, x0)):
+        raise ValueError("decay, horizon and x0 must be finite")
     if horizon <= 0.0 or x0 < 0.0:
         raise ValueError("need a positive horizon and x0 >= 0")
     dt = horizon / n_pieces
-
-    def project(raw):
-        y = np.maximum(np.asarray(raw, dtype=float), 0.0)
-        tot = y.sum() * dt
-        if tot > x0:
-            y = y * (x0 / tot) if tot > 0.0 else y
-        return y
-
-    def objective(raw):
-        return -_piecewise_proceeds(project(raw), model, decay, dt)
 
     starts = [np.full(n_pieces, x0 / horizon)]
     front = np.zeros(n_pieces)
     front[: max(n_pieces // 2, 1)] = 2.0 * x0 / horizon
     starts.append(front)
     if model.unbounded_marginal and decay > 0.0:
-        try:
-            rate = twap_rate(model, decay)
-            if x0 <= rate * horizon:
-                y = np.zeros(n_pieces)
-                k_full = int(x0 / rate / dt)
-                y[:k_full] = rate
-                rest = x0 - rate * k_full * dt
-                if k_full < n_pieces:
-                    y[k_full] = rest / dt
-                starts.append(y)
-        except (ValueError, MarginalNotInvertibleError):
-            pass
-    rng = np.random.default_rng(seed)
-    for _ in range(n_random_starts):
-        starts.append(rng.uniform(0.0, 2.0, n_pieces) * (x0 / horizon if x0 > 0 else 1.0))
+        rate = twap_rate(model, decay)
+        if x0 <= rate * horizon:
+            y = np.zeros(n_pieces)
+            k_full = int(x0 / rate / dt)
+            y[:k_full] = rate
+            if k_full < n_pieces:
+                y[k_full] = (x0 - rate * k_full * dt) / dt
+            starts.append(y)
 
-    best_y = project(starts[0])
-    best_val = _piecewise_proceeds(best_y, model, decay, dt)
+    best = [-math.inf, None]  # value and rates of the best feasible schedule evaluated
+
+    def objective(y):
+        val, grad = _piecewise_proceeds(y, model, decay, dt)
+        if val > best[0] and dt * y.sum() <= x0 * (1.0 + 1e-12):  # check_admissible's tolerance
+            best[:] = val, y.copy()
+        return -val, -grad
+
+    budget = {"type": "ineq", "fun": lambda y: x0 - dt * y.sum(), "jac": lambda y: np.full(y.size, -dt)}
     for s in starts:
-        res = sciopt.minimize(
-            objective,
-            s,
-            method="Nelder-Mead",
-            options={"maxiter": 4000, "xatol": 1e-10, "fatol": 1e-13},
-        )
-        y = project(res.x)
-        val = _piecewise_proceeds(y, model, decay, dt)
-        if val > best_val:
-            best_val, best_y = val, y
-
-    rates = best_y
+        sciopt.minimize(objective, s, jac=True, method="SLSQP", bounds=[(0.0, None)] * n_pieces,
+                        constraints=budget, options={"ftol": 1e-15})
+    best_val, rates = best
 
     def fn(t, _rates=rates, _dt=dt, _T=horizon):
         t = np.asarray(t, dtype=float)

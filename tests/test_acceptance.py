@@ -241,10 +241,10 @@ def test_criterion_8_levy_effective_rate():
 
 def test_criterion_9_oracle_sandwich(quad_surface_400, mixed_surface_default):
     exact = TWAP_BENCH.value / 100.0
-    val, _ = optimize_deterministic_schedule(QUAD, 0.04, 1.0, 0.1, 8, seed=0)
+    val, _ = optimize_deterministic_schedule(QUAD, 0.04, 1.0, 0.1, 8)
     lower_ok = val >= exact * (1.0 - 1e-3)
     upper_ok = val <= quad_surface_400.value_at(1.0, 0.1) + 2e-3
-    val_large, _ = optimize_deterministic_schedule(PURE, 0.04, 1.0, 1.5, 8, seed=0)
+    val_large, _ = optimize_deterministic_schedule(PURE, 0.04, 1.0, 1.5, 8)
     upper_ok = upper_ok and val_large <= mixed_surface_default.value_at(1.0, 1.5) + 2e-3
     ok = lower_ok and upper_ok
     report(9, ok, f"8-piece optimizer {val:.6f} vs closed form {exact:.6f} and solver upper bounds")

@@ -78,6 +78,10 @@ class TestTwapRate:
         with pytest.raises(ValueError):
             twap_rate(QUAD, 0.0)
 
+    def test_rejects_nan_decay(self):
+        with pytest.raises(ValueError, match="needs a positive decay rate"):
+            twap_rate(QUAD, math.nan)
+
     @given(decay=st.floats(min_value=1e-4, max_value=10.0))
     @settings(max_examples=60, deadline=None)
     def test_residual_bound_and_threshold_gap(self, decay):
@@ -123,6 +127,14 @@ class TestTwapSolution:
         manual = s0 * (1.0 - math.exp(-alpha * x0)) / alpha
         qb = linear_quasi_block(alpha, 0.0, x0, s0, delta=0.01, decay=0.04)
         assert qb.limit_value == pytest.approx(manual, rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["c0", "x0", "s0", "horizon"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_inputs(self, name, bad):
+        args = dict(c0=0.0, x0=0.1, s0=100.0, horizon=1.0)
+        args[name] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            twap_solution(model=QUAD, decay=0.04, **args)
 
 
 class TestIncompleteBeta:
