@@ -21,6 +21,7 @@ from .closed_form import (
     twap_rate,
     twap_solution,
 )
+from .config import impact_from_config
 from .errors import ConfigError, HypothesisViolation, NumericalFailure
 from .hamiltonian import (
     Gradient,
@@ -46,7 +47,6 @@ from .impact import (
     QuadraticImpact,
     ShapeReport,
     ShiftedConvexImpact,
-    impact_from_config,
     validate_s_shape,
 )
 from .simulate import (

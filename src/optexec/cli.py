@@ -304,6 +304,7 @@ def _compare(cfg: RunConfig):
         sim.n_paths,
         sim.n_steps,
         sim.seed,
+        log_floor=sim.log_floor,
     )
     summary = {
         "strategies": list(comp.names),

@@ -399,7 +399,7 @@ def linear_quasi_block(
 
     limit_value = c0 + s0*(1 - exp(-alpha*x0))/alpha is the supremum over
     strategies; `value` is the deterministic proceeds of selling at rate
-    x0/delta over [0, delta], computed by quadrature of
+    x0/delta over [0, delta], the integral of
     exp(-decay*t - alpha*x0*t/delta) * (x0/delta), and increases to the
     limit as delta -> 0.
     """
@@ -411,9 +411,5 @@ def linear_quasi_block(
         raise ValueError("need x0 >= 0 and s0 >= 0")
     limit_value = c0 + s0 * proceeds_factor(alpha, x0)
     burst = x0 / delta
-
-    def integrand(t):
-        return math.exp(-decay * t - alpha * burst * t) * burst
-
-    val, _ = integrate.quad(integrand, 0.0, delta, epsabs=0.0, epsrel=1e-12, limit=200)
-    return QuasiBlock(limit_value=limit_value, value=c0 + s0 * val)
+    value = c0 + s0 * burst * proceeds_factor(decay + alpha * burst, delta)
+    return QuasiBlock(limit_value=limit_value, value=value)

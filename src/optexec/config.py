@@ -3,11 +3,12 @@
 Sections: [impact] (family + parameters), [market] (mu/sigma or decay),
 [problem] (c0, x0, s0, horizon), [solver], [sim], [compare], [check],
 [plot], [output].  Every subcommand states which sections it needs; unknown
-keys are rejected so typos fail loudly.  Outside [impact] and [market], the
-fields of a section's settings dataclass are its keys: their annotations give
-the casts, and fields without a default are required.  `RunConfig.resolved`
-holds the fully-defaulted string mapping that goes into the run manifest, from
-which the identical configuration can be rebuilt.
+keys are rejected so typos fail loudly.  Outside [market], the init fields of
+a section's dataclass are its keys: their annotations give the casts, and
+fields without a default are required.  In [impact] the `family` key picks
+that dataclass, one per impact family.  `RunConfig.resolved` holds the
+fully-defaulted string mapping that goes into the run manifest, from which the
+identical configuration can be rebuilt.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from typing import Optional
 
 from .closed_form import MarketParams
 from .errors import ConfigError
-from .impact import ImpactModel, impact_from_config
+from .impact import ImpactModel, LevyEffectiveImpact, LinearImpact, MixedPowerImpact
+from .impact import QuadraticImpact, ShiftedConvexImpact
 
 
 @dataclass(frozen=True)
@@ -138,21 +140,31 @@ _SECTIONS = {
 }
 
 
-def _kinds(cls) -> dict:
-    """Field name -> cast, read from the annotations (Optional[X] casts to X)."""
-    out = {}
-    for name, hint in typing.get_type_hints(cls).items():
-        args = [a for a in typing.get_args(hint) if a is not type(None)]
-        out[name] = args[0] if args else hint
-    return out
+def _schema(cls) -> tuple:
+    """(init field -> cast, required init fields) of a dataclass: the
+    annotations give the casts (Optional[X] casts to X), and the fields
+    without a default are required."""
+    hints = typing.get_type_hints(cls)
+    kinds, required = {}, set()
+    for f in fields(cls):
+        if f.init:
+            args = [a for a in typing.get_args(hints[f.name]) if a is not type(None)]
+            kinds[f.name] = args[0] if args else hints[f.name]
+            if f.default is MISSING:
+                required.add(f.name)
+    return kinds, required
 
 
-# section -> (field casts, required fields); derived at import, not per parse
-_SCHEMAS = {
-    s: (_kinds(cls), {f.name for f in fields(cls) if f.default is MISSING})
-    for s, cls in _SECTIONS.items()
+# [impact] family -> model dataclass
+_IMPACT_FAMILIES = {
+    cls.family: cls
+    for cls in (
+        MixedPowerImpact, ShiftedConvexImpact, QuadraticImpact, LinearImpact, LevyEffectiveImpact
+    )
 }
-_MARKET_KINDS = _kinds(MarketParams)
+# dataclass -> schema; derived at import, not per parse
+_SCHEMAS = {cls: _schema(cls) for cls in (*_SECTIONS.values(), *_IMPACT_FAMILIES.values())}
+_MARKET_KINDS = _schema(MarketParams)[0]
 
 _BOOLS = {
     **dict.fromkeys(("1", "true", "yes", "on"), True),
@@ -180,7 +192,9 @@ class RunConfig:
     @property
     def resolved(self) -> dict:
         """Fully-defaulted string mapping, suitable for the manifest."""
-        out = {} if self.model is None else {"impact": self.model.to_config()}
+        out = {}
+        if self.model is not None:
+            out["impact"] = {"family": self.model.family, **_render(self.model)}
         for section in ("market", *_SECTIONS):
             settings = getattr(self, section)
             if settings is not None:
@@ -232,11 +246,11 @@ def _parse_items(section: str, items: dict, kinds: dict) -> dict:
 
 
 def _render(settings) -> dict:
-    """Settings as manifest strings: repr for floats, lower-case bools, comma-joined tuples."""
+    """Init fields as manifest strings: repr for floats, lower-case bools, comma-joined tuples."""
     out = {}
     for f in fields(settings):
         value = getattr(settings, f.name)
-        if value is None:
+        if value is None or not f.init:
             continue
         if isinstance(value, bool):
             out[f.name] = str(value).lower()
@@ -267,13 +281,26 @@ def _parse_market(items: dict) -> MarketParams:
     return MarketParams.from_decay(vals["decay"])
 
 
-def _build(section: str, items: dict):
-    kinds, required = _SCHEMAS[section]
+def _build(section: str, items: dict, cls):
+    kinds, required = _SCHEMAS[cls]
     vals = _parse_items(section, items, kinds)
     missing = required - set(vals)
     if missing:
         raise ConfigError(f"[{section}] missing key(s): {sorted(missing)}")
-    return _SECTIONS[section](**vals)
+    return cls(**vals)
+
+
+def impact_from_config(mapping) -> ImpactModel:
+    """Build an impact model from its [impact] section: `family` picks the
+    family's dataclass, whose init fields are the other keys."""
+    items = {str(k): str(v) for k, v in dict(mapping).items()}
+    family = items.pop("family", None)
+    if family not in _IMPACT_FAMILIES:
+        raise ConfigError(f"[impact] family = {family!r}: choose from {sorted(_IMPACT_FAMILIES)}")
+    try:
+        return _build("impact", items, _IMPACT_FAMILIES[family])
+    except ValueError as exc:  # the family's own parameter checks
+        raise ConfigError(f"[impact]: {exc}") from None
 
 
 def build_run_config(mapping: dict) -> RunConfig:
@@ -282,17 +309,11 @@ def build_run_config(mapping: dict) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown section(s): {sorted(unknown)}")
 
-    model = None
-    if "impact" in mapping:
-        try:
-            model = impact_from_config(mapping["impact"])
-        except ValueError as exc:
-            raise ConfigError(f"[impact]: {exc}") from None
-
+    model = impact_from_config(mapping["impact"]) if "impact" in mapping else None
     market = _parse_market(mapping["market"]) if "market" in mapping else None
     # a section with required keys (only [problem]) stays None when absent
     settings = {
-        s: _build(s, mapping.get(s, {})) if s in mapping or not required else None
-        for s, (_, required) in _SCHEMAS.items()
+        s: _build(s, mapping.get(s, {}), cls) if s in mapping or not _SCHEMAS[cls][1] else None
+        for s, cls in _SECTIONS.items()
     }
     return RunConfig(model=model, market=market, **settings)

@@ -30,7 +30,7 @@ from scipy import optimize as sciopt
 from .closed_form import Schedule, twap_rate
 from .errors import NumericalFailure
 from .hamiltonian import best_response
-from .impact import ImpactModel, MarginalNotInvertibleError
+from .impact import ImpactModel
 
 __all__ = [
     "ValueSurface",
@@ -138,10 +138,7 @@ def _substep(model, W, psi, rate, left, dx, decay, y_max, h_ymax):
 def _default_y_max(model, decay, horizon, x_max):
     guesses = [4.0 * x_max / horizon, 2.0 * model.threshold + 1.0]
     if model.unbounded_marginal and decay > 0.0:
-        try:
-            guesses.append(4.0 * twap_rate(model, decay))
-        except (ValueError, MarginalNotInvertibleError):
-            pass
+        guesses.append(4.0 * twap_rate(model, decay))
     return max(guesses)
 
 

@@ -13,7 +13,7 @@ are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -31,7 +31,6 @@ __all__ = [
     "ShapeCheck",
     "ShapeReport",
     "validate_s_shape",
-    "impact_from_config",
 ]
 
 _INVERSE_RTOL = 1e-12
@@ -192,13 +191,13 @@ class ImpactModel:
         return arr
 
     def params(self) -> dict:
-        raise NotImplementedError
+        """The constructor arguments by name: the family dataclass's init fields."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.init}
 
-    def to_config(self) -> dict:
-        """Flat key/value mapping for the [impact] config section."""
-        out = {"family": self.family}
-        out.update({k: repr(v) for k, v in self.params().items()})
-        return out
+    def _check_finite(self):
+        bad = sorted(k for k, v in self.params().items() if not np.isfinite(v))
+        if bad:
+            raise ValueError(f"non-finite {self.family} parameter(s): {bad}")
 
     def __repr__(self):
         inner = ", ".join(f"{k}={v:g}" for k, v in self.params().items())
@@ -231,6 +230,7 @@ class MixedPowerImpact(ImpactModel):
     family = "mixed_power"
 
     def __post_init__(self):
+        self._check_finite()
         if self.alpha <= 0.0:
             raise ValueError("alpha must be positive")
         if self.p_convex <= 1.0:
@@ -273,14 +273,6 @@ class MixedPowerImpact(ImpactModel):
         x = (ybar / (self.alpha * self.p_convex)) ** (1.0 / (self.p_convex - 1.0))
         return np.maximum(x, self.threshold)
 
-    def params(self):
-        return {
-            "alpha": self.alpha,
-            "p_convex": self.p_convex,
-            "p_concave": self.p_concave,
-            "threshold": self.threshold,
-        }
-
 
 @dataclass(frozen=True, repr=False)
 class ShiftedConvexImpact(ImpactModel):
@@ -297,6 +289,7 @@ class ShiftedConvexImpact(ImpactModel):
     family = "shifted_convex"
 
     def __post_init__(self):
+        self._check_finite()
         if self.power <= 1.0:
             raise ValueError("power must exceed 1")
         if self.threshold <= 0.0:
@@ -315,9 +308,6 @@ class ShiftedConvexImpact(ImpactModel):
     def _h_inverse(self, ybar):
         return self.threshold + (ybar / self.power) ** (1.0 / (self.power - 1.0))
 
-    def params(self):
-        return {"power": self.power, "threshold": self.threshold}
-
 
 @dataclass(frozen=True, repr=False)
 class QuadraticImpact(ImpactModel):
@@ -328,6 +318,7 @@ class QuadraticImpact(ImpactModel):
     family = "quadratic"
 
     def __post_init__(self):
+        self._check_finite()
         if self.alpha0 <= 0.0:
             raise ValueError("alpha0 must be positive")
 
@@ -343,9 +334,6 @@ class QuadraticImpact(ImpactModel):
     def _h_inverse(self, ybar):
         return ybar / (2.0 * self.alpha0)
 
-    def params(self):
-        return {"alpha0": self.alpha0}
-
 
 @dataclass(frozen=True, repr=False)
 class LinearImpact(ImpactModel):
@@ -360,6 +348,7 @@ class LinearImpact(ImpactModel):
     unbounded_marginal = False
 
     def __post_init__(self):
+        self._check_finite()
         if self.alpha <= 0.0:
             raise ValueError("alpha must be positive")
 
@@ -368,9 +357,6 @@ class LinearImpact(ImpactModel):
 
     def _h(self, x):
         return np.full_like(x, self.alpha)
-
-    def params(self):
-        return {"alpha": self.alpha}
 
 
 @dataclass(frozen=True, repr=False)
@@ -392,6 +378,7 @@ class LevyEffectiveImpact(ImpactModel):
     family = "levy_effective"
 
     def __post_init__(self):
+        self._check_finite()
         for name in ("gamma", "alpha0", "alpha1", "beta1"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
@@ -418,48 +405,6 @@ class LevyEffectiveImpact(ImpactModel):
         slope = 2.0 * self.alpha0 * self.gamma
         lo = ybar / (slope + 2.0 * self.alpha0 * self.alpha1 * self.beta1)
         return increasing_root(self._h, self._dh, ybar, lo, "marginal inverse", hi=ybar / slope)
-
-    def params(self):
-        return {
-            "gamma": self.gamma,
-            "alpha0": self.alpha0,
-            "alpha1": self.alpha1,
-            "beta1": self.beta1,
-        }
-
-
-_FAMILIES = {
-    "mixed_power": MixedPowerImpact,
-    "shifted_convex": ShiftedConvexImpact,
-    "quadratic": QuadraticImpact,
-    "linear": LinearImpact,
-    "levy_effective": LevyEffectiveImpact,
-}
-
-
-def impact_from_config(mapping) -> ImpactModel:
-    """Build a model from a flat key/value mapping (inverse of to_config)."""
-    items = {str(k): str(v) for k, v in dict(mapping).items()}
-    family = items.pop("family", None)
-    if family is None:
-        raise ValueError("impact config needs a 'family' key")
-    cls = _FAMILIES.get(family)
-    if cls is None:
-        raise ValueError(f"unknown impact family {family!r}; choose from {sorted(_FAMILIES)}")
-    import dataclasses
-
-    names = {f.name for f in dataclasses.fields(cls) if f.init}
-    unknown = set(items) - names
-    if unknown:
-        raise ValueError(f"unknown {family} parameter(s): {sorted(unknown)}")
-    try:
-        kwargs = {k: float(v) for k, v in items.items()}
-    except ValueError as exc:
-        raise ValueError(f"non-numeric impact parameter: {exc}") from None
-    nonfinite = sorted(k for k, v in kwargs.items() if not np.isfinite(v))
-    if nonfinite:
-        raise ValueError(f"non-finite {family} parameter(s): {nonfinite}")
-    return cls(**kwargs)
 
 
 # -- shape validation -------------------------------------------------------

@@ -395,6 +395,7 @@ def compare_strategies(
     n_steps: int,
     seed: int,
     utility: Optional[Utility] = None,
+    log_floor: float = -60.0,
 ) -> StrategyComparison:
     """Simulate named strategies under common random numbers and rank them.
 
@@ -412,7 +413,7 @@ def compare_strategies(
     names = [name for name, _ in strategies]
     results = _simulate_all(
         [s for _, s in strategies], market, model, c0, x0, s0, horizon, n_paths, n_steps, seed,
-        utility=utility,
+        utility, log_floor,
     )
     utils = [res.utilities for res in results]
     means = [res.mean_utility for res in results]

@@ -340,6 +340,15 @@ def test_exit_codes(bench_config, tmp_path):
     assert main(["twap", "--config", bench_config, "--set", "problem.x0=0.5"]) == 3
 
 
+def test_missing_impact_parameter_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "no_alpha0.ini"
+    path.write_text(BENCH_INI.replace("alpha0 = 1.0\n", ""))
+    assert main(["twap", "--config", str(path), "--output", str(tmp_path / "run")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config_error"
+    assert err["message"] == "[impact] missing key(s): ['alpha0']"
+
+
 def test_retired_solver_key_is_a_config_error(bench_config, tmp_path, capsys):
     # a config written for the retired y_max restart loop fails loudly,
     # like any other unknown key

@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from optexec.config import build_run_config, impact_from_config
+from optexec.errors import ConfigError
 from optexec.impact import (
     ImpactModel,
     LevyEffectiveImpact,
@@ -10,7 +14,6 @@ from optexec.impact import (
     MixedPowerImpact,
     QuadraticImpact,
     ShiftedConvexImpact,
-    impact_from_config,
     validate_s_shape,
 )
 
@@ -454,17 +457,62 @@ def test_vectorized_evaluation_matches_scalar():
     assert np.array_equal(m.h(xs), np.array([m.h(float(v)) for v in xs]))
 
 
+# each family's model with its [impact] manifest strings, in manifest key order
+MANIFEST_IMPACT = [
+    (QuadraticImpact(1.0), {"family": "quadratic", "alpha0": "1.0"}),
+    (
+        MixedPowerImpact(alpha=0.7, p_convex=3.0, p_concave=0.4, threshold=0.5),
+        {
+            "family": "mixed_power",
+            "alpha": "0.7",
+            "p_convex": "3.0",
+            "p_concave": "0.4",
+            "threshold": "0.5",
+        },
+    ),
+    (
+        ShiftedConvexImpact(power=3.0, threshold=1.0),
+        {"family": "shifted_convex", "power": "3.0", "threshold": "1.0"},
+    ),
+    (
+        LevyEffectiveImpact(gamma=1.0, alpha0=1.0, alpha1=1.0, beta1=1.0),
+        {"family": "levy_effective", "gamma": "1.0", "alpha0": "1.0", "alpha1": "1.0", "beta1": "1.0"},
+    ),
+    (LinearImpact(0.3), {"family": "linear", "alpha": "0.3"}),
+]
+
+
 def test_config_round_trip():
-    for m in ALL_INVERTIBLE + [LinearImpact(0.3)]:
-        again = impact_from_config(m.to_config())
-        assert type(again) is type(m)
-        assert again.params() == m.params()
+    zero_threshold = MixedPowerImpact(alpha=1.0, p_convex=2.0, p_concave=0.5)
+    zero_strings = {
+        "family": "mixed_power",
+        "alpha": "1.0",
+        "p_convex": "2.0",
+        "p_concave": "0.5",
+        "threshold": "0.0",
+    }
+    for model, strings in MANIFEST_IMPACT + [(zero_threshold, zero_strings)]:
+        cfg = build_run_config({"impact": strings})
+        assert type(cfg.model) is type(model)
+        assert cfg.model.params() == model.params()
+        assert list(cfg.resolved["impact"].items()) == list(strings.items())
 
 
 def test_config_rejects_unknown():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match=r"\[impact\] family = 'cubic': choose from"):
         impact_from_config({"family": "cubic"})
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match=r"unknown key\(s\) in \[impact\]: \['zeta'\]"):
         impact_from_config({"family": "quadratic", "alpha0": "1.0", "zeta": "2"})
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match=r"\[impact\] family = None: choose from"):
         impact_from_config({"alpha0": "1.0"})
+    with pytest.raises(ConfigError, match=r"\[impact\] missing key\(s\): \['p_concave'\]"):
+        impact_from_config({"family": "mixed_power", "alpha": "1", "p_convex": "2"})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("model", [m for m, _ in MANIFEST_IMPACT], ids=lambda m: m.family)
+def test_constructors_reject_non_finite_parameters(model, bad):
+    for name in model.params():
+        match = rf"non-finite {model.family} parameter\(s\): \['{name}'\]"
+        with pytest.raises(ValueError, match=match):
+            type(model)(**{**model.params(), name: bad})

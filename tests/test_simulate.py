@@ -316,6 +316,20 @@ def test_compare_strategies_crn():
     assert comp.best() in ("a", "b")
 
 
+def test_compare_strategies_honours_log_floor():
+    # the crush case of the Euler-loop check: at log_floor = -20 every crush
+    # path is absorbed, in compare exactly as in simulate
+    crush = DeterministicStrategy(Schedule.constant(50.0, 0.02, 1.0))
+    slow = DeterministicStrategy(Schedule.constant(1.0, 1.0, 1.0))
+    run = (BS, QUAD, 0.0, 1.0, 100.0, 1.0, 60, 400, 2)
+    comp = compare_strategies([("crush", crush), ("slow", slow)], *run, log_floor=-20.0)
+    for j, strat in enumerate((crush, slow)):
+        res = simulate(strat, *run, log_floor=-20.0)
+        assert (comp.means[j], comp.std_errors[j]) == (res.mean_utility, res.std_error)
+    assert simulate(crush, *run, log_floor=-20.0).absorption_count == 60
+    assert simulate(crush, *run).absorption_count == 0
+
+
 def test_compare_strategies_guards():
     strat, _ = twap_strategy()
     with pytest.raises(ValueError):
