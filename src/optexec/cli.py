@@ -2,9 +2,9 @@
 
 Every run writes `summary.json` (deterministic: identical configs give
 byte-identical bytes), the requested CSV tables, and `manifest.json`
-(resolved config + version + timestamp) from which `optexec rerun` can
-reproduce the run exactly.  Exit codes: 0 ok, 2 config error, 3 hypothesis
-violation, 4 numerical failure.
+(resolved config, version, dependency versions and timestamp) from which
+`optexec rerun` can reproduce the run exactly.  Exit codes: 0 ok, 2 config
+error, 3 hypothesis violation, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -13,9 +13,11 @@ import argparse
 import datetime
 import json
 import os
+import platform
 import sys
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .closed_form import (
@@ -94,6 +96,12 @@ def _write_artifacts(name: str, cfg: RunConfig, out_dir: str, summary: dict, tab
         "version": __version__,
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "config": cfg.resolved,
+        # bit-identical reruns rest on numpy's Philox and normal streams
+        "dependencies": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        },
     }
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

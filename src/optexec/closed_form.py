@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
 
 from .errors import HypothesisViolation, NumericalFailure
 from .impact import (
@@ -189,6 +188,8 @@ def _checked_quad(what: str, integrand, upper: float) -> float:
     """Integral of `integrand` over [0, upper] by adaptive quadrature at
     relative accuracy 1e-12; a non-finite value or an error estimate above
     1e-8 relative raises NumericalFailure."""
+    from scipy import integrate  # loaded on first use: no CLI run but mixed-power needs it
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         val, err = integrate.quad(integrand, 0.0, upper, epsabs=0.0, epsrel=1e-12, limit=400)

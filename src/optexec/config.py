@@ -255,7 +255,7 @@ def _render(settings) -> dict:
         if isinstance(value, bool):
             out[f.name] = str(value).lower()
         elif isinstance(value, float):
-            out[f.name] = repr(value)
+            out[f.name] = repr(float(value))  # a numpy float64 reprs as 'np.float64(...)'
         elif isinstance(value, tuple):
             out[f.name] = ",".join(value)
         else:

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import optimize as sciopt
 
 from .closed_form import Schedule, twap_rate
 from .errors import NumericalFailure
@@ -306,6 +305,8 @@ def optimize_deterministic_schedule(
 
     Returns (value, schedule) with the value normalized to c0 = 0, s0 = 1.
     """
+    from scipy import optimize as sciopt  # loaded on first use: no CLI run needs it
+
     if n_pieces < 1:
         raise ValueError("need at least one schedule piece")
     if not all(math.isfinite(v) for v in (decay, horizon, x0)):

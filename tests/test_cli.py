@@ -1,8 +1,10 @@
 import json
 import math
+import platform
 
 import numpy as np
 import pytest
+import scipy
 
 from optexec.cli import main
 from optexec.config import apply_overrides, build_run_config
@@ -107,6 +109,10 @@ def test_rerun_from_manifest(subcommand, tmp_path):
             assert (first / name).read_bytes() == (again / name).read_bytes(), name
     manifests = [json.loads((d / "manifest.json").read_text()) for d in (first, again)]
     assert manifests[0]["config"] == manifests[1]["config"]
+    # provenance goes into the manifest only, so summary.json stays byte-identical
+    versions = {"python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__}
+    assert manifests[0]["dependencies"] == manifests[1]["dependencies"] == versions
+    assert "dependencies" not in _summary(first)
 
 
 def test_solve_hjb_summary(bench_config, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -496,6 +497,16 @@ def test_config_round_trip():
         assert type(cfg.model) is type(model)
         assert cfg.model.params() == model.params()
         assert list(cfg.resolved["impact"].items()) == list(strings.items())
+
+
+@pytest.mark.parametrize("model, strings", MANIFEST_IMPACT, ids=[m.family for m, _ in MANIFEST_IMPACT])
+def test_config_round_trip_of_numpy_scalars(model, strings):
+    held = type(model)(**{k: np.float64(v) for k, v in model.params().items()})
+    cfg = dataclasses.replace(build_run_config({"impact": strings}), model=held)
+    assert cfg.resolved["impact"] == strings
+    back = build_run_config({"impact": cfg.resolved["impact"]}).model
+    assert type(back) is type(model)
+    assert back.params() == held.params() == model.params()
 
 
 def test_config_rejects_unknown():
