@@ -64,20 +64,40 @@ def _csv_column(col):
     return "{}", [_fmt(v) for v in col]
 
 
+def _csv_texts(col) -> list:
+    """The cell texts of one column, %-escaped for use inside a template."""
+    fmt, vals = _csv_column(col)
+    vals = vals.tolist() if isinstance(vals, np.ndarray) else vals
+    return [fmt.format(v).replace("%", "%%") for v in vals]
+
+
 def _write_csv(path: str, header, columns) -> None:
     """Header plus one row per index of the equal-length columns, comma-separated with CRLF ends.
 
     Each row is one format string; rows are formatted and written a block at
-    a time, so no table is ever held as text.
+    a time, so no table is ever held as text.  A grid table, whose columns
+    are an outer axis, an inner axis and fields shaped (outer, inner), has a
+    row per (outer, inner) pair: the axis texts are formatted once, and each
+    outer level is one `%` call on a template of .17g slots.
     """
-    fields, cols = zip(*map(_csv_column, columns))
-    row = ",".join(fields) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for lo in range(0, len(cols[0]), _CSV_ROWS):
-            block = [c[lo : lo + _CSV_ROWS] for c in cols]
-            block = [c.tolist() if isinstance(c, np.ndarray) else c for c in block]
-            fh.writelines(map(row.format, *block))
+        if np.ndim(columns[-1]) == 2:
+            outer, inner, *fields = columns
+            slots = "".join(",%.17g" if f.dtype.kind == "f" else ",%s" for f in fields)
+            body = [x + slots for x in _csv_texts(inner)]
+            args = [None] * (len(body) * len(fields))
+            for i, t in enumerate(_csv_texts(outer)):
+                for j, f in enumerate(fields):
+                    args[j :: len(fields)] = f[i].tolist()
+                fh.write((t + "," + ("\r\n" + t + ",").join(body) + "\r\n") % tuple(args))
+        else:
+            fields, cols = zip(*map(_csv_column, columns))
+            row = ",".join(fields) + "\r\n"
+            for lo in range(0, len(cols[0]), _CSV_ROWS):
+                block = [c[lo : lo + _CSV_ROWS] for c in cols]
+                block = [c.tolist() if isinstance(c, np.ndarray) else c for c in block]
+                fh.writelines(map(row.format, *block))
 
 
 def _write_artifacts(name: str, cfg: RunConfig, out_dir: str, summary: dict, tables: dict) -> None:
@@ -258,13 +278,7 @@ def _solve_hjb(cfg: RunConfig):
             y_max=surface.y_max,
         )
         summary["refinement_delta"] = abs(coarse.value_at(p.horizon, p.x0) - w_term)
-    nt, nx = surface.values.shape
-    columns = (
-        np.repeat(surface.t_grid, nx),
-        np.tile(surface.x_grid, nt),
-        surface.values.ravel(),
-        surface.policy.ravel(),
-    )
+    columns = (surface.t_grid, surface.x_grid, surface.values, surface.policy)
     return summary, {"surface": (["t", "x", "W", "speed"], columns)}
 
 
@@ -291,9 +305,7 @@ def _simulate(cfg: RunConfig):
         small = simulate(
             *run, n_small, sim.n_steps, sim.seed, log_floor=sim.log_floor, return_paths=True
         )
-        t = small.paths["t"]
-        columns = [np.repeat(np.arange(small.n_paths), t.size), np.tile(t, small.n_paths)]
-        columns += [small.paths[k].ravel() for k in ("S", "C", "X")]
+        columns = [np.arange(small.n_paths)] + [small.paths[k] for k in ("t", "S", "C", "X")]
         tables["paths"] = (["path", "t", "S", "C", "X"], columns)
     return summary, tables
 

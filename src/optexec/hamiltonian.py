@@ -94,11 +94,15 @@ def best_response(model: ImpactModel, a, b, y_max: float = math.inf, h_ymax: flo
     clipped to y_max; where b = 0 the ratio is +inf, -inf or NaN, giving
     y_max, 0 and 0.  Ties (ratio at the marginal floor, zero gain) resolve
     to 0.  `h_ymax` must be h(y_max); callers that solve many rows under one
-    cap compute it once.
+    cap compute it once.  A NaN y_max raises ValueError, and a model without
+    a marginal inverse raises MarginalNotInvertibleError once a candidate
+    lies below the cap.
 
     Returns (speed, gain): the maximizer and the maximal value (0 where
     selling nothing is optimal).
     """
+    if math.isnan(y_max):
+        raise ValueError("y_max must not be NaN")
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -108,10 +112,14 @@ def best_response(model: ImpactModel, a, b, y_max: float = math.inf, h_ymax: flo
     y = np.where(capped, y_max, 0.0)
     inner = candidate & ~capped
     if inner.any():
-        y[inner] = np.minimum(model.h_inverse(ratio[inner]), y_max)
-    # guard against a candidate rounding down onto the threshold
+        # the private hooks: every ratio here lies above the marginal floor
+        model._require_inverse()
+        y[inner] = np.minimum(model._h_inverse(ratio[inner]), y_max)
+    # guard against a candidate rounding down onto the threshold; y >= 0 from here on
     y[y <= model.threshold] = 0.0
-    val = y * a - b * model.g(y)
+    with np.errstate(over="ignore"):
+        gy = model._g(y)
+    val = y * a - b * gy
     take = val > 0.0
     return np.where(take, y, 0.0), np.where(take, val, 0.0)
 

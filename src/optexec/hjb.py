@@ -106,7 +106,9 @@ def _cfl_rate(model, speed, dx, decay):
     """max of y/dx + max(decay, 0) + g(y) over the speeds y, set by the fastest
     since g is non-decreasing; a non-finite rate raises."""
     top = float(np.max(speed))
-    rate = top / dx + max(decay, 0.0) + (model.g(top) if top >= 0.0 else math.nan)
+    with np.errstate(over="ignore"):
+        g_top = float(model._g(np.array([top]))[0]) if top >= 0.0 else math.nan
+    rate = top / dx + max(decay, 0.0) + g_top
     if not math.isfinite(rate):
         raise NumericalFailure(f"sub-step rate {rate} at speed {top}: the controls left the finite range")
     return rate

@@ -151,15 +151,19 @@ class ImpactModel:
         on h (bisection where the model has no h'), run until
         |h(x) - ybar| <= 1e-12 * (1 + ybar).
         """
-        if not self.unbounded_marginal:
-            raise MarginalNotInvertibleError(
-                f"{self.family} impact has a constant marginal; no inverse exists"
-            )
+        self._require_inverse()
         arr = np.atleast_1d(np.asarray(ybar, dtype=float))
         floor = self.marginal_floor
         if arr.size and not arr.min() >= floor:  # a NaN makes the min NaN and fails
             raise ValueError(f"h_inverse needs ybar >= h(threshold) = {floor}")
         return _match(ybar, self._h_inverse(arr))
+
+    def _require_inverse(self) -> None:
+        """Raise MarginalNotInvertibleError unless h has a rising branch to invert."""
+        if not self.unbounded_marginal:
+            raise MarginalNotInvertibleError(
+                f"{self.family} impact has a constant marginal; no inverse exists"
+            )
 
     # -- hooks ----------------------------------------------------------------
 

@@ -507,3 +507,48 @@ def test_csv_tables_match_the_csv_module(tmp_path):
         for row in zip(floats, ints.tolist(), mixed, names):
             writer.writerow([_fmt(v) for v in row])
     assert path.read_bytes() == ref.read_bytes()
+
+
+def test_grid_tables_match_the_csv_module(tmp_path):
+    # a grid table (outer axis, inner axis, fields shaped (outer, inner)) gives the
+    # bytes csv.writer gives for one .17g row per (outer, inner) pair, outer-major
+    import csv
+
+    from optexec.cli import _fmt, _write_csv
+
+    rng = np.random.default_rng(9)
+    inner = rng.normal(size=7) * 10.0 ** rng.integers(-300, 300, size=7)
+    inner[:3] = [-0.0, 0.1, 1e16]
+    fields = rng.normal(size=(2, 4, 7)) * 10.0 ** rng.integers(-300, 300, size=(2, 4, 7))
+    fields[0, 0, :] = [-0.0, 0.1, 1e16, np.inf, -np.inf, np.nan, 5e-324]
+    fields[1, 1, :] = [1e300, -1e-300, 1.7976931348623157e308, 2.2250738585072014e-308, 0.0, 1.0, 3.0]
+    for outer in (np.arange(4), np.array([0.0, -0.0, 0.1, 1e-300])):
+        path = tmp_path / "grid.csv"
+        _write_csv(str(path), ["o", "i", "u", "v"], (outer, inner, *fields))
+
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["o", "i", "u", "v"])
+            for k, o in enumerate(outer.tolist()):
+                for j, x in enumerate(inner.tolist()):
+                    writer.writerow([_fmt(v) for v in (o, x, fields[0, k, j].item(), fields[1, k, j].item())])
+        assert path.read_bytes() == ref.read_bytes()
+
+
+def test_grid_tables_match_the_repeated_column_form(bench_config, tmp_path):
+    # surface.csv and paths.csv keep the bytes of their old column form: the outer
+    # axis repeated, the inner axis tiled and the fields raveled
+    from optexec.cli import _simulate, _solve_hjb, _write_csv
+    from optexec.config import read_config_file
+
+    cap = "sim.path_csv_cap=3"
+    cfg = build_run_config(apply_overrides(read_config_file(bench_config), [cap]))
+    for cmd, handler, table in (("solve-hjb", _solve_hjb, "surface"), ("simulate", _simulate, "paths")):
+        out = tmp_path / cmd
+        assert main([cmd, "--config", bench_config, "--output", str(out), "--set", cap]) == 0
+        header, (outer, inner, *fields) = handler(cfg)[1][table]
+        columns = [np.repeat(outer, inner.size), np.tile(inner, outer.size)] + [f.ravel() for f in fields]
+        ref = tmp_path / f"{table}_ref.csv"
+        _write_csv(str(ref), header, columns)
+        assert (out / f"{table}.csv").read_bytes() == ref.read_bytes()

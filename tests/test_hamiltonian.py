@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -203,6 +205,29 @@ def test_best_response_matches_dense_grid_argmax(rows, span):
         grid_loss = b * np.max(np.abs(np.diff(gs[1:], 2)))
         assert np.all(gain >= best - rounding)
         assert np.all(gain <= best + grid_loss + rounding)
+
+
+@pytest.mark.parametrize("model", FAMILIES, ids=lambda m: m.family)
+def test_best_response_rejects_a_nan_cap(model):
+    # a NaN cap must fail loudly, not come back as speed 0; row 2 (b = 0) is capped
+    from optexec.hamiltonian import best_response
+
+    a, b = np.array([0.0, 5.0, 1.0]), np.array([1.0, 1.0, 0.0])
+    for h_ymax in (math.inf, model.h(3.0)):
+        with pytest.raises(ValueError):
+            best_response(model, a, b, math.nan, h_ymax)
+
+
+def test_best_response_rejects_a_constant_marginal():
+    # a linear model has no marginal inverse for the uncapped candidate ratio 1
+    from optexec.hamiltonian import best_response
+    from optexec.impact import LinearImpact, MarginalNotInvertibleError
+
+    lin = LinearImpact(2.0)
+    a, b = np.array([0.0, 1.0, 5.0]), np.ones(3)
+    for y_max, h_ymax in ((math.inf, math.inf), (5.0, lin.h(5.0))):
+        with pytest.raises(MarginalNotInvertibleError):
+            best_response(lin, a, b, y_max, h_ymax)
 
 
 def _bits(rows):
