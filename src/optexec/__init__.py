@@ -28,7 +28,6 @@ from .hamiltonian import (
     hamiltonian,
     hamiltonian_bruteforce,
     optimal_speed,
-    target_marginal_impact,
 )
 from .hjb import (
     ValueSurface,
@@ -45,16 +44,13 @@ from .impact import (
     MarginalNotInvertibleError,
     MixedPowerImpact,
     QuadraticImpact,
-    ShapeReport,
     ShiftedConvexImpact,
-    validate_s_shape,
 )
 from .simulate import (
     DeterministicStrategy,
     FeedbackStrategy,
     SimResult,
     StrategyComparison,
-    Utility,
     compare_strategies,
     simulate,
     simulate_unimpacted,

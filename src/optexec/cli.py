@@ -23,7 +23,6 @@ from . import __version__
 from .closed_form import (
     Schedule,
     extreme_comparison,
-    levy_effective_twap_rate,
     mixed_power_solution,
     twap_rate,
     twap_solution,
@@ -31,7 +30,7 @@ from .closed_form import (
 from .config import RunConfig, apply_overrides, build_run_config, read_config_file
 from .errors import ConfigError, HypothesisViolation, NumericalFailure
 from .hamiltonian import closed_vs_brute_samples
-from .hjb import full_value_from_reduced, hjb_residual, solve_reduced_hjb
+from .hjb import hjb_residual, solve_reduced_hjb
 from .impact import (
     LevyEffectiveImpact,
     MarginalNotInvertibleError,
@@ -233,7 +232,7 @@ def _levy_nu(cfg: RunConfig):
     if not isinstance(cfg.model, LevyEffectiveImpact):
         raise ConfigError("levy-nu needs [impact] family = levy_effective")
     m = cfg.model
-    rate = levy_effective_twap_rate(m.gamma, m.alpha0, m.alpha1, m.beta1, cfg.market.decay)
+    rate = twap_rate(m, cfg.market.decay)
     residual = m.excess_impact(rate) - cfg.market.decay
     return {"rate": rate, "residual": residual, "decay": cfg.market.decay}, {}
 
@@ -256,7 +255,7 @@ def _solve_hjb(cfg: RunConfig):
     p = cfg.problem
     surface = _solve_surface(cfg)
     w_term = surface.value_at(p.horizon, p.x0)
-    value = full_value_from_reduced(p.c0, p.s0, surface, p.horizon, p.x0)
+    value = p.c0 + p.s0 * w_term
     pol = surface.policy
     summary = {
         "W_terminal": w_term,

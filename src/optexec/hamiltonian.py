@@ -34,7 +34,6 @@ from .impact import ImpactModel
 
 __all__ = [
     "Gradient",
-    "target_marginal_impact",
     "best_response",
     "optimal_speed",
     "hamiltonian",
@@ -65,18 +64,6 @@ def _check_price(s: float) -> None:
         raise ValueError("price must be positive")
 
 
-def target_marginal_impact(s: float, p: Gradient) -> float:
-    """(s*p_c - p_x) / (s*p_s) when s*p_s > 0, else 0.
-
-    The marginal-impact level an interior optimal speed equates h to.
-    """
-    _check_price(s)
-    sps = s * p.p_s
-    if sps > 0.0:
-        return (s * p.p_c - p.p_x) / sps
-    return 0.0
-
-
 def running_gain_rate(y, s: float, p: Gradient, model: ImpactModel):
     """f(y) = s*p_s*g(y) - (s*p_c - p_x)*y; accepts scalar or array y."""
     return _gain_rate(model, s * p.p_c - p.p_x, s * p.p_s, np.asarray(y, dtype=float))
@@ -94,9 +81,10 @@ def best_response(model: ImpactModel, a, b, y_max: float = math.inf, h_ymax: flo
     clipped to y_max; where b = 0 the ratio is +inf, -inf or NaN, giving
     y_max, 0 and 0.  Ties (ratio at the marginal floor, zero gain) resolve
     to 0.  `h_ymax` must be h(y_max); callers that solve many rows under one
-    cap compute it once.  A NaN y_max raises ValueError, and a model without
-    a marginal inverse raises MarginalNotInvertibleError once a candidate
-    lies below the cap.
+    cap compute it once.  A NaN y_max raises ValueError, and so does an
+    infinite y_max once an element is capped (b = 0 with a > 0 under the
+    default cap): its gain is unbounded.  A model without a marginal inverse
+    raises MarginalNotInvertibleError once a candidate lies below the cap.
 
     Returns (speed, gain): the maximizer and the maximal value (0 where
     selling nothing is optimal).
@@ -109,6 +97,8 @@ def best_response(model: ImpactModel, a, b, y_max: float = math.inf, h_ymax: flo
         ratio = a / b
     candidate = ratio > model.marginal_floor
     capped = candidate & (ratio >= h_ymax)
+    if y_max == math.inf and capped.any():
+        raise ValueError("the gain is unbounded: a capped element has y_max = inf")
     y = np.where(capped, y_max, 0.0)
     inner = candidate & ~capped
     if inner.any():

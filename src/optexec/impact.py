@@ -28,9 +28,6 @@ __all__ = [
     "LinearImpact",
     "LevyEffectiveImpact",
     "MarginalNotInvertibleError",
-    "ShapeCheck",
-    "ShapeReport",
-    "validate_s_shape",
 ]
 
 _INVERSE_RTOL = 1e-12
@@ -409,129 +406,3 @@ class LevyEffectiveImpact(ImpactModel):
         slope = 2.0 * self.alpha0 * self.gamma
         lo = ybar / (slope + 2.0 * self.alpha0 * self.alpha1 * self.beta1)
         return increasing_root(self._h, self._dh, ybar, lo, "marginal inverse", hi=ybar / slope)
-
-
-# -- shape validation -------------------------------------------------------
-
-
-@dataclass
-class ShapeCheck:
-    name: str
-    passed: bool
-    first_violation: float | None = None
-    detail: str = ""
-
-
-@dataclass
-class ShapeReport:
-    family: str
-    checks: list
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failed_names(self):
-        return [c.name for c in self.checks if not c.passed]
-
-    def __str__(self):
-        lines = [f"shape report for {self.family}:"]
-        for c in self.checks:
-            status = "pass" if c.passed else "FAIL"
-            extra = f" (at x={c.first_violation:g}: {c.detail})" if not c.passed else ""
-            lines.append(f"  {status}  {c.name}{extra}")
-        return "\n".join(lines)
-
-
-def default_validation_grid() -> np.ndarray:
-    """512 log-spaced rates covering both the x -> 0 and the divergence checks."""
-    return np.logspace(-6.0, 3.0, 512)
-
-
-def validate_s_shape(model: ImpactModel, grid=None, small_trade_tol: float = 1e-2) -> ShapeReport:
-    """Numeric audit of the four structural conditions an S-shaped curve obeys.
-
-    nonneg: g(0) = 0, g non-decreasing, marginal non-negative.
-    vanishing_small_trades: x*h(x) ~ 0 for x = 1e-8.  A point check cannot
-        confirm a limit for slowly vanishing marginals, hence the loose
-        default tolerance.
-    v_shaped_marginal: h non-increasing up to the threshold (the boundary
-        family has h = 0 there) and strictly increasing beyond it.
-    diverging_marginal: h keeps growing along the tail of the grid; constant
-        marginals fail here and the model's own flag is cross-checked.
-    """
-    if grid is None:
-        grid = default_validation_grid()
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 8:
-        raise ValueError("validation grid must be a 1-d array with at least 8 points")
-    if np.any(grid <= 0.0) or np.any(np.diff(grid) <= 0.0):
-        raise ValueError("validation grid must be positive and strictly increasing")
-
-    gvals = model.g(grid)
-    hvals = model.h(grid)
-    checks = []
-
-    # nonneg
-    ok = True
-    viol = None
-    detail = ""
-    if model.g(0.0) != 0.0:
-        ok, viol, detail = False, 0.0, f"g(0) = {model.g(0.0)!r}"
-    if ok:
-        bad = np.nonzero(hvals < -1e-12)[0]
-        if bad.size:
-            ok, viol, detail = False, float(grid[bad[0]]), f"h = {hvals[bad[0]]:g}"
-    if ok:
-        bad = np.nonzero(np.diff(gvals) < -1e-12 * (1.0 + np.abs(gvals[:-1])))[0]
-        if bad.size:
-            ok, viol, detail = False, float(grid[bad[0] + 1]), "g decreased"
-    checks.append(ShapeCheck("nonneg", ok, viol, detail))
-
-    # vanishing_small_trades
-    x_small = 1e-8
-    m = x_small * model.h(x_small)
-    ok = m < small_trade_tol
-    checks.append(
-        ShapeCheck(
-            "vanishing_small_trades",
-            ok,
-            None if ok else x_small,
-            "" if ok else f"x*h(x) = {m:g}",
-        )
-    )
-
-    # v_shaped_marginal
-    ok, viol, detail = True, None, ""
-    below = grid <= model.threshold
-    hb = hvals[below]
-    if hb.size >= 2:
-        bad = np.nonzero(np.diff(hb) > 1e-12 * (1.0 + np.abs(hb[:-1])))[0]
-        if bad.size:
-            ok = False
-            viol = float(grid[below][bad[0] + 1])
-            detail = "marginal increased below the threshold"
-    if ok:
-        ha = hvals[~below]
-        xa = grid[~below]
-        if ha.size >= 2:
-            bad = np.nonzero(np.diff(ha) <= 0.0)[0]
-            if bad.size:
-                ok = False
-                viol = float(xa[bad[0] + 1])
-                detail = "marginal not strictly increasing above the threshold"
-    checks.append(ShapeCheck("v_shaped_marginal", ok, viol, detail))
-
-    # diverging_marginal
-    ok, viol, detail = True, None, ""
-    if not model.unbounded_marginal:
-        ok, viol = False, float(grid[-1])
-        detail = "model declares a bounded marginal"
-    else:
-        tail = hvals[grid > model.threshold]
-        if tail.size >= 2 and not tail[-1] > tail[tail.size // 2]:
-            ok, viol = False, float(grid[-1])
-            detail = "marginal stopped growing along the tail"
-    checks.append(ShapeCheck("diverging_marginal", ok, viol, detail))
-
-    return ShapeReport(family=model.family, checks=checks)

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -44,7 +44,6 @@ from .impact import ImpactModel
 __all__ = [
     "DeterministicStrategy",
     "FeedbackStrategy",
-    "Utility",
     "TerminalStats",
     "SimResult",
     "UnimpactedResult",
@@ -99,32 +98,6 @@ class FeedbackStrategy:
         return np.where((y > 0.0) & (y <= self.threshold), 0.0, y)
 
 
-@dataclass(frozen=True)
-class Utility:
-    """Terminal utility u(c, x, s).  None means risk-neutral: u = c.
-
-    Custom callables are the caller's responsibility (declared non-decreasing
-    with polynomial growth); `spot_check_monotone` probes that claim.
-    """
-
-    fn: Optional[Callable] = None
-
-    def evaluate(self, c, x, s) -> np.ndarray:
-        if self.fn is None:
-            return np.array(c, dtype=float, copy=True)
-        return np.asarray(self.fn(c, x, s), dtype=float)
-
-    def spot_check_monotone(self, points, bumps=1e-3) -> None:
-        for c, x, s in points:
-            base = float(self.evaluate(np.array([c]), np.array([x]), np.array([s]))[0])
-            for dc, dx, ds in ((bumps, 0, 0), (0, bumps, 0), (0, 0, bumps)):
-                up = float(
-                    self.evaluate(np.array([c + dc]), np.array([x + dx]), np.array([s + ds]))[0]
-                )
-                if up < base - 1e-12:
-                    raise ValueError("utility decreased along a coordinate bump")
-
-
 @dataclass
 class TerminalStats:
     mean: float
@@ -142,6 +115,9 @@ def _stats(arr: np.ndarray) -> TerminalStats:
 
 @dataclass(eq=False)
 class SimResult:
+    """One strategy's run; `utilities` is the per-path terminal cash of the
+    risk-neutral trader and `mean_utility` its mean."""
+
     mean_utility: float
     std_error: float
     n_paths: int
@@ -199,14 +175,14 @@ def simulate(
     n_paths: int,
     n_steps: int,
     seed: int,
-    utility: Optional[Utility] = None,
     log_floor: float = -60.0,
     return_paths: bool = False,
 ) -> SimResult:
-    """Monte Carlo estimate of E[u(C_T, X_T, S_T)] under the given strategy."""
+    """Monte Carlo estimate of E[C_T], the risk-neutral trader's terminal cash,
+    under the given strategy."""
     (res,) = _simulate_all(
         [strategy], market, model, c0, x0, s0, horizon, n_paths, n_steps, seed,
-        utility, log_floor, return_paths,
+        log_floor, return_paths,
     )
     return res
 
@@ -296,7 +272,7 @@ def _factorised_chunk(noise, sells, drags, market, c0, s0, dt, log_floor, cash, 
 
 def _simulate_all(
     strategies, market, model, c0, x0, s0, horizon, n_paths, n_steps, seed,
-    utility=None, log_floor=-60.0, return_paths=False,
+    log_floor=-60.0, return_paths=False,
 ) -> list:
     """One SimResult per strategy, all driven by the same noise: each
     strategy's inventory path is marched once, one `g` call gives every
@@ -307,7 +283,6 @@ def _simulate_all(
     for strategy in strategies:
         if abs(strategy.horizon - horizon) > 1e-12 * max(1.0, horizon):
             raise ValueError("strategy horizon does not match the simulation horizon")
-    utility = utility or Utility()
 
     dt = horizon / n_steps
     sells = np.empty((len(strategies), n_steps))
@@ -325,7 +300,7 @@ def _simulate_all(
     results = []
     for j in range(len(strategies)):
         inventory = np.full(n_paths, xs[j, -1])
-        utilities = utility.evaluate(cash[j], inventory, price[j])
+        utilities = cash[j]
         se = float(utilities.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
         paths = None
         if return_paths:
@@ -394,14 +369,13 @@ def compare_strategies(
     n_paths: int,
     n_steps: int,
     seed: int,
-    utility: Optional[Utility] = None,
     log_floor: float = -60.0,
 ) -> StrategyComparison:
     """Simulate named strategies under common random numbers and rank them.
 
     `strategies` is a sequence of (name, strategy) pairs sharing the same
     horizon.  Each path's noise stream is drawn once and shared by every
-    compared strategy, so each strategy's utilities equal those of its own
+    compared strategy, so each strategy's terminal cash equals that of its own
     `simulate` call with the same seed, bit for bit.  The pairwise
     differences are computed path-by-path, so their standard errors reflect
     the variance reduction of the shared noise.
@@ -413,7 +387,7 @@ def compare_strategies(
     names = [name for name, _ in strategies]
     results = _simulate_all(
         [s for _, s in strategies], market, model, c0, x0, s0, horizon, n_paths, n_steps, seed,
-        utility, log_floor,
+        log_floor,
     )
     utils = [res.utilities for res in results]
     means = [res.mean_utility for res in results]

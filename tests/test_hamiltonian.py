@@ -10,7 +10,6 @@ from optexec.hamiltonian import (
     hamiltonian,
     hamiltonian_bruteforce,
     optimal_speed,
-    target_marginal_impact,
 )
 from optexec.impact import (
     LevyEffectiveImpact,
@@ -24,14 +23,6 @@ MIXED = MixedPowerImpact(alpha=1.0, p_convex=2.0, p_concave=0.5, threshold=1.0)
 SHIFTED = ShiftedConvexImpact(power=3.0, threshold=1.0)
 LEVY = LevyEffectiveImpact(gamma=1.0, alpha0=1.0, alpha1=1.0, beta1=1.0)
 FAMILIES = [QUAD, MIXED, SHIFTED, LEVY]
-
-
-def test_target_ratio_values():
-    assert target_marginal_impact(1.0, Gradient(2.0, 0.0, 1.0)) == 2.0
-    assert target_marginal_impact(1.0, Gradient(5.0, 3.0, 0.0)) == 0.0
-    assert target_marginal_impact(2.0, Gradient(1.0, 2.0, 1.0)) == 0.0
-    with pytest.raises(ValueError):
-        target_marginal_impact(0.0, Gradient(1.0, 0.0, 1.0))
 
 
 def test_gradient_requires_finite():
@@ -154,7 +145,7 @@ def test_factorization_through_unit_gradient():
     for _ in range(50):
         s = rng.uniform(0.1, 4.0)
         p = Gradient(rng.normal(1.0, 1.0), rng.normal(), rng.uniform(0.05, 2.0))
-        ratio = target_marginal_impact(s, p)
+        ratio = (s * p.p_c - p.p_x) / (s * p.p_s)
         for m in FAMILIES:
             lhs = hamiltonian(s, p, m)
             rhs = s * p.p_s * hamiltonian(1.0, Gradient(ratio, 0.0, 1.0), m)
@@ -216,6 +207,21 @@ def test_best_response_rejects_a_nan_cap(model):
     for h_ymax in (math.inf, model.h(3.0)):
         with pytest.raises(ValueError):
             best_response(model, a, b, math.nan, h_ymax)
+
+
+@pytest.mark.parametrize("model", FAMILIES, ids=lambda m: m.family)
+def test_best_response_rejects_an_unbounded_gain(model):
+    # b = 0 with a > 0 is capped, and under the default infinite cap its gain is unbounded
+    from optexec.hamiltonian import best_response
+
+    with pytest.raises(ValueError, match="unbounded"):
+        best_response(model, [1.0, 2.0], [0.0, 1.0])
+    # without a capped element the default cap stays usable; under a finite cap the node takes y_max
+    speed, gain = best_response(model, [2.0, -1.0], [1.0, 0.0])
+    assert np.all(np.isfinite(speed)) and np.all(np.isfinite(gain)) and speed[1] == 0.0
+    y_max = model.threshold + 2.0
+    speed, gain = best_response(model, [1.0, 2.0], [0.0, 1.0], y_max, model.h(y_max))
+    assert speed[0] == y_max and gain[0] == y_max
 
 
 def test_best_response_rejects_a_constant_marginal():

@@ -15,7 +15,6 @@ from optexec.impact import (
     MixedPowerImpact,
     QuadraticImpact,
     ShiftedConvexImpact,
-    validate_s_shape,
 )
 
 ALL_INVERTIBLE = [
@@ -428,27 +427,47 @@ def test_small_trade_cost_vanishes():
         assert x * m.h(x) < 1e-2
 
 
-def test_validate_s_shape_reports():
-    assert validate_s_shape(QuadraticImpact(1.0)).passed
-    assert validate_s_shape(
-        MixedPowerImpact(alpha=1.0, p_convex=2.0, p_concave=0.5, threshold=1.0)
-    ).passed
-    assert validate_s_shape(ShiftedConvexImpact(power=3.0, threshold=1.0)).passed
+SHAPE_GRID = np.logspace(-6.0, 3.0, 512)
 
-    rep = validate_s_shape(LinearImpact(2.0))
-    assert not rep.passed
+
+def _shape_conditions(m):
+    """The S-shape conditions on SHAPE_GRID, as (nonneg, v_shaped_marginal, diverging_marginal).
+
+    nonneg: g(0) = 0, g non-decreasing and h >= 0.  v_shaped_marginal: h
+    non-increasing up to the threshold and strictly increasing above it.
+    diverging_marginal: h still growing along the tail of the grid.
+    """
+    g, h = m.g(SHAPE_GRID), m.h(SHAPE_GRID)
+    nonneg = (
+        m.g(0.0) == 0.0
+        and np.all(h >= -1e-12)
+        and np.all(np.diff(g) >= -1e-12 * (1.0 + np.abs(g[:-1])))
+    )
+    below = SHAPE_GRID <= m.threshold
+    h_below, h_above = h[below], h[~below]
+    v_shaped = np.all(np.diff(h_below) <= 1e-12 * (1.0 + np.abs(h_below[:-1]))) and np.all(
+        np.diff(h_above) > 0.0
+    )
+    diverging = h_above[-1] > h_above[h_above.size // 2]
+    return bool(nonneg), bool(v_shaped), bool(diverging)
+
+
+@pytest.mark.parametrize("m", ALL_INVERTIBLE, ids=repr)
+def test_s_shape_conditions(m):
+    # the small-trade condition is test_small_trade_cost_vanishes
+    assert _shape_conditions(m) == (True, True, True)
+    assert m.unbounded_marginal
+    if m.threshold > 0.0:
+        # the marginal's minimum reaches the threshold (the boundary family's h is 0 up to it)
+        h = m.h(SHAPE_GRID)
+        assert SHAPE_GRID[h == h.min()].max() == pytest.approx(m.threshold, rel=0.05)
+
+
+def test_constant_marginal_is_not_s_shaped():
     # constant marginal: neither strictly increasing nor divergent
-    assert rep.failed_names() == ["v_shaped_marginal", "diverging_marginal"]
-    assert "FAIL" in str(rep)
-
-
-def test_validate_s_shape_locates_marginal_minimum():
-    m = MixedPowerImpact(alpha=1.0, p_convex=2.0, p_concave=0.5, threshold=1.0)
-    grid = np.logspace(-4, 2, 200)
-    rep = validate_s_shape(m, grid)
-    assert rep.passed
-    hv = m.h(grid)
-    assert grid[np.argmin(hv)] == pytest.approx(1.0, rel=0.1)
+    lin = LinearImpact(2.0)
+    assert _shape_conditions(lin) == (True, False, False)
+    assert not lin.unbounded_marginal
 
 
 def test_vectorized_evaluation_matches_scalar():

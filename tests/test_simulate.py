@@ -10,7 +10,6 @@ from optexec.impact import MixedPowerImpact, QuadraticImpact
 from optexec.simulate import (
     DeterministicStrategy,
     FeedbackStrategy,
-    Utility,
     _path_noise,
     compare_strategies,
     simulate,
@@ -371,16 +370,24 @@ def test_strategy_zoo_never_beats_solver_value():
         assert res.mean_utility <= upper + tol
 
 
-def test_custom_utility_and_spot_checks():
-    u = Utility(fn=lambda c, x, s: c + 0.5 * s)
-    u.spot_check_monotone([(1.0, 0.1, 100.0), (0.0, 0.0, 1.0)])
-    strat, _ = twap_strategy()
-    res = simulate(strat, FLAT, QUAD, 0.0, 0.1, 100.0, 1.0, 1, 200, seed=0, utility=u)
-    rn = simulate(strat, FLAT, QUAD, 0.0, 0.1, 100.0, 1.0, 1, 200, seed=0)
-    assert res.mean_utility > rn.mean_utility
-    bad = Utility(fn=lambda c, x, s: -c)
-    with pytest.raises(ValueError):
-        bad.spot_check_monotone([(0.0, 0.0, 1.0)])
+def test_utility_is_terminal_cash():
+    # the risk-neutral trader: each path's utility is its terminal cash, and
+    # compare's pair differences are those of the per-path cash
+    strat, sol = twap_strategy()
+    fast = DeterministicStrategy(Schedule.constant(2.0 * sol.rate, 0.1 / (2.0 * sol.rate), 1.0))
+    run = (BS, QUAD, 1.5, 0.1, 100.0, 1.0, 300, 80, 11)
+    res = simulate(strat, *run)
+    assert res.mean_utility == res.cash.mean
+    history = simulate(strat, *run, return_paths=True).paths["C"]
+    assert np.allclose(res.utilities, history[:, -1], rtol=1e-12, atol=0.0)
+    assert res.cash.quantiles == tuple(np.quantile(res.utilities, SIM_MODULE.QUANTILE_LEVELS))
+    comp = compare_strategies([("twap", strat), ("fast", fast)], *run)
+    cash = [simulate(s, *run).utilities for s in (strat, fast)]
+    assert comp.means == [float(c.mean()) for c in cash]
+    (_, _, diff, se) = comp.pairs[0]
+    d = cash[0] - cash[1]
+    assert diff == float(d.mean())
+    assert se == float(d.std(ddof=1) / math.sqrt(run[6]))
 
 
 @pytest.mark.parametrize(
