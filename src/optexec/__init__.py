@@ -32,7 +32,6 @@ from .hamiltonian import (
 from .hjb import (
     ValueSurface,
     extract_policy,
-    full_value_from_reduced,
     hjb_residual,
     optimize_deterministic_schedule,
     solve_reduced_hjb,
@@ -40,8 +39,6 @@ from .hjb import (
 from .impact import (
     ImpactModel,
     LevyEffectiveImpact,
-    LinearImpact,
-    MarginalNotInvertibleError,
     MixedPowerImpact,
     QuadraticImpact,
     ShiftedConvexImpact,

@@ -31,12 +31,7 @@ from .config import RunConfig, apply_overrides, build_run_config, read_config_fi
 from .errors import ConfigError, HypothesisViolation, NumericalFailure
 from .hamiltonian import closed_vs_brute_samples
 from .hjb import hjb_residual, solve_reduced_hjb
-from .impact import (
-    LevyEffectiveImpact,
-    MarginalNotInvertibleError,
-    MixedPowerImpact,
-    ShiftedConvexImpact,
-)
+from .impact import LevyEffectiveImpact, MixedPowerImpact, ShiftedConvexImpact
 from .simulate import (
     DeterministicStrategy,
     FeedbackStrategy,
@@ -450,7 +445,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         return _report_failure(2, "config_error", exc)
-    except (HypothesisViolation, MarginalNotInvertibleError) as exc:
+    except HypothesisViolation as exc:
         return _report_failure(3, "hypothesis_violation", exc)
     except NumericalFailure as exc:
         return _report_failure(4, "numerical_failure", exc)

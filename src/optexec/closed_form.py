@@ -133,10 +133,6 @@ def twap_rate(model: ImpactModel, decay: float) -> float:
     """
     if not decay > 0.0:  # a NaN decay fails here too
         raise ValueError("twap_rate needs a positive decay rate")
-    if not model.unbounded_marginal:
-        raise ValueError(
-            f"{model.family} impact has identically zero excess impact; no TWAP rate exists"
-        )
     root = increasing_root(
         lambda x: x * model._h(x) - model._g(x),
         lambda x: x * model._dh(x),

@@ -21,8 +21,8 @@ from typing import Optional
 
 from .closed_form import MarketParams
 from .errors import ConfigError
-from .impact import ImpactModel, LevyEffectiveImpact, LinearImpact, MixedPowerImpact
-from .impact import QuadraticImpact, ShiftedConvexImpact
+from .impact import ImpactModel, LevyEffectiveImpact, MixedPowerImpact, QuadraticImpact
+from .impact import ShiftedConvexImpact
 
 
 @dataclass(frozen=True)
@@ -85,6 +85,8 @@ class CheckSettings:
     def __post_init__(self):
         if self.draws < 1:
             raise ConfigError("check.draws must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("check.seed must be non-negative")
         if self.grid_points < 2:
             raise ConfigError("check.grid_points must be at least 2")
 
@@ -158,9 +160,7 @@ def _schema(cls) -> tuple:
 # [impact] family -> model dataclass
 _IMPACT_FAMILIES = {
     cls.family: cls
-    for cls in (
-        MixedPowerImpact, ShiftedConvexImpact, QuadraticImpact, LinearImpact, LevyEffectiveImpact
-    )
+    for cls in (MixedPowerImpact, ShiftedConvexImpact, QuadraticImpact, LevyEffectiveImpact)
 }
 # dataclass -> schema; derived at import, not per parse
 _SCHEMAS = {cls: _schema(cls) for cls in (*_SECTIONS.values(), *_IMPACT_FAMILIES.values())}

@@ -83,8 +83,7 @@ def best_response(model: ImpactModel, a, b, y_max: float = math.inf, h_ymax: flo
     to 0.  `h_ymax` must be h(y_max); callers that solve many rows under one
     cap compute it once.  A NaN y_max raises ValueError, and so does an
     infinite y_max once an element is capped (b = 0 with a > 0 under the
-    default cap): its gain is unbounded.  A model without a marginal inverse
-    raises MarginalNotInvertibleError once a candidate lies below the cap.
+    default cap): its gain is unbounded.
 
     Returns (speed, gain): the maximizer and the maximal value (0 where
     selling nothing is optimal).
@@ -102,8 +101,7 @@ def best_response(model: ImpactModel, a, b, y_max: float = math.inf, h_ymax: flo
     y = np.where(capped, y_max, 0.0)
     inner = candidate & ~capped
     if inner.any():
-        # the private hooks: every ratio here lies above the marginal floor
-        model._require_inverse()
+        # the private hook: every ratio here lies above the marginal floor
         y[inner] = np.minimum(model._h_inverse(ratio[inner]), y_max)
     # guard against a candidate rounding down onto the threshold; y >= 0 from here on
     y[y <= model.threshold] = 0.0

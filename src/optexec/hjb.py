@@ -35,7 +35,6 @@ __all__ = [
     "ValueSurface",
     "solve_reduced_hjb",
     "extract_policy",
-    "full_value_from_reduced",
     "hjb_residual",
     "optimize_deterministic_schedule",
 ]
@@ -138,7 +137,7 @@ def _substep(model, W, psi, rate, left, dx, decay, y_max, h_ymax):
 
 def _default_y_max(model, decay, horizon, x_max):
     guesses = [4.0 * x_max / horizon, 2.0 * model.threshold + 1.0]
-    if model.unbounded_marginal and decay > 0.0:
+    if decay > 0.0:
         guesses.append(4.0 * twap_rate(model, decay))
     return max(guesses)
 
@@ -232,13 +231,6 @@ def extract_policy(surface: ValueSurface) -> np.ndarray:
     return pol
 
 
-def full_value_from_reduced(c: float, s: float, surface: ValueSurface, t: float, x: float) -> float:
-    """c + s * W(t, x) by bilinear interpolation; rejects off-grid queries."""
-    if s < 0.0:
-        raise ValueError("price must be non-negative")
-    return c + s * surface.value_at(t, x)
-
-
 def hjb_residual(surface: ValueSurface, model: ImpactModel) -> float:
     """Max absolute defect of the stored surface in the discrete equation.
 
@@ -321,7 +313,7 @@ def optimize_deterministic_schedule(
     front = np.zeros(n_pieces)
     front[: max(n_pieces // 2, 1)] = 2.0 * x0 / horizon
     starts.append(front)
-    if model.unbounded_marginal and decay > 0.0:
+    if decay > 0.0:
         rate = twap_rate(model, decay)
         if x0 <= rate * horizon:
             y = np.zeros(n_pieces)

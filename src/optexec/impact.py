@@ -25,16 +25,10 @@ __all__ = [
     "MixedPowerImpact",
     "ShiftedConvexImpact",
     "QuadraticImpact",
-    "LinearImpact",
     "LevyEffectiveImpact",
-    "MarginalNotInvertibleError",
 ]
 
 _INVERSE_RTOL = 1e-12
-
-
-class MarginalNotInvertibleError(ValueError):
-    """The operation needs the rising branch of h, but this model's marginal never rises."""
 
 
 def _match(x, out: np.ndarray):
@@ -92,20 +86,20 @@ def increasing_root(f, df, target: np.ndarray, lo, what: str, hi=None) -> np.nda
 class ImpactModel:
     """Base class.  Subclasses fill in `_g` and `_h` on positive float arrays.
 
+    Every family is S-shaped in the paper's sense: h does not rise up to the
+    threshold and rises without bound above it, so h has an inverse on its
+    rising branch.  A constant marginal (linear impact) has no such branch;
+    its quasi-block limit is `closed_form.linear_quasi_block`.
+
     Attributes
     ----------
     threshold : float
         Rate at which the marginal impact switches from falling to rising
         (the concave/convex switch of g).  Zero for purely convex models.
-    unbounded_marginal : bool
-        Whether h(x) -> infinity as x -> infinity.  False only for the
-        linear family, which is admitted solely for limit comparisons; any
-        operation that needs h's inverse rejects such models.
     """
 
     family = "base"
     threshold = 0.0
-    unbounded_marginal = True
 
     # -- curve evaluation ---------------------------------------------------
 
@@ -148,19 +142,11 @@ class ImpactModel:
         on h (bisection where the model has no h'), run until
         |h(x) - ybar| <= 1e-12 * (1 + ybar).
         """
-        self._require_inverse()
         arr = np.atleast_1d(np.asarray(ybar, dtype=float))
         floor = self.marginal_floor
         if arr.size and not arr.min() >= floor:  # a NaN makes the min NaN and fails
             raise ValueError(f"h_inverse needs ybar >= h(threshold) = {floor}")
         return _match(ybar, self._h_inverse(arr))
-
-    def _require_inverse(self) -> None:
-        """Raise MarginalNotInvertibleError unless h has a rising branch to invert."""
-        if not self.unbounded_marginal:
-            raise MarginalNotInvertibleError(
-                f"{self.family} impact has a constant marginal; no inverse exists"
-            )
 
     # -- hooks ----------------------------------------------------------------
 
@@ -334,30 +320,6 @@ class QuadraticImpact(ImpactModel):
 
     def _h_inverse(self, ybar):
         return ybar / (2.0 * self.alpha0)
-
-
-@dataclass(frozen=True, repr=False)
-class LinearImpact(ImpactModel):
-    """g(x) = alpha * x.  The marginal is constant, so the model fails the
-    divergence requirement and x*h(x) - g(x) vanishes identically; it is
-    admitted only for limit comparisons (quasi-block liquidation) and every
-    operation needing h's inverse rejects it."""
-
-    alpha: float
-
-    family = "linear"
-    unbounded_marginal = False
-
-    def __post_init__(self):
-        self._check_finite()
-        if self.alpha <= 0.0:
-            raise ValueError("alpha must be positive")
-
-    def _g(self, x):
-        return self.alpha * x
-
-    def _h(self, x):
-        return np.full_like(x, self.alpha)
 
 
 @dataclass(frozen=True, repr=False)

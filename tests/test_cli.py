@@ -366,6 +366,34 @@ def test_retired_solver_key_is_a_config_error(bench_config, tmp_path, capsys):
         build_run_config({"solver": {"max_expansions": "2"}})
 
 
+def test_linear_family_is_a_config_error(bench_config, tmp_path, capsys):
+    # a constant marginal is no S-shaped family; its limit is closed_form.linear_quasi_block
+    families = "['levy_effective', 'mixed_power', 'quadratic', 'shifted_convex']"
+    expected = f"[impact] family = 'linear': choose from {families}"
+    args = ["twap", "--config", bench_config, "--set", "impact.family=linear"]
+    assert main(args + ["--output", str(tmp_path / "run")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["message"], err["exit_code"]) == ("config_error", expected, 2)
+    # rerun parses a manifest's [impact] through the same family table
+    first = tmp_path / "first"
+    assert main(["twap", "--config", bench_config, "--output", str(first)]) == 0
+    doc = json.loads((first / "manifest.json").read_text())
+    doc["config"]["impact"] = {"family": "linear", "alpha": "1.0"}
+    manifest = tmp_path / "linear.json"
+    manifest.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["rerun", str(manifest), "--output", str(tmp_path / "again")]) == 2
+    assert json.loads(capsys.readouterr().err)["message"] == expected
+
+
+def test_negative_check_seed_is_named(tmp_path, capsys):
+    sets = ["impact.family=quadratic", "impact.alpha0=1.0", "check.draws=5", "check.seed=-1"]
+    args = ["hamiltonian-check", *(a for s in sets for a in ("--set", s))]
+    assert main(args + ["--output", str(tmp_path / "run")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["message"]) == ("config_error", "check.seed must be non-negative")
+
+
 def test_output_env_var(bench_config, tmp_path, monkeypatch):
     target = tmp_path / "from_env"
     monkeypatch.setenv("OPTEXEC_OUTPUT_DIR", str(target))

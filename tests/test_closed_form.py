@@ -19,7 +19,6 @@ from optexec.closed_form import (
 from optexec.errors import HypothesisViolation
 from optexec.impact import (
     LevyEffectiveImpact,
-    LinearImpact,
     MixedPowerImpact,
     QuadraticImpact,
     ShiftedConvexImpact,
@@ -72,9 +71,7 @@ class TestTwapRate:
     def test_shifted_convex_against_brentq_oracle(self):
         assert twap_rate(SHIFTED, 0.05) == pytest.approx(SHIFTED_RATE_005, abs=1e-9)
 
-    def test_rejects_linear_and_bad_decay(self):
-        with pytest.raises(ValueError):
-            twap_rate(LinearImpact(1.0), 0.04)
+    def test_rejects_bad_decay(self):
         with pytest.raises(ValueError):
             twap_rate(QUAD, 0.0)
 

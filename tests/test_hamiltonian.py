@@ -224,18 +224,6 @@ def test_best_response_rejects_an_unbounded_gain(model):
     assert speed[0] == y_max and gain[0] == y_max
 
 
-def test_best_response_rejects_a_constant_marginal():
-    # a linear model has no marginal inverse for the uncapped candidate ratio 1
-    from optexec.hamiltonian import best_response
-    from optexec.impact import LinearImpact, MarginalNotInvertibleError
-
-    lin = LinearImpact(2.0)
-    a, b = np.array([0.0, 1.0, 5.0]), np.ones(3)
-    for y_max, h_ymax in ((math.inf, math.inf), (5.0, lin.h(5.0))):
-        with pytest.raises(MarginalNotInvertibleError):
-            best_response(lin, a, b, y_max, h_ymax)
-
-
 def _bits(rows):
     return np.asarray(rows, dtype=float).view(np.uint64)
 

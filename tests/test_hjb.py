@@ -13,7 +13,6 @@ from optexec.hjb import (
     _node_controls,
     _substep,
     extract_policy,
-    full_value_from_reduced,
     hjb_residual,
     optimize_deterministic_schedule,
     solve_reduced_hjb,
@@ -159,17 +158,13 @@ def test_residual_positive_and_converging_in_smooth_region():
     assert order >= 0.8
 
 
-def test_full_value_scaling(quad_surface):
-    assert full_value_from_reduced(2.5, 0.0, quad_surface, 1.0, 0.1) == 2.5
-    assert full_value_from_reduced(2.5, 100.0, quad_surface, 1.0, 0.0) == 2.5
-    v = full_value_from_reduced(0.0, 100.0, quad_surface, 1.0, 0.1)
-    assert v == pytest.approx(100.0 * quad_surface.value_at(1.0, 0.1), rel=1e-14)
-    with pytest.raises(ValueError):
-        full_value_from_reduced(0.0, 100.0, quad_surface, 1.0, 0.5)
-    with pytest.raises(ValueError):
-        full_value_from_reduced(0.0, 100.0, quad_surface, 2.0, 0.1)
-    with pytest.raises(ValueError):
-        full_value_from_reduced(0.0, -1.0, quad_surface, 1.0, 0.1)
+def test_value_at_rejects_off_grid_queries(quad_surface):
+    # the empty-inventory boundary is worth nothing; queries past the grid fail loudly
+    assert quad_surface.value_at(1.0, 0.0) == 0.0
+    with pytest.raises(ValueError, match=r"x = 0\.5 outside the solved grid"):
+        quad_surface.value_at(1.0, 0.5)
+    with pytest.raises(ValueError, match=r"t = 2 outside the solved grid"):
+        quad_surface.value_at(2.0, 0.1)
 
 
 def test_solver_input_validation():

@@ -10,8 +10,6 @@ from optexec.errors import ConfigError
 from optexec.impact import (
     ImpactModel,
     LevyEffectiveImpact,
-    LinearImpact,
-    MarginalNotInvertibleError,
     MixedPowerImpact,
     QuadraticImpact,
     ShiftedConvexImpact,
@@ -338,14 +336,6 @@ def test_twap_rate_accepts_bracket_end_root(decay, most):
     assert abs(model.excess_impact(rate) - decay) <= 1e-12 * (1.0 + decay)
 
 
-def test_linear_family_flagged():
-    lin = LinearImpact(2.0)
-    assert not lin.unbounded_marginal
-    assert lin.excess_impact(0.7) == 0.0
-    with pytest.raises(MarginalNotInvertibleError):
-        lin.h_inverse(1.0)
-
-
 def test_excess_impact_values():
     q = QuadraticImpact(1.0)
     assert q.excess_impact(0.5) == pytest.approx(0.25, abs=0.0)
@@ -456,18 +446,25 @@ def _shape_conditions(m):
 def test_s_shape_conditions(m):
     # the small-trade condition is test_small_trade_cost_vanishes
     assert _shape_conditions(m) == (True, True, True)
-    assert m.unbounded_marginal
     if m.threshold > 0.0:
         # the marginal's minimum reaches the threshold (the boundary family's h is 0 up to it)
         h = m.h(SHAPE_GRID)
         assert SHAPE_GRID[h == h.min()].max() == pytest.approx(m.threshold, rel=0.05)
 
 
+class _ConstantMarginal(ImpactModel):
+    """g(x) = 2x: linear impact, which no family of the library models."""
+
+    def _g(self, x):
+        return 2.0 * x
+
+    def _h(self, x):
+        return np.full_like(x, 2.0)
+
+
 def test_constant_marginal_is_not_s_shaped():
-    # constant marginal: neither strictly increasing nor divergent
-    lin = LinearImpact(2.0)
-    assert _shape_conditions(lin) == (True, False, False)
-    assert not lin.unbounded_marginal
+    # the negative control: a constant marginal is neither strictly increasing nor divergent
+    assert _shape_conditions(_ConstantMarginal()) == (True, False, False)
 
 
 def test_vectorized_evaluation_matches_scalar():
@@ -498,7 +495,6 @@ MANIFEST_IMPACT = [
         LevyEffectiveImpact(gamma=1.0, alpha0=1.0, alpha1=1.0, beta1=1.0),
         {"family": "levy_effective", "gamma": "1.0", "alpha0": "1.0", "alpha1": "1.0", "beta1": "1.0"},
     ),
-    (LinearImpact(0.3), {"family": "linear", "alpha": "0.3"}),
 ]
 
 
