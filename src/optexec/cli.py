@@ -30,7 +30,7 @@ from .closed_form import (
 from .config import RunConfig, apply_overrides, build_run_config, read_config_file
 from .errors import ConfigError, HypothesisViolation, NumericalFailure
 from .hamiltonian import closed_vs_brute_samples
-from .hjb import hjb_residual, solve_reduced_hjb
+from .hjb import solve_reduced_hjb
 from .impact import LevyEffectiveImpact, MixedPowerImpact, ShiftedConvexImpact
 from .simulate import (
     DeterministicStrategy,
@@ -255,7 +255,6 @@ def _solve_hjb(cfg: RunConfig):
     summary = {
         "W_terminal": w_term,
         "value": value,
-        "residual": hjb_residual(surface, cfg.model),
         "saturation_fraction": surface.saturation_fraction,
         "y_max": surface.y_max,
         "policy_zero_fraction": float(np.mean(pol == 0.0)),

@@ -238,7 +238,8 @@ def hjb_residual(surface: ValueSurface, model: ImpactModel) -> float:
     it with the forward time difference; the t = 0 and x = 0 boundary rows
     are excluded.  The max is dominated by the start-up band (tiny
     time-to-go, where the control cap binds) and the selling front, so it
-    does not shrink under refinement; it is not a convergence measure.
+    does not shrink under refinement; it is not a convergence measure, and
+    `solve-hjb` does not report it.
     """
     t_grid, x_grid, W = surface.t_grid, surface.x_grid, surface.values
     dt = float(t_grid[1] - t_grid[0])

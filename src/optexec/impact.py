@@ -13,7 +13,7 @@ are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 from functools import cached_property
 
 import numpy as np
@@ -84,7 +84,7 @@ def increasing_root(f, df, target: np.ndarray, lo, what: str, hi=None) -> np.nda
 
 
 class ImpactModel:
-    """Base class.  Subclasses fill in `_g` and `_h` on positive float arrays.
+    """Base class.  A family supplies `_g`, `_h`, `_dh` (= h') and `_h_inverse`.
 
     Every family is S-shaped in the paper's sense: h does not rise up to the
     threshold and rises without bound above it, so h has an inverse on its
@@ -136,11 +136,8 @@ class ImpactModel:
     def h_inverse(self, ybar):
         """Inverse of h on its rising branch: the x >= threshold with h(x) = ybar.
 
-        Closed form where the family allows it, otherwise `increasing_root`:
-        an analytic bracket where the family has one, else one grown by
-        factors of 8 past the threshold, then a safeguarded Newton iteration
-        on h (bisection where the model has no h'), run until
-        |h(x) - ybar| <= 1e-12 * (1 + ybar).
+        The family's closed form, or `increasing_root` from its analytic
+        bracket, run until |h(x) - ybar| <= 1e-12 * (1 + ybar).
         """
         arr = np.atleast_1d(np.asarray(ybar, dtype=float))
         floor = self.marginal_floor
@@ -157,12 +154,10 @@ class ImpactModel:
         raise NotImplementedError
 
     def _dh(self, x: np.ndarray) -> np.ndarray:
-        # h' = g''.  NaN means "not available": the generic inverse then
-        # takes a bisection step wherever it would take a Newton step.
-        return np.full_like(x, np.nan)
+        raise NotImplementedError
 
     def _h_inverse(self, ybar: np.ndarray) -> np.ndarray:
-        return increasing_root(self._h, self._dh, ybar, self.threshold, "marginal inverse")
+        raise NotImplementedError
 
     # -- plumbing ---------------------------------------------------------------
 
@@ -178,7 +173,9 @@ class ImpactModel:
         return arr
 
     def params(self) -> dict:
-        """The constructor arguments by name: the family dataclass's init fields."""
+        """The constructor arguments by name: a dataclass family's init fields, else {}."""
+        if not is_dataclass(self):
+            return {}
         return {f.name: getattr(self, f.name) for f in fields(self) if f.init}
 
     def _check_finite(self):

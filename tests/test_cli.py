@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 import scipy
 
+import optexec.cli as cli
+import optexec.hjb as hjb
 from optexec.cli import main
 from optexec.config import apply_overrides, build_run_config
 from optexec.errors import ConfigError
@@ -120,10 +122,32 @@ def test_solve_hjb_summary(bench_config, tmp_path):
     assert main(["solve-hjb", "--config", bench_config, "--output", str(out)]) == 0
     doc = _summary(out)
     assert doc["value"] == pytest.approx(9.8, abs=0.2)
-    assert doc["residual"] > 0.0
+    assert "residual" not in doc
     assert 0.0 <= doc["policy_zero_fraction"] <= 1.0
     header = (out / "surface.csv").read_text().splitlines()[0]
     assert header == "t,x,W,speed"
+
+
+def test_solve_hjb_runs_the_control_kernel_only_in_its_marches(bench_config, tmp_path, monkeypatch):
+    calls, surfaces = [], []
+    node_controls, solve = hjb._node_controls, cli.solve_reduced_hjb
+
+    def counted(*args):
+        calls.append(None)
+        return node_controls(*args)
+
+    def captured(*args, **kwargs):
+        surfaces.append(solve(*args, **kwargs))
+        return surfaces[-1]
+
+    monkeypatch.setattr(hjb, "_node_controls", counted)
+    monkeypatch.setattr(cli, "solve_reduced_hjb", captured)
+    sets = ("solver.nt=40", "solver.nx=40", "solver.refine=true")
+    args = ["solve-hjb", "--config", bench_config, "--output", str(tmp_path / "hjb")]
+    assert main(args + [a for s in sets for a in ("--set", s)]) == 0
+    # the main solve and the refine solve: one call at t = 0, two per sub-step
+    assert len(surfaces) == 2
+    assert len(calls) == sum(1 + 2 * int(surf.substeps.sum()) for surf in surfaces)
 
 
 def test_simulate_and_paths_csv(bench_config, tmp_path):

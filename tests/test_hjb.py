@@ -17,7 +17,7 @@ from optexec.hjb import (
     optimize_deterministic_schedule,
     solve_reduced_hjb,
 )
-from optexec.impact import LevyEffectiveImpact, MixedPowerImpact, QuadraticImpact
+from optexec.impact import LevyEffectiveImpact, MixedPowerImpact, QuadraticImpact, ShiftedConvexImpact
 
 QUAD = QuadraticImpact(1.0)
 MIXED = MixedPowerImpact(alpha=1.0, p_convex=2.0, p_concave=0.5, threshold=1.0)
@@ -50,6 +50,26 @@ def test_matches_constant_rate_closed_form(quad_surface):
     exact = twap_solution(0.0, 0.1, 1.0, QUAD, 0.04, 1.0).value
     got = quad_surface.value_at(1.0, 0.1)
     assert abs(got - exact) / exact < 1e-2
+
+
+@pytest.mark.parametrize(
+    "model, decay, x0, x_max",
+    [
+        (MIXED, 0.04, 0.05, 0.2),
+        (ShiftedConvexImpact(power=3.0, threshold=1.0), 0.05, 0.5, 1.0),
+    ],
+    ids=["mixed_power", "shifted_convex"],
+)
+def test_s_shaped_surface_matches_constant_rate_closed_form(model, decay, x0, x_max):
+    # the paper's headline result on threshold > 0 curves: a small inventory
+    # is sold at the constant TWAP rate, and the PDE value converges to it
+    exact = twap_solution(0.0, x0, 1.0, model, decay, 1.0).value
+    err = []
+    for n in (100, 200):
+        s = solve_reduced_hjb(model, decay, 1.0, x_max, nt=n, nx=n)
+        err.append(abs(s.value_at(1.0, x0) - exact) / exact)
+    assert err[0] <= 1e-2
+    assert err[0] / err[1] >= 1.5
 
 
 def test_policy_range_and_plateau(quad_surface):

@@ -13,6 +13,7 @@ from optexec.impact import (
     MixedPowerImpact,
     QuadraticImpact,
     ShiftedConvexImpact,
+    increasing_root,
 )
 
 ALL_INVERTIBLE = [
@@ -234,7 +235,7 @@ def test_h_inverse_newton_meets_tolerance(lv):
 
 
 class _NoDerivative(ImpactModel):
-    """g(x) = x**2 + x**4 with only `_g`/`_h`: the inverse must bisect."""
+    """g(x) = x**2 + x**4 with only `_g`/`_h`: a NaN derivative makes the root bisect."""
 
     family = "no_derivative"
 
@@ -248,14 +249,14 @@ class _NoDerivative(ImpactModel):
 def test_h_inverse_bisection_fallback_without_derivative():
     m = _NoDerivative()
     ybar = np.logspace(-10, 6, 300)
-    x = m.h_inverse(ybar)
+    x = increasing_root(m._h, lambda x: np.full_like(x, np.nan), ybar, 0.0, "marginal inverse")
     assert _within_inverse_tol(m, x, ybar)
     assert np.all(x > 0.0)
 
 
 class _Kinked(ImpactModel):
     """h rises steeply near x = 5 and is nearly flat elsewhere, so unguarded
-    Newton steps from 0 overshoot and cycle; the bracket must catch them."""
+    Newton steps from 0 overshoot and cycle; the grown bracket must catch them."""
 
     family = "kinked"
 
@@ -269,7 +270,8 @@ class _Kinked(ImpactModel):
 def test_h_inverse_bracket_catches_newton_overshoot():
     m = _Kinked()
     ybar = np.linspace(0.01, 4.0, 200)
-    assert _within_inverse_tol(m, m.h_inverse(ybar), ybar)
+    x = increasing_root(m._h, m._dh, ybar, 0.0, "marginal inverse")
+    assert _within_inverse_tol(m, x, ybar)
 
 
 def test_h_inverse_evaluation_count():
@@ -465,6 +467,11 @@ class _ConstantMarginal(ImpactModel):
 def test_constant_marginal_is_not_s_shaped():
     # the negative control: a constant marginal is neither strictly increasing nor divergent
     assert _shape_conditions(_ConstantMarginal()) == (True, False, False)
+
+
+def test_repr_of_a_subclass_that_is_not_a_dataclass():
+    assert repr(_ConstantMarginal()) == "_ConstantMarginal()"
+    assert _ConstantMarginal().params() == {}
 
 
 def test_vectorized_evaluation_matches_scalar():
