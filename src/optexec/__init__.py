@@ -26,7 +26,6 @@ from .errors import ConfigError, HypothesisViolation, NumericalFailure
 from .hamiltonian import (
     Gradient,
     hamiltonian,
-    hamiltonian_bruteforce,
     optimal_speed,
 )
 from .hjb import (

@@ -124,6 +124,13 @@ class Schedule:
         return cls(rate_fn=fn, horizon=horizon, total=rate * duration)
 
 
+def _require_finite(**args) -> None:
+    """ValueError naming the first argument that is NaN or infinite."""
+    for name, v in args.items():
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
+
+
 def twap_rate(model: ImpactModel, decay: float) -> float:
     """The unique rate above the threshold with x*h(x) - g(x) = decay.
 
@@ -133,6 +140,7 @@ def twap_rate(model: ImpactModel, decay: float) -> float:
     """
     if not decay > 0.0:  # a NaN decay fails here too
         raise ValueError("twap_rate needs a positive decay rate")
+    _require_finite(decay=decay)
     root = increasing_root(
         lambda x: x * model._h(x) - model._g(x),
         lambda x: x * model._dh(x),
@@ -159,8 +167,7 @@ def twap_solution(
     Valid under x0 <= rate * horizon; outside that the constant-rate result
     does not apply and the caller is pointed at the HJB solver.
     """
-    if not all(math.isfinite(v) for v in (c0, x0, s0, horizon)):
-        raise ValueError("c0, x0, s0 and horizon must be finite")
+    _require_finite(c0=c0, x0=x0, s0=s0, horizon=horizon)
     if x0 < 0.0 or s0 < 0.0 or horizon <= 0.0:
         raise ValueError("need x0 >= 0, s0 >= 0 and a positive horizon")
     rate = twap_rate(model, decay)
@@ -203,6 +210,7 @@ def incomplete_beta(z: float, a: float, b: float) -> float:
     by substituting x = u**k with k = 2/(2-a) before adaptive quadrature.
     Relative accuracy 1e-10.
     """
+    _require_finite(z=z, a=a, b=b)
     if z < 0.0:
         raise ValueError("z must be non-negative")
     if z > 1.0:
@@ -282,6 +290,7 @@ def mixed_power_solution(
     """
     if not isinstance(model, MixedPowerImpact):
         raise ValueError("mixed_power_solution needs a mixed-power impact model")
+    _require_finite(c0=c0, x0=x0, s0=s0, decay=decay, horizon=horizon)
     if decay <= 0.0:
         raise ValueError("needs a positive decay rate")
     if x0 < 0.0 or s0 < 0.0 or horizon <= 0.0:
@@ -368,6 +377,7 @@ def extreme_comparison(
     """
     if not isinstance(model, ShiftedConvexImpact):
         raise ValueError("extreme_comparison needs a shifted-convex impact model")
+    _require_finite(x0=x0, s0=s0, decay=decay, horizon=horizon)
     if decay <= 0.0:
         raise ValueError("needs a positive decay rate")
     rate = twap_rate(model, decay)
@@ -400,6 +410,7 @@ def linear_quasi_block(
     exp(-decay*t - alpha*x0*t/delta) * (x0/delta), and increases to the
     limit as delta -> 0.
     """
+    _require_finite(alpha=alpha, c0=c0, x0=x0, s0=s0, delta=delta, decay=decay)
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
     if delta <= 0.0:

@@ -12,15 +12,15 @@ concave interval (0, threshold].  `best_response` is the one vectorised
 implementation of that argmax (the HJB solver calls it on whole grid rows);
 `optimal_speed` and `hamiltonian` are scalar wrappers over it.
 
-The independent check is a brute-force minimum of f: a dense grid, then a
-golden-section refinement, with y_max doubled while the minimizer sits at
-the grid's right edge.  One private kernel, `_brute_min`, runs that search
-in lockstep over arrays of draws: each grid level is one `g` call shared
-by all draws, and each golden-section iteration is one `g` call over the
-draws still refining.  Every draw sees exactly the float operations of the
-one-draw search, so `hamiltonian_bruteforce` (one draw) and
-`closed_vs_brute_samples` (thousands) agree bit for bit.  The oracle never
-calls `best_response` or `h_inverse`.
+The independent check is `closed_vs_brute_samples`: random draws, each
+compared with a brute-force minimum of f from a dense grid, a golden-section
+refinement, and y_max doubled while the minimizer sits at the grid's right
+edge.  One private kernel, `_brute_min`, runs that search in lockstep over
+arrays of draws: each grid level is one `g` call shared by all draws, and
+each golden-section iteration is one `g` call over the draws still refining.
+Every draw sees exactly the float operations of the one-draw search, so a
+one-draw `_brute_min` call gives a sweep row's value bit for bit.  The
+oracle never calls `best_response` or `h_inverse`.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ __all__ = [
     "best_response",
     "optimal_speed",
     "hamiltonian",
-    "hamiltonian_bruteforce",
     "closed_vs_brute_samples",
 ]
 
@@ -55,18 +54,10 @@ class Gradient:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
 
-    def scaled(self, lam: float) -> "Gradient":
-        return Gradient(lam * self.p_c, lam * self.p_x, lam * self.p_s)
-
 
 def _check_price(s: float) -> None:
     if not s > 0.0:
         raise ValueError("price must be positive")
-
-
-def running_gain_rate(y, s: float, p: Gradient, model: ImpactModel):
-    """f(y) = s*p_s*g(y) - (s*p_c - p_x)*y; accepts scalar or array y."""
-    return _gain_rate(model, s * p.p_c - p.p_x, s * p.p_s, np.asarray(y, dtype=float))
 
 
 def _gain_rate(model, a, b, y):
@@ -137,6 +128,7 @@ def hamiltonian(s: float, p: Gradient, model: ImpactModel) -> float:
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID_BLOCK = 1 << 15  # grid values per block of draws: 256 KB per buffer
+_MAX_DOUBLINGS = 20
 
 
 def _golden(model, a, b, lo, hi):
@@ -169,14 +161,14 @@ def _golden(model, a, b, lo, hi):
         fc, fd = np.where(left, fy, fd), np.where(left, fc, fy)
 
 
-def _brute_min(model, a, b, y_max, n, max_doublings):
+def _brute_min(model, a, b, y_max, n):
     """Brute-force min of f(y) = b*g(y) - a*y over [0, y_max] for every draw (a, b) at once.
 
     Per y_max level: one `g` call on the shared grid linspace(0, y_max, n),
     each draw's grid argmin (over blocks of draws, so temporaries stay
     small), then a golden-section refinement on the two grid cells around
     it.  Draws whose minimizer sits at the right edge go on to the next
-    level with y_max doubled, at most `max_doublings` times.  Never touches
+    level with y_max doubled, at most `_MAX_DOUBLINGS` times.  Never touches
     the closed form (`best_response`, `h_inverse`): it is the oracle that
     checks it.  Returns arrays (argmin, min, y_max reached).
     """
@@ -185,7 +177,7 @@ def _brute_min(model, a, b, y_max, n, max_doublings):
     y_star, val, y_cap = np.empty(a.size), np.empty(a.size), np.full(a.size, float(y_max))
     todo = np.arange(a.size)
     rows = max(1, _GRID_BLOCK // n)
-    for _ in range(max_doublings + 1):
+    for _ in range(_MAX_DOUBLINGS + 1):
         if not todo.size:
             break
         ys = np.linspace(0.0, y_max, n)
@@ -216,25 +208,6 @@ def _brute_min(model, a, b, y_max, n, max_doublings):
     return y_star, val, y_cap
 
 
-def hamiltonian_bruteforce(s: float, p: Gradient, model: ImpactModel, y_max: float, n: int = 4001) -> float:
-    """Oracle: min of f over [0, y_max] by grid search with local refinement.
-
-    Respects y_max literally; if the true minimizer lies beyond it the
-    returned value exceeds the closed form, which the comparison harness
-    treats as a truncation flag and handles by expanding y_max.
-    """
-    _check_price(s)
-    if n < 2 or y_max <= 0.0:
-        raise ValueError("brute-force grid needs n >= 2 and y_max > 0")
-    return float(_brute_min(model, [s * p.p_c - p.p_x], [s * p.p_s], y_max, n, 0)[1][0])
-
-
-def _brute_min_expanding(s, p, model, y_max0, n, max_doublings=20):
-    """Brute minimum with y_max doubled while the argmin sits at the right edge."""
-    out = _brute_min(model, [s * p.p_c - p.p_x], [s * p.p_s], y_max0, n, max_doublings)
-    return tuple(float(v[0]) for v in out)
-
-
 def closed_vs_brute_samples(model: ImpactModel, n_draws: int, seed: int = 0, n_grid: int = 4001):
     """Random sweep comparing the closed-form Hamiltonian with the oracle.
 
@@ -244,9 +217,11 @@ def closed_vs_brute_samples(model: ImpactModel, n_draws: int, seed: int = 0, n_g
     values from one lockstep `_brute_min` run over all draws, whose y_max
     starts at max(2*threshold + 1, 1) and doubles (up to 2**20 times the
     start) for each draw whose argmin lands on the right endpoint.  Every
-    row is bit-identical to the one-draw calls `hamiltonian`,
-    `_brute_min_expanding` and `optimal_speed`.
+    row is bit-identical to the one-draw calls `hamiltonian`, `_brute_min`
+    and `optimal_speed`.  The grid needs n_grid >= 2 points.
     """
+    if n_grid < 2:
+        raise ValueError(f"the brute-force grid needs n_grid >= 2 points, got {n_grid}")
     rng = np.random.default_rng(seed)
     # one number at a time, (s, p_c, p_x, p_s) per draw: array draws would reorder the stream
     draws = (
@@ -257,5 +232,5 @@ def closed_vs_brute_samples(model: ImpactModel, n_draws: int, seed: int = 0, n_g
     s, p_c, p_x, p_s = np.fromiter(draws, float, 4 * n_draws).reshape(n_draws, 4).T
     a, b = s * p_c - p_x, s * p_s
     speed, gain = best_response(model, a, b)
-    _, h_brute, _ = _brute_min(model, a, b, max(2.0 * model.threshold + 1.0, 1.0), n_grid, 20)
+    _, h_brute, _ = _brute_min(model, a, b, max(2.0 * model.threshold + 1.0, 1.0), n_grid)
     return list(zip(*(col.tolist() for col in (s, p_c, p_x, p_s, 0.0 - gain, h_brute, speed))))

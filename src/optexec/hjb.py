@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .closed_form import Schedule, twap_rate
+from .closed_form import Schedule, _require_finite, twap_rate
 from .errors import NumericalFailure
 from .hamiltonian import best_response
 from .impact import ImpactModel
@@ -81,11 +81,12 @@ class ValueSurface:
         x = self._locate(self.x_grid, float(x), "x")
         return float(np.interp(x, self.x_grid, row))
 
-    def policy_row(self, t, x_query: np.ndarray) -> np.ndarray:
-        """Bilinear policy lookup for many inventories at one time-to-go."""
+    def policy_row(self, t, x: float) -> float:
+        """Bilinear policy lookup at one (time-to-go, inventory) point; x is
+        clipped to the grid."""
         row = self._row_at(self.policy, t)
-        x = np.clip(np.asarray(x_query, dtype=float), self.x_grid[0], self.x_grid[-1])
-        return np.interp(x, self.x_grid, row)
+        x = min(max(float(x), self.x_grid[0]), self.x_grid[-1])
+        return float(np.interp(x, self.x_grid, row))
 
 
 def _node_controls(model, W, dx, y_max, h_ymax):
@@ -157,14 +158,17 @@ def solve_reduced_hjb(
     `y_max` caps the control (default 4 * `_default_y_max`).  Each time step
     is crossed in `_substep`s sized by the row's fastest chosen speed.
     `saturation_fraction` is the share of conditioned stored nodes (W above
-    the floor, x > 0) whose speed sits at the cap.
+    the floor, x > 0) whose speed sits at the cap.  A non-finite decay,
+    horizon, x_max or y_max raises ValueError before the march.
     """
     if nt < 2 or nx < 2:
         raise ValueError("need nt >= 2 and nx >= 2 grid cells")
+    _require_finite(decay=decay, horizon=horizon, x_max=x_max)
     if horizon <= 0.0 or x_max <= 0.0:
         raise ValueError("horizon and x_max must be positive")
     if y_max is None:
         y_max = 4.0 * _default_y_max(model, decay, horizon, x_max)
+    _require_finite(y_max=y_max)
     if y_max <= model.threshold:
         raise ValueError("y_max must exceed the impact threshold or the policy range is empty")
 

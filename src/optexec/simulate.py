@@ -8,9 +8,10 @@ that would oversell is clipped to the remaining inventory.
 
 A strategy's `speeds(t, remaining)` must be price-blind, as the optimal
 feedback of the risk-neutral reduction (value c + s*W(t, x)) is.  Every path
-then holds the same inventory, so it is marched once, with one `speeds` call
-per step on a length-1 array and one `g` call for all steps, and the
-per-path work advances only price and cash.
+then holds the same inventory, so it is marched once as a float: `speeds`
+takes that inventory as a float and returns one speed, called once per step,
+and one `g` call covers all steps.  The per-path work advances only price
+and cash.
 
 The impact drift is then the same on every path, so strategy j's log-price
 is the unimpacted one minus a deterministic drag, Y_j,k = Yref_k - G_j,k with
@@ -67,9 +68,8 @@ class DeterministicStrategy:
         self.schedule = schedule
         self.horizon = float(schedule.horizon)
 
-    def speeds(self, t: float, remaining: np.ndarray) -> np.ndarray:
-        rate = max(float(self.schedule.rates(t)), 0.0)
-        return np.full(remaining.shape, rate)
+    def speeds(self, t: float, remaining: float) -> float:
+        return max(float(self.schedule.rates(t)), 0.0)
 
 
 class FeedbackStrategy:
@@ -84,18 +84,16 @@ class FeedbackStrategy:
     """
 
     def __init__(self, surface: ValueSurface):
-        if surface.policy is None:
-            raise ValueError("surface carries no policy")
         self.surface = surface
         self.horizon = float(surface.t_grid[-1])
         self.threshold = float(surface.threshold)
 
-    def speeds(self, t: float, remaining: np.ndarray) -> np.ndarray:
+    def speeds(self, t: float, remaining: float) -> float:
         ttg = min(max(self.horizon - t, 0.0), self.horizon)
         y = self.surface.policy_row(ttg, remaining)
         # every policy node is 0 or above the threshold, but interpolating
         # between such a pair can land in (0, threshold]; the x = 0 column is 0
-        return np.where((y > 0.0) & (y <= self.threshold), 0.0, y)
+        return 0.0 if 0.0 < y <= self.threshold else y
 
 
 @dataclass
@@ -103,6 +101,10 @@ class TerminalStats:
     mean: float
     variance: float
     quantiles: tuple
+
+
+def _std_error(arr: np.ndarray) -> float:
+    return float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
 
 
 def _stats(arr: np.ndarray) -> TerminalStats:
@@ -180,11 +182,25 @@ def simulate(
 ) -> SimResult:
     """Monte Carlo estimate of E[C_T], the risk-neutral trader's terminal cash,
     under the given strategy."""
-    (res,) = _simulate_all(
+    xs, cash, price, absorbed, hist = _simulate_all(
         [strategy], market, model, c0, x0, s0, horizon, n_paths, n_steps, seed,
         log_floor, return_paths,
     )
-    return res
+    paths = None
+    if return_paths:
+        t = np.linspace(0.0, horizon, n_steps + 1)
+        paths = {"t": t, "S": hist[1, 0], "C": hist[0, 0], "X": np.tile(xs[0], (n_paths, 1))}
+    return SimResult(
+        mean_utility=float(cash[0].mean()),
+        std_error=_std_error(cash[0]),
+        n_paths=n_paths,
+        cash=_stats(cash[0]),
+        inventory=_stats(np.full(n_paths, xs[0, -1])),
+        price=_stats(price[0]),
+        absorption_count=int(absorbed[0]),
+        utilities=cash[0],
+        paths=paths,
+    )
 
 
 def _price_paths(sells, drags, market, c0, s0, dt, n_paths, seed, log_floor, return_paths):
@@ -273,10 +289,12 @@ def _factorised_chunk(noise, sells, drags, market, c0, s0, dt, log_floor, cash, 
 def _simulate_all(
     strategies, market, model, c0, x0, s0, horizon, n_paths, n_steps, seed,
     log_floor=-60.0, return_paths=False,
-) -> list:
-    """One SimResult per strategy, all driven by the same noise: each
-    strategy's inventory path is marched once, one `g` call gives every
-    step's impact drift, then `_price_paths` runs all strategies at once."""
+):
+    """All strategies driven by the same noise: each strategy's inventory
+    path is marched once as a float, one `g` call gives every step's impact
+    drift, then `_price_paths` runs all strategies at once.  Returns the
+    inventory paths, (rows, n_steps + 1), then `_price_paths`' cash, price,
+    absorbed counts and history."""
     _validate_common(n_paths, n_steps, seed, horizon, s0, c0, x0)
     if x0 < 0.0 or s0 < 0.0:
         raise ValueError("need x0 >= 0 and s0 >= 0")
@@ -286,40 +304,15 @@ def _simulate_all(
 
     dt = horizon / n_steps
     sells = np.empty((len(strategies), n_steps))
-    xs = np.full((len(strategies), n_steps + 1), float(x0))
+    xs = np.empty((len(strategies), n_steps + 1))
     for j, strategy in enumerate(strategies):
+        x = xs[j, 0] = float(x0)  # the inventory every path holds
         for k in range(n_steps):
-            X = xs[j, k : k + 1]  # the inventory every path holds
-            sp = np.where(X > 0.0, np.asarray(strategy.speeds(k * dt, X), dtype=float), 0.0)
-            sells[j, k] = np.minimum(sp * dt, X)[0]
-            xs[j, k + 1] = X[0] - sells[j, k]
-    cash, price, absorbed, hist = _price_paths(
-        sells, model.g(sells / dt), market, c0, s0, dt, n_paths, seed, log_floor, return_paths
-    )
-
-    results = []
-    for j in range(len(strategies)):
-        inventory = np.full(n_paths, xs[j, -1])
-        utilities = cash[j]
-        se = float(utilities.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
-        paths = None
-        if return_paths:
-            t = np.linspace(0.0, horizon, n_steps + 1)
-            paths = {"t": t, "S": hist[1, j], "C": hist[0, j], "X": np.tile(xs[j], (n_paths, 1))}
-        results.append(
-            SimResult(
-                mean_utility=float(utilities.mean()),
-                std_error=se,
-                n_paths=n_paths,
-                cash=_stats(cash[j]),
-                inventory=_stats(inventory),
-                price=_stats(price[j]),
-                absorption_count=int(absorbed[j]),
-                utilities=utilities,
-                paths=paths,
-            )
-        )
-    return results
+            speed = strategy.speeds(k * dt, x)
+            sells[j, k] = sell = min(speed * dt, x) if x > 0.0 else 0.0
+            x = xs[j, k + 1] = x - sell
+    drags = model.g(sells / dt)
+    return (xs, *_price_paths(sells, drags, market, c0, s0, dt, n_paths, seed, log_floor, return_paths))
 
 
 def simulate_unimpacted(
@@ -385,17 +378,15 @@ def compare_strategies(
         raise ValueError("need at least two strategies to compare")
 
     names = [name for name, _ in strategies]
-    results = _simulate_all(
+    _, cash, _, _, _ = _simulate_all(
         [s for _, s in strategies], market, model, c0, x0, s0, horizon, n_paths, n_steps, seed,
         log_floor,
     )
-    utils = [res.utilities for res in results]
-    means = [res.mean_utility for res in results]
-    ses = [res.std_error for res in results]
+    means = [float(u.mean()) for u in cash]
+    ses = [_std_error(u) for u in cash]
     pairs = []
-    for i in range(len(utils)):
-        for j in range(i + 1, len(utils)):
-            d = utils[i] - utils[j]
-            se = float(d.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
-            pairs.append((names[i], names[j], float(d.mean()), se))
+    for i in range(len(cash)):
+        for j in range(i + 1, len(cash)):
+            d = cash[i] - cash[j]
+            pairs.append((names[i], names[j], float(d.mean()), _std_error(d)))
     return StrategyComparison(names=names, means=means, std_errors=ses, pairs=pairs)

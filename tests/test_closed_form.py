@@ -348,3 +348,26 @@ def test_schedule_constant_validation():
     assert sched.rates(0.5) == 0.0
     with pytest.raises(ValueError):
         sched.sample(0)
+
+
+_NAN, _INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: twap_rate(QUAD, _INF), "decay"),
+        (lambda: extreme_comparison(SHIFTED, 0.1, 100.0, _INF, 1.0), "decay"),
+        (lambda: mixed_power_solution(0.0, 0.1, 100.0, MIXED, _NAN, 1.0), "decay"),
+        (lambda: mixed_power_solution(0.0, 0.1, 100.0, MIXED, 0.05, _NAN), "horizon"),
+        (lambda: mixed_power_solution(0.0, _NAN, 100.0, MIXED, 0.05, 1.0), "x0"),
+        (lambda: linear_quasi_block(1.0, 0.0, 1.0, 1.0, delta=0.01, decay=_NAN), "decay"),
+        (lambda: incomplete_beta(_NAN, 1.5, 2.0), "z"),
+    ],
+    ids=["twap_rate-inf", "extreme-inf", "mixed-nan-decay", "mixed-nan-horizon", "mixed-nan-x0",
+         "quasi-block-nan-decay", "beta-nan-z"],
+)
+def test_closed_forms_reject_non_finite_inputs(call, name):
+    # unchecked, these return a number, report `unsolved` or divide by zero
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        call()

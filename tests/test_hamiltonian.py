@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from optexec.hamiltonian import (
     Gradient,
-    _brute_min_expanding,
+    _brute_min,
+    closed_vs_brute_samples,
     hamiltonian,
-    hamiltonian_bruteforce,
     optimal_speed,
 )
 from optexec.impact import (
@@ -67,33 +67,32 @@ def test_hamiltonian_never_positive():
             assert hamiltonian(s, p, m) <= 0.0
 
 
+def _one_draw(model, s, p, y_max, n):
+    """The oracle kernel on the single draw (s, p): (argmin, min, y_max reached)."""
+    out = _brute_min(model, [s * p.p_c - p.p_x], [s * p.p_s], y_max, n)
+    return tuple(float(v[0]) for v in out)
+
+
 def test_bruteforce_matches_closed_form():
     p = Gradient(2.0, 0.0, 1.0)
-    brute = hamiltonian_bruteforce(1.0, p, QUAD, y_max=10.0, n=10001)
+    _, brute, _ = _one_draw(QUAD, 1.0, p, 10.0, 10001)
     assert brute == pytest.approx(-1.0, abs=1e-6)
 
 
 def test_bruteforce_zero_when_selling_never_pays():
     p = Gradient(-5.0, 1.0, 1.0)
-    assert hamiltonian_bruteforce(1.0, p, QUAD, y_max=10.0, n=1001) == 0.0
+    assert _one_draw(QUAD, 1.0, p, 10.0, 1001)[1] == 0.0
 
 
-def test_bruteforce_truncation_flagged_by_value():
-    p = Gradient(2.0, 0.0, 1.0)  # true minimizer at y = 1
-    truncated = hamiltonian_bruteforce(1.0, p, QUAD, y_max=0.3, n=301)
-    assert truncated > hamiltonian(1.0, p, QUAD)
-
-
-def test_bruteforce_rejects_degenerate_grid():
-    with pytest.raises(ValueError):
-        hamiltonian_bruteforce(1.0, Gradient(1.0, 0.0, 1.0), QUAD, y_max=1.0, n=1)
-    with pytest.raises(ValueError):
-        hamiltonian_bruteforce(1.0, Gradient(1.0, 0.0, 1.0), QUAD, y_max=0.0, n=10)
+def test_sample_sweep_rejects_a_one_point_grid():
+    # one grid point is y = 0 alone: every draw's search would end at the origin
+    with pytest.raises(ValueError, match="n_grid"):
+        closed_vs_brute_samples(QUAD, 5, n_grid=1)
 
 
 def test_expansion_reaches_interior_minimizer():
     p = Gradient(50.0, 0.0, 1.0)  # minimizer y = 25 for quadratic
-    y_star, val, y_max = _brute_min_expanding(1.0, p, QUAD, 1.0, 2001)
+    y_star, val, y_max = _one_draw(QUAD, 1.0, p, 1.0, 2001)
     assert y_star == pytest.approx(25.0, rel=1e-4)
     assert y_max >= 32.0
     assert val == pytest.approx(hamiltonian(1.0, p, QUAD), rel=1e-9)
@@ -122,12 +121,13 @@ def test_degree_one_homogeneity_in_the_gradient(lam):
     # scaling the whole gradient rescales the Hamiltonian and keeps the speed
     s = 1.7
     p = Gradient(2.0, -0.5, 0.8)
+    scaled = Gradient(lam * p.p_c, lam * p.p_x, lam * p.p_s)
     for m in FAMILIES:
         h1 = hamiltonian(s, p, m)
-        h2 = hamiltonian(s, p.scaled(lam), m)
+        h2 = hamiltonian(s, scaled, m)
         assert h2 == pytest.approx(lam * h1, rel=1e-12, abs=1e-300)
         y1 = optimal_speed(s, p, m)
-        y2 = optimal_speed(s, p.scaled(lam), m)
+        y2 = optimal_speed(s, scaled, m)
         assert y2 == pytest.approx(y1, rel=1e-12, abs=0.0)
 
 
@@ -232,8 +232,6 @@ def _bits(rows):
 def test_sample_rows_equal_one_draw_calls(model):
     # the lockstep sweep gives every row the bits of the one-draw oracle and
     # closed-form calls, including draws whose search doubled y_max
-    from optexec.hamiltonian import closed_vs_brute_samples
-
     n_draws, seed = 80, 5
     rows = closed_vs_brute_samples(model, n_draws, seed=seed, n_grid=1001)
     rng = np.random.default_rng(seed)
@@ -242,7 +240,7 @@ def test_sample_rows_equal_one_draw_calls(model):
     for _ in range(n_draws):
         s = float(rng.uniform(0.2, 5.0))
         p = Gradient(float(rng.normal(1.0, 1.0)), float(rng.normal(0.0, 1.0)), float(rng.uniform(0.05, 3.0)))
-        _, h_brute, y_max = _brute_min_expanding(s, p, model, y_max0, 1001)
+        _, h_brute, y_max = _one_draw(model, s, p, y_max0, 1001)
         doubled += y_max > y_max0
         expected.append((s, p.p_c, p.p_x, p.p_s, hamiltonian(s, p, model), h_brute, optimal_speed(s, p, model)))
     assert np.array_equal(_bits(rows), _bits(expected))
@@ -258,20 +256,14 @@ def test_oracle_never_uses_the_closed_form(monkeypatch):
     ham = importlib.import_module("optexec.hamiltonian")  # the package's `hamiltonian` is the function
 
     p = Gradient(2.0, -0.5, 0.8)
-    before = [
-        (hamiltonian_bruteforce(1.3, p, m, y_max=5.0, n=501), _brute_min_expanding(1.3, p, m, 0.5, 501))
-        for m in FAMILIES
-    ]
+    before = [(_one_draw(m, 1.3, p, 5.0, 501), _one_draw(m, 1.3, p, 0.5, 501)) for m in FAMILIES]
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle called the closed form")
 
     monkeypatch.setattr(ImpactModel, "h_inverse", forbidden)
     monkeypatch.setattr(ham, "best_response", forbidden)
-    after = [
-        (hamiltonian_bruteforce(1.3, p, m, y_max=5.0, n=501), _brute_min_expanding(1.3, p, m, 0.5, 501))
-        for m in FAMILIES
-    ]
+    after = [(_one_draw(m, 1.3, p, 5.0, 501), _one_draw(m, 1.3, p, 0.5, 501)) for m in FAMILIES]
     assert after == before
 
 
@@ -283,8 +275,6 @@ class _OffInverse(MixedPowerImpact):
 
 
 def test_sample_sweep_detects_a_slightly_wrong_inverse():
-    from optexec.hamiltonian import closed_vs_brute_samples
-
     def worst(model):
         rows = closed_vs_brute_samples(model, 300, seed=3)
         return max(abs(r[4] - r[5]) / (1.0 + abs(r[4])) for r in rows)
@@ -325,13 +315,12 @@ def _textbook_min(f, y_max, n, max_doublings=20):
 @pytest.mark.parametrize("model", FAMILIES, ids=lambda m: m.family)
 def test_oracle_matches_textbook_scalar_search(model):
     # the lockstep kernel does, per draw, the float operations of the scalar loop
-    from optexec.hamiltonian import running_gain_rate
-
     rng = np.random.default_rng(11)
     got, want = [], []
     for _ in range(25):
         s = float(rng.uniform(0.2, 5.0))
         p = Gradient(float(rng.normal(1.0, 2.0)), float(rng.normal(0.0, 1.0)), float(rng.uniform(0.05, 3.0)))
-        got.append(_brute_min_expanding(s, p, model, 1.0, 501))
-        want.append(_textbook_min(lambda y: running_gain_rate(y, s, p, model), 1.0, 501))
+        a, b = s * p.p_c - p.p_x, s * p.p_s
+        got.append(_one_draw(model, s, p, 1.0, 501))
+        want.append(_textbook_min(lambda y: b * model.g(np.asarray(y, dtype=float)) - a * y, 1.0, 501))
     assert np.array_equal(_bits(got), _bits(want))

@@ -482,3 +482,17 @@ def test_non_finite_rate_raises(monkeypatch):
     monkeypatch.setattr(hjb, "_node_controls", poisoned)
     with pytest.raises(NumericalFailure, match="rate"):
         solve_reduced_hjb(QUAD, nt=10, nx=10, **BENCH)
+
+
+@pytest.mark.parametrize(
+    "name, bad",
+    [("decay", -math.inf), ("decay", math.nan), ("horizon", math.nan), ("x_max", math.inf), ("y_max", math.nan)],
+)
+def test_solver_rejects_non_finite_inputs(name, bad):
+    # checked before marching: unchecked, decay = -inf marches to a mostly-NaN
+    # surface and the others end in NumericalFailure (exit code 4), the class
+    # for numerical trouble, for what is an input error
+    args = dict(BENCH, nt=10, nx=10, y_max=None)
+    args[name] = bad
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        solve_reduced_hjb(QUAD, **args)

@@ -284,8 +284,7 @@ def test_cash_monotone_and_inventory_bounds():
 def test_feedback_strategy_tracks_closed_form():
     surf = solve_reduced_hjb(QUAD, 0.04, 1.0, 0.2, nt=150, nx=150)
     fb = FeedbackStrategy(surf)
-    xs = np.array([0.0, 0.03, 0.08, 0.15])
-    speeds = fb.speeds(0.3, xs)
+    speeds = np.array([fb.speeds(0.3, x) for x in (0.0, 0.03, 0.08, 0.15)])
     assert speeds[0] == 0.0
     assert np.all((speeds == 0.0) | (speeds > surf.threshold))
     sol = twap_solution(0.0, 0.1, 100.0, QUAD, 0.04, 1.0)
@@ -298,7 +297,7 @@ def test_feedback_speed_projection_out_of_forbidden_interval():
     surf = solve_reduced_hjb(m, 0.05, 1.0, 1.0, nt=60, nx=60)
     fb = FeedbackStrategy(surf)
     for t in (0.0, 0.25, 0.6, 0.99):
-        sp = fb.speeds(t, np.linspace(0.0, 1.0, 257))
+        sp = np.array([fb.speeds(t, x) for x in np.linspace(0.0, 1.0, 257).tolist()])
         assert np.all((sp == 0.0) | (sp > m.threshold))
 
 
