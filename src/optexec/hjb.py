@@ -159,7 +159,8 @@ def solve_reduced_hjb(
     is crossed in `_substep`s sized by the row's fastest chosen speed.
     `saturation_fraction` is the share of conditioned stored nodes (W above
     the floor, x > 0) whose speed sits at the cap.  A non-finite decay,
-    horizon, x_max or y_max raises ValueError before the march.
+    horizon, x_max or y_max raises ValueError before the march, and a
+    non-finite value in the marched surface raises NumericalFailure.
     """
     if nt < 2 or nx < 2:
         raise ValueError("need nt >= 2 and nx >= 2 grid cells")
@@ -205,6 +206,9 @@ def solve_reduced_hjb(
                 break
             left -= h
 
+    # NaN passes the growth guard and gives speed 0, so the march cannot see it
+    if not np.isfinite(values).all():
+        raise NumericalFailure("the value surface has non-finite entries")
     live = values[:, 1:] > _W_EPS
     at_cap = np.count_nonzero(live & (policy[:, 1:] == y_max))
     return ValueSurface(

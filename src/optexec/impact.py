@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 _INVERSE_RTOL = 1e-12
+_TINY = np.finfo(float).tiny
 
 
 def _match(x, out: np.ndarray):
@@ -36,40 +37,39 @@ def _match(x, out: np.ndarray):
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
-def increasing_root(f, df, target: np.ndarray, lo, what: str, hi=None) -> np.ndarray:
+def increasing_root(f, df, target: np.ndarray, lo, what: str) -> np.ndarray:
     """Elementwise x >= lo with |f(x) - target| <= 1e-12 * (1 + target).
 
     f must be increasing on [lo, inf) with f(lo) <= target and f -> infinity,
     df its derivative (NaN where unknown); both act on float arrays.  `lo` is
-    a scalar or an array like `target`, and so is `hi` if given, with
-    f(hi) >= target.  Without `hi` the right end of each bracket [lo, hi]
-    grows by factors of 8 until f(hi) >= target, and an element whose grown
-    f(hi) already meets the tolerance starts at hi.  Starting from lo, each
-    iteration evaluates f, shrinks the brackets by the sign of the error and
-    moves each unconverged element by the Newton step x - err / df(x), or to
-    its bracket midpoint where that step is not finite or leaves the open
-    bracket.  Converged elements stay where they are.
+    a scalar or an array like `target`.  The right end of each bracket
+    [lo, hi] grows by factors of 8 until f(hi) >= target, and an element whose
+    grown f(hi) already meets the tolerance starts at hi.  Starting from lo,
+    each iteration evaluates f, shrinks the brackets by the sign of the error
+    and moves each unconverged element by the Newton step x - err / df(x), or
+    to its bracket midpoint where that step is not finite or leaves the open
+    bracket.  Converged elements stay where they are.  `twap_rate` solves its
+    excess equation with it; every marginal inverse is closed-form.
     """
     tol = _INVERSE_RTOL * (1.0 + target)
     lo = np.broadcast_to(np.asarray(lo, dtype=float), target.shape)
     x = np.array(lo)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if hi is None:
-            hi = lo + 1.0
-            for _ in range(500):
-                f_hi = f(hi)
-                short = f_hi < target
-                if not short.any():
-                    break
-                hi = np.where(short, lo + 8.0 * (hi - lo), hi)
-                if not np.isfinite(hi).all():
-                    raise NumericalFailure(f"{what} target beyond float range")
-            else:
-                raise NumericalFailure(f"could not bracket the {what}")
-            # start at a right end that already meets the tolerance: the loop
-            # tests only x, and Newton steps from the left of a convex f
-            # overshoot such an end, so it would bisect all the way to it
-            x = np.where(np.abs(f_hi - target) <= tol, hi, x)
+        hi = lo + 1.0
+        for _ in range(500):
+            f_hi = f(hi)
+            short = f_hi < target
+            if not short.any():
+                break
+            hi = np.where(short, lo + 8.0 * (hi - lo), hi)
+            if not np.isfinite(hi).all():
+                raise NumericalFailure(f"{what} target beyond float range")
+        else:
+            raise NumericalFailure(f"could not bracket the {what}")
+        # start at a right end that already meets the tolerance: the loop
+        # tests only x, and Newton steps from the left of a convex f
+        # overshoot such an end, so it would bisect all the way to it
+        x = np.where(np.abs(f_hi - target) <= tol, hi, x)
         for _ in range(200):
             err = f(x) - target
             lo = np.where(err < 0.0, x, lo)
@@ -136,8 +136,9 @@ class ImpactModel:
     def h_inverse(self, ybar):
         """Inverse of h on its rising branch: the x >= threshold with h(x) = ybar.
 
-        The family's closed form, or `increasing_root` from its analytic
-        bracket, run until |h(x) - ybar| <= 1e-12 * (1 + ybar).
+        Every family has a closed form; the Gamma-clock one (a cubic's real
+        root) meets |h(x) - ybar| <= 1e-12 * (1 + ybar) or raises
+        NumericalFailure.
         """
         arr = np.atleast_1d(np.asarray(ybar, dtype=float))
         floor = self.marginal_floor
@@ -361,7 +362,39 @@ class LevyEffectiveImpact(ImpactModel):
         return 2.0 * self.gamma * self.alpha0 + c * (1.0 - u) / (u + 1.0) ** 2
 
     def _h_inverse(self, ybar):
-        # 2*gamma*alpha0*x <= h(x) <= 2*alpha0*(gamma + alpha1*beta1)*x brackets the root
-        slope = 2.0 * self.alpha0 * self.gamma
-        lo = ybar / (slope + 2.0 * self.alpha0 * self.alpha1 * self.beta1)
-        return increasing_root(self._h, self._dh, ybar, lo, "marginal inverse", hi=ybar / slope)
+        # Times alpha0*beta1*x**2 + 1 > 0, h(x) = ybar is the cubic
+        # (k*x - ybar)*(alpha0*beta1*x**2 + 1) + 2*alpha0*alpha1*beta1*x = 0, with
+        # k = 2*gamma*alpha0.  h' >= 0 leaves it one real root (a triple one where h'
+        # touches 0).  In z = x/s, s = max(ybar/k, 1), the cubic is
+        # z**3 + b*z**2 + c*z + d = 0 with coefficients bounded for every ybar.
+        k = 2.0 * self.gamma * self.alpha0
+        ab = self.alpha0 * self.beta1
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            r = ybar / k
+            s = np.maximum(r, 1.0)
+            s2 = s * s
+            b3 = r / s / -3.0  # b/3
+            c = (self.gamma + self.alpha1 * self.beta1) / (self.gamma * ab) / s2
+            d = 3.0 * b3 / (ab * s2)
+            # Cardano on t**3 + 3*p3*t - 2*hq = 0, z = t - b/3; hq**2 + p3**3 stays
+            # accurate where p3 and hq vanish (near a triple root).  With
+            # w**3 = hq + sign(hq)*sqrt(hq**2 + p3**3), the root t = w - p3/w is taken
+            # as 2*hq / (w**2 + p3 + (p3/w)**2), which does not cancel and needs only
+            # |w|; that denominator is NaN only at an exact triple root, where hq = 0
+            # makes t = 0.
+            bb = b3 * b3
+            p3 = c / 3.0 - bb
+            hq = 0.5 * (b3 * (c - 2.0 * bb) - d)
+            w = (np.abs(hq) + np.sqrt(np.maximum(hq * hq + p3 * p3 * p3, 0.0))) ** (1.0 / 3.0)
+            v = p3 / w
+            x = s * (2.0 * hq / np.fmax(w * w + v * v + p3, _TINY) - b3)
+            err = self._h(x) - ybar
+            if not (np.abs(err) <= _INVERSE_RTOL * (1.0 + ybar)).all():  # NaN fails too
+                raise NumericalFailure("marginal inverse missed its tolerance or the float range")
+            # One Newton step on h.  x is within a few ulps of the root except near
+            # a triple root, where its residual is already at rounding level and the
+            # step is rounding noise over h' ~ 0; h' is NaN where alpha0*beta1*x**2
+            # overflows, and there h(x) = k*x holds to rounding.  So a step above
+            # 1e-10 * x, or NaN, is not taken.
+            step = err / self._dh(x)
+            return np.where(np.abs(step) <= 1e-10 * x, x - step, x)

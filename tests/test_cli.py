@@ -150,6 +150,21 @@ def test_solve_hjb_runs_the_control_kernel_only_in_its_marches(bench_config, tmp
     assert len(calls) == sum(1 + 2 * int(surf.substeps.sum()) for surf in surfaces)
 
 
+def test_solve_hjb_exits_4_on_a_non_finite_surface(bench_config, tmp_path, monkeypatch, capsys):
+    euler = hjb._euler
+
+    def poisoned(W, psi, h, decay):
+        out = euler(W, psi, h, decay)
+        out[1] = np.nan
+        return out
+
+    monkeypatch.setattr(hjb, "_euler", poisoned)
+    args = ["solve-hjb", "--config", bench_config, "--output", str(tmp_path / "hjb")]
+    assert main(args + ["--set", "solver.nt=10", "--set", "solver.nx=10"]) == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "numerical_failure" and "non-finite" in err["message"]
+
+
 def test_simulate_and_paths_csv(bench_config, tmp_path):
     out = tmp_path / "sim"
     rc = main(

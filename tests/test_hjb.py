@@ -496,3 +496,17 @@ def test_solver_rejects_non_finite_inputs(name, bad):
     args[name] = bad
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         solve_reduced_hjb(QUAD, **args)
+
+
+def test_non_finite_surface_raises(monkeypatch):
+    # a NaN value passes the growth guard (NaN > guard is False) and gives
+    # speed 0, so the march goes on; the finished surface must not be returned
+    def poisoned(W, psi, h, decay):
+        out = _euler(W, psi, h, decay)
+        if out[-1] > 0.01:
+            out[5] = np.nan
+        return out
+
+    monkeypatch.setattr(hjb, "_euler", poisoned)
+    with pytest.raises(NumericalFailure, match="non-finite"):
+        solve_reduced_hjb(QUAD, nt=10, nx=10, **BENCH)
