@@ -14,7 +14,6 @@ from .closed_form import (
     TwapSolution,
     extreme_comparison,
     incomplete_beta,
-    levy_effective_twap_rate,
     linear_quasi_block,
     mixed_power_solution,
     proceeds_factor,

@@ -334,17 +334,18 @@ def _compare(cfg: RunConfig):
 
 
 def _hamiltonian_check(cfg: RunConfig):
-    rows = closed_vs_brute_samples(
+    table = closed_vs_brute_samples(
         cfg.model, cfg.check.draws, seed=cfg.check.seed, n_grid=cfg.check.grid_points
     )
-    worst = max(abs(r[4] - r[5]) / (1.0 + abs(r[4])) for r in rows)
+    h_closed, h_brute = table[:, 4], table[:, 5]
+    worst = float(np.max(np.abs(h_closed - h_brute) / (1.0 + np.abs(h_closed))))
     summary = {
         "draws": cfg.check.draws,
         "max_scaled_diff": worst,
         "within_tol": bool(worst <= 1e-6),
     }
     header = ["s", "p_c", "p_x", "p_s", "H_closed", "H_brute", "speed"]
-    return summary, {"hamiltonian": (header, np.array(rows).T)}
+    return summary, {"hamiltonian": (header, table.T)}
 
 
 def _impact_plot(cfg: RunConfig):

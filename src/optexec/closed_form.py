@@ -1,5 +1,5 @@
 """Analytic liquidation results: TWAP rates and values, mixed-power
-strategies, the Gamma-clock effective rate, and limit comparisons.
+strategies and limit comparisons.
 
 All value formulas live in the risk-neutral Black-Scholes reduction, where
 the only market input is the effective price decay rate
@@ -26,10 +26,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import HypothesisViolation, NumericalFailure
+from .errors import HypothesisViolation, NumericalFailure, require_finite
 from .impact import (
     ImpactModel,
-    LevyEffectiveImpact,
     MixedPowerImpact,
     ShiftedConvexImpact,
     increasing_root,
@@ -44,7 +43,6 @@ __all__ = [
     "incomplete_beta",
     "MixedPowerSolution",
     "mixed_power_solution",
-    "levy_effective_twap_rate",
     "proceeds_factor",
     "ExtremeComparison",
     "extreme_comparison",
@@ -66,8 +64,7 @@ class MarketParams:
     decay: float
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.mu, self.sigma, self.decay)):
-            raise ValueError("mu, sigma and decay must be finite")
+        require_finite(mu=self.mu, sigma=self.sigma, decay=self.decay)
         if self.sigma < 0.0:
             raise ValueError("sigma must be non-negative")
         if self.mu + 0.5 * self.sigma * self.sigma + self.decay != 0.0:
@@ -124,13 +121,6 @@ class Schedule:
         return cls(rate_fn=fn, horizon=horizon, total=rate * duration)
 
 
-def _require_finite(**args) -> None:
-    """ValueError naming the first argument that is NaN or infinite."""
-    for name, v in args.items():
-        if not math.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v}")
-
-
 def twap_rate(model: ImpactModel, decay: float) -> float:
     """The unique rate above the threshold with x*h(x) - g(x) = decay.
 
@@ -140,7 +130,7 @@ def twap_rate(model: ImpactModel, decay: float) -> float:
     """
     if not decay > 0.0:  # a NaN decay fails here too
         raise ValueError("twap_rate needs a positive decay rate")
-    _require_finite(decay=decay)
+    require_finite(decay=decay)
     root = increasing_root(
         lambda x: x * model._h(x) - model._g(x),
         lambda x: x * model._dh(x),
@@ -167,7 +157,7 @@ def twap_solution(
     Valid under x0 <= rate * horizon; outside that the constant-rate result
     does not apply and the caller is pointed at the HJB solver.
     """
-    _require_finite(c0=c0, x0=x0, s0=s0, horizon=horizon)
+    require_finite(c0=c0, x0=x0, s0=s0, horizon=horizon)
     if x0 < 0.0 or s0 < 0.0 or horizon <= 0.0:
         raise ValueError("need x0 >= 0, s0 >= 0 and a positive horizon")
     rate = twap_rate(model, decay)
@@ -210,7 +200,7 @@ def incomplete_beta(z: float, a: float, b: float) -> float:
     by substituting x = u**k with k = 2/(2-a) before adaptive quadrature.
     Relative accuracy 1e-10.
     """
-    _require_finite(z=z, a=a, b=b)
+    require_finite(z=z, a=a, b=b)
     if z < 0.0:
         raise ValueError("z must be non-negative")
     if z > 1.0:
@@ -290,7 +280,7 @@ def mixed_power_solution(
     """
     if not isinstance(model, MixedPowerImpact):
         raise ValueError("mixed_power_solution needs a mixed-power impact model")
-    _require_finite(c0=c0, x0=x0, s0=s0, decay=decay, horizon=horizon)
+    require_finite(c0=c0, x0=x0, s0=s0, decay=decay, horizon=horizon)
     if decay <= 0.0:
         raise ValueError("needs a positive decay rate")
     if x0 < 0.0 or s0 < 0.0 or horizon <= 0.0:
@@ -332,22 +322,6 @@ def mixed_power_solution(
     return MixedPowerSolution("unsolved", None, None, x_large, x_small, rate, delta)
 
 
-def levy_effective_twap_rate(
-    gamma: float, alpha0: float, alpha1: float, beta1: float, decay: float
-) -> float:
-    """Optimal constant rate under the Gamma-clock effective impact: solves
-
-        gamma*alpha0*r**2
-          + alpha1*(2*(1 - 1/(1 + alpha0*beta1*r**2)) - log(alpha0*beta1*r**2 + 1))
-          = decay,
-
-    which is the excess-impact equation of the levy_effective family, so the
-    root is computed by `twap_rate` like every other TWAP rate.
-    """
-    model = LevyEffectiveImpact(gamma=gamma, alpha0=alpha0, alpha1=alpha1, beta1=beta1)
-    return twap_rate(model, decay)
-
-
 def proceeds_factor(y: float, x: float) -> float:
     """(1 - exp(-x*y)) / y: discounted proceeds per unit price of selling x
     shares when each share sold decays the price log-linearly at rate y.
@@ -377,7 +351,7 @@ def extreme_comparison(
     """
     if not isinstance(model, ShiftedConvexImpact):
         raise ValueError("extreme_comparison needs a shifted-convex impact model")
-    _require_finite(x0=x0, s0=s0, decay=decay, horizon=horizon)
+    require_finite(x0=x0, s0=s0, decay=decay, horizon=horizon)
     if decay <= 0.0:
         raise ValueError("needs a positive decay rate")
     rate = twap_rate(model, decay)
@@ -410,7 +384,7 @@ def linear_quasi_block(
     exp(-decay*t - alpha*x0*t/delta) * (x0/delta), and increases to the
     limit as delta -> 0.
     """
-    _require_finite(alpha=alpha, c0=c0, x0=x0, s0=s0, delta=delta, decay=decay)
+    require_finite(alpha=alpha, c0=c0, x0=x0, s0=s0, delta=delta, decay=decay)
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
     if delta <= 0.0:

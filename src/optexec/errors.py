@@ -1,4 +1,7 @@
-"""Exception types shared across the library and mapped to CLI exit codes."""
+"""Exception types shared across the library and mapped to CLI exit codes,
+and the one finiteness check on library arguments."""
+
+import math
 
 
 class ConfigError(Exception):
@@ -11,3 +14,10 @@ class HypothesisViolation(Exception):
 
 class NumericalFailure(Exception):
     """An iteration failed to converge or a solve blew up (CLI exit code 4)."""
+
+
+def require_finite(**named) -> None:
+    """ValueError naming the first argument that is NaN or infinite."""
+    for name, v in named.items():
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")

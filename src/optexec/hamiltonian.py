@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import require_finite
 from .impact import ImpactModel
 
 __all__ = [
@@ -50,9 +51,7 @@ class Gradient:
     p_s: float
 
     def __post_init__(self):
-        for name in ("p_c", "p_x", "p_s"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        require_finite(p_c=self.p_c, p_x=self.p_x, p_s=self.p_s)
 
 
 def _check_price(s: float) -> None:
@@ -211,12 +210,13 @@ def _brute_min(model, a, b, y_max, n):
 def closed_vs_brute_samples(model: ImpactModel, n_draws: int, seed: int = 0, n_grid: int = 4001):
     """Random sweep comparing the closed-form Hamiltonian with the oracle.
 
-    Returns a list of rows (s, p_c, p_x, p_s, H_closed, H_brute, speed); the
-    draws keep p_s positive so the closed form applies.  The closed values
-    and speeds come from one `best_response` call over all draws, the brute
-    values from one lockstep `_brute_min` run over all draws, whose y_max
-    starts at max(2*threshold + 1, 1) and doubles (up to 2**20 times the
-    start) for each draw whose argmin lands on the right endpoint.  Every
+    Returns an (n_draws, 7) float array whose rows are (s, p_c, p_x, p_s,
+    H_closed, H_brute, speed); the draws keep p_s positive so the closed
+    form applies.  The closed values and speeds come from one
+    `best_response` call over all draws, the brute values from one lockstep
+    `_brute_min` run over all draws, whose y_max starts at
+    max(2*threshold + 1, 1) and doubles (up to 2**20 times the start) for
+    each draw whose argmin lands on the right endpoint.  Every
     row is bit-identical to the one-draw calls `hamiltonian`, `_brute_min`
     and `optimal_speed`.  The grid needs n_grid >= 2 points.
     """
@@ -233,4 +233,4 @@ def closed_vs_brute_samples(model: ImpactModel, n_draws: int, seed: int = 0, n_g
     a, b = s * p_c - p_x, s * p_s
     speed, gain = best_response(model, a, b)
     _, h_brute, _ = _brute_min(model, a, b, max(2.0 * model.threshold + 1.0, 1.0), n_grid)
-    return list(zip(*(col.tolist() for col in (s, p_c, p_x, p_s, 0.0 - gain, h_brute, speed))))
+    return np.column_stack((s, p_c, p_x, p_s, 0.0 - gain, h_brute, speed))

@@ -26,8 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from .closed_form import Schedule, _require_finite, twap_rate
-from .errors import NumericalFailure
+from .closed_form import Schedule, twap_rate
+from .errors import NumericalFailure, require_finite
 from .hamiltonian import best_response
 from .impact import ImpactModel
 
@@ -67,26 +67,25 @@ class ValueSurface:
             raise ValueError(f"{name} = {v:g} outside the solved grid [{lo:g}, {hi:g}]")
         return min(max(v, lo), hi)
 
-    def _row_at(self, field, t) -> np.ndarray:
-        """`field` (values or policy) at time-to-go t, linear between grid rows."""
+    def _lookup(self, field, t, x) -> float:
+        """`field` (values or policy) at one (time-to-go, inventory) point:
+        linear between grid rows, then between grid columns.  A point off the
+        solved grid (beyond rounding) raises ValueError naming t or x."""
         t = self._locate(self.t_grid, float(t), "t")
+        x = self._locate(self.x_grid, float(x), "x")
         lt = int(np.searchsorted(self.t_grid, t))
         lt = min(max(lt, 1), self.t_grid.size - 1)
         wt = (t - self.t_grid[lt - 1]) / (self.t_grid[lt] - self.t_grid[lt - 1])
-        return (1.0 - wt) * field[lt - 1] + wt * field[lt]
+        row = (1.0 - wt) * field[lt - 1] + wt * field[lt]
+        return float(np.interp(x, self.x_grid, row))
 
     def value_at(self, t, x) -> float:
         """Bilinear value lookup at one (time-to-go, inventory) point."""
-        row = self._row_at(self.values, t)
-        x = self._locate(self.x_grid, float(x), "x")
-        return float(np.interp(x, self.x_grid, row))
+        return self._lookup(self.values, t, x)
 
-    def policy_row(self, t, x: float) -> float:
-        """Bilinear policy lookup at one (time-to-go, inventory) point; x is
-        clipped to the grid."""
-        row = self._row_at(self.policy, t)
-        x = min(max(float(x), self.x_grid[0]), self.x_grid[-1])
-        return float(np.interp(x, self.x_grid, row))
+    def policy_at(self, t, x) -> float:
+        """Bilinear policy lookup at one (time-to-go, inventory) point."""
+        return self._lookup(self.policy, t, x)
 
 
 def _node_controls(model, W, dx, y_max, h_ymax):
@@ -164,12 +163,12 @@ def solve_reduced_hjb(
     """
     if nt < 2 or nx < 2:
         raise ValueError("need nt >= 2 and nx >= 2 grid cells")
-    _require_finite(decay=decay, horizon=horizon, x_max=x_max)
+    require_finite(decay=decay, horizon=horizon, x_max=x_max)
     if horizon <= 0.0 or x_max <= 0.0:
         raise ValueError("horizon and x_max must be positive")
     if y_max is None:
         y_max = 4.0 * _default_y_max(model, decay, horizon, x_max)
-    _require_finite(y_max=y_max)
+    require_finite(y_max=y_max)
     if y_max <= model.threshold:
         raise ValueError("y_max must exceed the impact threshold or the policy range is empty")
 
@@ -312,8 +311,7 @@ def optimize_deterministic_schedule(
 
     if n_pieces < 1:
         raise ValueError("need at least one schedule piece")
-    if not all(math.isfinite(v) for v in (decay, horizon, x0)):
-        raise ValueError("decay, horizon and x0 must be finite")
+    require_finite(decay=decay, horizon=horizon, x0=x0)
     if horizon <= 0.0 or x0 < 0.0:
         raise ValueError("need a positive horizon and x0 >= 0")
     dt = horizon / n_pieces

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NumericalFailure
+from .errors import NumericalFailure, require_finite
 
 __all__ = [
     "ImpactModel",
@@ -179,11 +179,6 @@ class ImpactModel:
             return {}
         return {f.name: getattr(self, f.name) for f in fields(self) if f.init}
 
-    def _check_finite(self):
-        bad = sorted(k for k, v in self.params().items() if not np.isfinite(v))
-        if bad:
-            raise ValueError(f"non-finite {self.family} parameter(s): {bad}")
-
     def __repr__(self):
         inner = ", ".join(f"{k}={v:g}" for k, v in self.params().items())
         return f"{type(self).__name__}({inner})"
@@ -215,7 +210,7 @@ class MixedPowerImpact(ImpactModel):
     family = "mixed_power"
 
     def __post_init__(self):
-        self._check_finite()
+        require_finite(**self.params())
         if self.alpha <= 0.0:
             raise ValueError("alpha must be positive")
         if self.p_convex <= 1.0:
@@ -274,7 +269,7 @@ class ShiftedConvexImpact(ImpactModel):
     family = "shifted_convex"
 
     def __post_init__(self):
-        self._check_finite()
+        require_finite(**self.params())
         if self.power <= 1.0:
             raise ValueError("power must exceed 1")
         if self.threshold <= 0.0:
@@ -303,7 +298,7 @@ class QuadraticImpact(ImpactModel):
     family = "quadratic"
 
     def __post_init__(self):
-        self._check_finite()
+        require_finite(**self.params())
         if self.alpha0 <= 0.0:
             raise ValueError("alpha0 must be positive")
 
@@ -339,7 +334,7 @@ class LevyEffectiveImpact(ImpactModel):
     family = "levy_effective"
 
     def __post_init__(self):
-        self._check_finite()
+        require_finite(**self.params())
         for name in ("gamma", "alpha0", "alpha1", "beta1"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
@@ -353,13 +348,17 @@ class LevyEffectiveImpact(ImpactModel):
         return self.gamma * self.alpha0 * x * x + self.alpha1 * np.log1p(u)
 
     def _h(self, x):
+        # c*(x/(u + 1)), not c*x/(u + 1): once u overflows to inf the fraction is 0,
+        # where c*x/inf would be inf/inf = NaN for the largest x
         u = self.alpha0 * self.beta1 * x * x
-        return 2.0 * self.gamma * self.alpha0 * x + 2.0 * self.alpha0 * self.alpha1 * self.beta1 * x / (u + 1.0)
+        return 2.0 * self.gamma * self.alpha0 * x + 2.0 * self.alpha0 * self.alpha1 * self.beta1 * (x / (u + 1.0))
 
     def _dh(self, x):
-        u = self.alpha0 * self.beta1 * x * x
+        # (1 - u)/(u + 1)**2 = p*(2p - 1) with p = 1/(u + 1), which is 0, not NaN,
+        # where u overflows (x above about 1e154)
+        p = 1.0 / (self.alpha0 * self.beta1 * x * x + 1.0)
         c = 2.0 * self.alpha0 * self.alpha1 * self.beta1
-        return 2.0 * self.gamma * self.alpha0 + c * (1.0 - u) / (u + 1.0) ** 2
+        return 2.0 * self.gamma * self.alpha0 + c * p * (2.0 * p - 1.0)
 
     def _h_inverse(self, ybar):
         # Times alpha0*beta1*x**2 + 1 > 0, h(x) = ybar is the cubic

@@ -39,6 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .closed_form import MarketParams, Schedule
+from .errors import require_finite
 from .hjb import ValueSurface
 from .impact import ImpactModel
 
@@ -76,9 +77,10 @@ class FeedbackStrategy:
     """Closed-loop selling read off a solved value surface's policy.
 
     The surface is indexed by time-to-go, so at calendar time t the speed is
-    the bilinear policy at (horizon - t, remaining).  Interpolated speeds
-    that land in the forbidden interval (0, threshold] are projected to 0,
-    so every emitted speed is 0 or strictly above the threshold.  The policy
+    the bilinear policy at (horizon - t, remaining); an inventory above the
+    grid's x_max raises ValueError.  Interpolated speeds that land in the
+    forbidden interval (0, threshold] are projected to 0, so every emitted
+    speed is 0 or strictly above the threshold.  The policy
     reads (t, remaining) only: price-blind, so the simulator calls `speeds`
     once per step, on the inventory all paths share.
     """
@@ -89,8 +91,7 @@ class FeedbackStrategy:
         self.threshold = float(surface.threshold)
 
     def speeds(self, t: float, remaining: float) -> float:
-        ttg = min(max(self.horizon - t, 0.0), self.horizon)
-        y = self.surface.policy_row(ttg, remaining)
+        y = self.surface.policy_at(self.horizon - t, remaining)
         # every policy node is 0 or above the threshold, but interpolating
         # between such a pair can land in (0, threshold]; the x = 0 column is 0
         return 0.0 if 0.0 < y <= self.threshold else y
@@ -158,10 +159,11 @@ def _path_noise(seed: int, start: int, count: int, n_steps: int) -> np.ndarray:
 def _validate_common(n_paths, n_steps, seed, horizon, s0, c0=0.0, x0=0.0):
     if n_paths < 1 or n_steps < 1:
         raise ValueError("need n_paths >= 1 and n_steps >= 1")
-    if not all(math.isfinite(v) for v in (c0, x0, s0, horizon)):
-        raise ValueError("c0, x0, s0 and horizon must be finite")
+    require_finite(c0=c0, x0=x0, s0=s0, horizon=horizon)
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
+    if x0 < 0.0 or s0 < 0.0:
+        raise ValueError("need x0 >= 0 and s0 >= 0")
     if not isinstance(seed, (int, np.integer)) or seed < 0 or seed >= 2**63:
         raise ValueError("seed must be a non-negative integer below 2**63")
 
@@ -296,8 +298,6 @@ def _simulate_all(
     inventory paths, (rows, n_steps + 1), then `_price_paths`' cash, price,
     absorbed counts and history."""
     _validate_common(n_paths, n_steps, seed, horizon, s0, c0, x0)
-    if x0 < 0.0 or s0 < 0.0:
-        raise ValueError("need x0 >= 0 and s0 >= 0")
     for strategy in strategies:
         if abs(strategy.horizon - horizon) > 1e-12 * max(1.0, horizon):
             raise ValueError("strategy horizon does not match the simulation horizon")
@@ -328,8 +328,6 @@ def simulate_unimpacted(
     `simulate` with matching (seed, path_index): under shared noise the
     controlled price never exceeds this one."""
     _validate_common(n_paths, n_steps, seed, horizon, s0)
-    if s0 < 0.0:
-        raise ValueError("s0 must be non-negative")
     # a row that sells nothing, has zero drag and is never absorbed: a
     # zero-impact strategy's row (exp(-G) = 1), so such a run reproduces this
     # price bit for bit

@@ -15,7 +15,6 @@ from optexec.closed_form import (
     MarketParams,
     Schedule,
     extreme_comparison,
-    levy_effective_twap_rate,
     linear_quasi_block,
     mixed_power_solution,
     twap_rate,
@@ -224,7 +223,7 @@ def test_criterion_7_extreme_impact_ordering():
 
 
 def test_criterion_8_levy_effective_rate():
-    rate = levy_effective_twap_rate(1.0, 1.0, 1.0, 1.0, 0.1)
+    rate = twap_rate(LEVY, 0.1)
     u = rate * rate
     resid_display = abs(u + (2.0 * (1.0 - 1.0 / (1.0 + u)) - math.log1p(u)) - 0.1)
     resid_excess = abs(LEVY.excess_impact(rate) - 0.1)

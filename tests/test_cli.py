@@ -234,6 +234,9 @@ def test_hamiltonian_check(tmp_path):
     lines = (out / "hamiltonian.csv").read_text().strip().splitlines()
     assert lines[0] == "s,p_c,p_x,p_s,H_closed,H_brute,speed"
     assert len(lines) == 61
+    # the summary's worst scaled difference is the row-by-row one over the table
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    assert doc["max_scaled_diff"] == max(abs(r[4] - r[5]) / (1.0 + abs(r[4])) for r in rows)
 
 
 def test_impact_plot_s_shape(tmp_path):
@@ -360,21 +363,52 @@ def test_mixed_power_subcommand(tmp_path):
     assert doc["value"] == pytest.approx(100.0 / 0.4 * math.sqrt(1.0 - math.exp(-0.08)), rel=1e-9)
 
 
+_SMALL_SIM = ["sim.n_paths=20", "sim.n_steps=10"]
+
+
+def _sets(*items):
+    return [a for s in items for a in ("--set", s)]
+
+
 def test_exit_codes(bench_config, tmp_path):
+    out = ["--output", str(tmp_path / "run")]
     # 2: config errors
     assert main(["twap", "--config", str(tmp_path / "missing.ini")]) == 2
+    malformed = tmp_path / "malformed.ini"
+    malformed.write_text("alpha0 = 1.0\n")  # a key before any section header
+    assert main(["twap", "--config", str(malformed)]) == 2
+    assert main(["twap"]) == 2  # no configuration at all
     assert main(["twap", "--config", bench_config, "--set", "problem.x0=abc"]) == 2
     assert main(["twap", "--config", bench_config, "--set", "solver.bogus=1"]) == 2
-    assert main(["levy-nu", "--config", bench_config]) == 2  # wrong family
+    for wrong_family in ("levy-nu", "mixed-power", "extreme-compare"):
+        assert main([wrong_family, "--config", bench_config]) == 2, wrong_family
+    # strategy specs: threshold runs on a shifted-convex model; it needs a positive
+    # threshold (2) and x0 <= threshold * horizon (3); an unknown spec is 2
+    shifted = tmp_path / "shifted.ini"
+    shifted.write_text(BENCH_INI.replace(_QUADRATIC, _RERUN_CASES["extreme-compare"][0]))
+    for config, sets, code in (
+        (shifted, ["problem.x0=0.5", "sim.strategy=threshold"], 0),
+        (bench_config, ["sim.strategy=threshold"], 2),
+        (shifted, ["problem.x0=1.5", "sim.strategy=threshold"], 3),
+        (bench_config, ["sim.strategy=bogus"], 2),
+    ):
+        args = ["simulate", "--config", str(config), *out, *_sets(*_SMALL_SIM, *sets)]
+        assert main(args) == code, sets
     for bad in ("problem.x0=nan", "problem.horizon=inf", "solver.y_max=nan", "impact.alpha0=nan"):
         assert main(["twap", "--config", bench_config, "--set", bad]) == 2, bad
     plot_range = ["--set", "plot.x_min=2", "--set", "plot.x_max=1"]
     assert main(["impact-plot", "--config", bench_config, *plot_range]) == 2
     assert main(["simulate", "--config", bench_config, "--set", "sim.strategy=rate:nan"]) == 2
-    # malformed manifests for rerun: not an object, no config, non-mapping or non-string values
+    # rerun of a manifest that is missing or not JSON
     manifest = tmp_path / "manifest.json"
+    assert main(["rerun", str(manifest)]) == 2
+    manifest.write_text("{not json")
+    assert main(["rerun", str(manifest)]) == 2
+    # malformed manifests: not an object, unknown subcommand, no config,
+    # non-mapping or non-string values
     for doc in (
         [1, 2],
+        {"subcommand": "bogus", "config": {}},
         {"subcommand": "twap"},
         {"subcommand": "twap", "config": {"problem": 5}},
         {"subcommand": "twap", "config": {"solver": {"refine": True}}},
@@ -383,6 +417,18 @@ def test_exit_codes(bench_config, tmp_path):
         assert main(["rerun", str(manifest)]) == 2, doc
     # 3: hypothesis violations
     assert main(["twap", "--config", bench_config, "--set", "problem.x0=0.5"]) == 3
+
+
+@pytest.mark.parametrize(
+    "subcommand, sets",
+    [("compare", ["compare.strategies=twap,feedback"]), ("simulate", ["sim.strategy=feedback"])],
+)
+def test_off_grid_feedback_exits_2(bench_config, tmp_path, capsys, subcommand, sets):
+    # x0 = 0.1 lies above the solved grid's x_max: the policy lookup raises instead of clipping
+    args = [subcommand, "--config", bench_config, "--output", str(tmp_path / "run")]
+    assert main(args + _sets("solver.x_max=0.05", *_SMALL_SIM, *sets)) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["message"]) == ("config_error", "x = 0.1 outside the solved grid [0, 0.05]")
 
 
 def test_missing_impact_parameter_is_a_config_error(tmp_path, capsys):

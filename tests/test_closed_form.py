@@ -9,7 +9,6 @@ from optexec.closed_form import (
     Schedule,
     extreme_comparison,
     incomplete_beta,
-    levy_effective_twap_rate,
     linear_quasi_block,
     mixed_power_solution,
     proceeds_factor,
@@ -255,27 +254,27 @@ class TestMixedPowerSolution:
 
 class TestLevyEffectiveRate:
     def test_against_brentq_oracle(self):
-        rate = levy_effective_twap_rate(1.0, 1.0, 1.0, 1.0, 0.1)
+        rate = twap_rate(LEVY, 0.1)
         assert rate == pytest.approx(LEVY_RATE_01, abs=1e-9)
 
     def test_displayed_equation_residual(self):
-        rate = levy_effective_twap_rate(1.0, 1.0, 1.0, 1.0, 0.1)
+        rate = twap_rate(LEVY, 0.1)
         u = rate * rate
         resid = u + (2.0 * (1.0 - 1.0 / (1.0 + u)) - math.log(u + 1.0)) - 0.1
         assert abs(resid) <= 1e-12 * 1.1
 
     def test_excess_identity(self):
-        rate = levy_effective_twap_rate(1.0, 1.0, 1.0, 1.0, 0.1)
+        rate = twap_rate(LEVY, 0.1)
         assert LEVY.excess_impact(rate) == pytest.approx(0.1, abs=1e-10)
 
     def test_vanishes_with_decay(self):
-        rates = [levy_effective_twap_rate(1.0, 1.0, 1.0, 1.0, d) for d in (0.1, 1e-3, 1e-6)]
+        rates = [twap_rate(LEVY, d) for d in (0.1, 1e-3, 1e-6)]
         assert rates[0] > rates[1] > rates[2]
         assert rates[2] < 1e-2
 
     def test_rejects_constraint_violation(self):
-        with pytest.raises(ValueError):
-            levy_effective_twap_rate(0.1, 1.0, 1.0, 1.0, 0.1)
+        with pytest.raises(ValueError, match=r"alpha1 \* beta1 must not exceed 8 \* gamma"):
+            LevyEffectiveImpact(gamma=0.1, alpha0=1.0, alpha1=1.0, beta1=1.0)
 
 
 class TestExtremeComparison:

@@ -26,7 +26,7 @@ FAMILIES = [QUAD, MIXED, SHIFTED, LEVY]
 
 
 def test_gradient_requires_finite():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^p_c must be finite, got nan$"):
         Gradient(float("nan"), 0.0, 1.0)
 
 

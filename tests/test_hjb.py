@@ -179,12 +179,14 @@ def test_residual_positive_and_converging_in_smooth_region():
 
 
 def test_value_at_rejects_off_grid_queries(quad_surface):
-    # the empty-inventory boundary is worth nothing; queries past the grid fail loudly
-    assert quad_surface.value_at(1.0, 0.0) == 0.0
-    with pytest.raises(ValueError, match=r"x = 0\.5 outside the solved grid"):
-        quad_surface.value_at(1.0, 0.5)
-    with pytest.raises(ValueError, match=r"t = 2 outside the solved grid"):
-        quad_surface.value_at(2.0, 0.1)
+    # the empty-inventory boundary is worth nothing and sells nothing; value and
+    # policy queries past the grid fail loudly
+    for lookup in (quad_surface.value_at, quad_surface.policy_at):
+        assert lookup(1.0, 0.0) == 0.0
+        with pytest.raises(ValueError, match=r"x = 0\.5 outside the solved grid"):
+            lookup(1.0, 0.5)
+        with pytest.raises(ValueError, match=r"t = 2 outside the solved grid"):
+            lookup(2.0, 0.1)
 
 
 def test_solver_input_validation():

@@ -264,6 +264,24 @@ def test_h_inverse_closed_form_over_the_float_range(params):
         assert abs(lv._h(np.array([top]))[0] - 1.7e308) <= 1e-12 * (1.0 + 1.7e308)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_gamma_clock_marginal_and_its_slope_stay_finite_at_huge_rates():
+    # alpha0*beta1*x**2 overflows from x ~ 1e154; h and h' then tend to their
+    # convex parts 2*gamma*alpha0*x and 2*gamma*alpha0 instead of turning NaN
+    lv = LevyEffectiveImpact(1.0, 1.0, 2.0, 2.0)
+    assert lv.h(8.5e307) == pytest.approx(1.7e308, rel=1e-15)
+    assert lv.h(1e200) == pytest.approx(2e200, rel=1e-15)
+    with np.errstate(over="ignore"):  # the hooks run under their callers' errstate
+        assert np.all(lv._dh(np.array([1.4e154, 1e200, 8.5e307])) == 2.0)
+    # x = 0 gives 0 and the largest slope 2*gamma*alpha0 + 2*alpha0*alpha1*beta1
+    assert lv._h(np.array([0.0]))[0] == 0.0 and lv._dh(np.array([0.0]))[0] == 10.0
+    # where the displayed fractions do not overflow, both forms agree to rounding
+    x = np.logspace(-3.0, 50.0, 2001)
+    u = 2.0 * x * x
+    assert np.allclose(lv._h(x), 2.0 * x + 8.0 * x / (u + 1.0), rtol=1e-15, atol=0.0)
+    assert np.allclose(lv._dh(x), 2.0 + 8.0 * (1.0 - u) / (u + 1.0) ** 2, rtol=1e-15, atol=0.0)
+
+
 def test_h_inverse_near_a_triple_root():
     # at alpha1 * beta1 = 8 * gamma the cubic has a triple root where h' = 0;
     # the targets one ulp apart around h(flat point) must meet the tolerance.
@@ -590,6 +608,5 @@ def test_config_rejects_unknown():
 @pytest.mark.parametrize("model", [m for m, _ in MANIFEST_IMPACT], ids=lambda m: m.family)
 def test_constructors_reject_non_finite_parameters(model, bad):
     for name in model.params():
-        match = rf"non-finite {model.family} parameter\(s\): \['{name}'\]"
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ValueError, match=rf"^{name} must be finite, got {bad}$"):
             type(model)(**{**model.params(), name: bad})
