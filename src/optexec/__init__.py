@@ -48,7 +48,6 @@ from .simulate import (
     StrategyComparison,
     compare_strategies,
     simulate,
-    simulate_unimpacted,
 )
 
 __version__ = "0.1.0"

@@ -30,7 +30,7 @@ from .closed_form import (
 from .config import RunConfig, apply_overrides, build_run_config, read_config_file
 from .errors import ConfigError, HypothesisViolation, NumericalFailure
 from .hamiltonian import closed_vs_brute_samples
-from .hjb import solve_reduced_hjb
+from .hjb import on_grid, solve_reduced_hjb
 from .impact import LevyEffectiveImpact, MixedPowerImpact, ShiftedConvexImpact
 from .simulate import (
     DeterministicStrategy,
@@ -177,6 +177,7 @@ def _solve_surface(cfg: RunConfig):
     x_max = solver.x_max if solver.x_max is not None else 2.0 * prob.x0
     if x_max <= 0.0:
         raise ConfigError("solver.x_max must be positive (set it explicitly when x0 = 0)")
+    on_grid(prob.x0, 0.0, x_max, "x")  # every caller reads the surface at x0: fail before the solve
     return solve_reduced_hjb(
         cfg.model,
         cfg.market.decay,

@@ -27,12 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import HypothesisViolation, NumericalFailure, require_finite
-from .impact import (
-    ImpactModel,
-    MixedPowerImpact,
-    ShiftedConvexImpact,
-    increasing_root,
-)
+from .impact import ImpactModel, MixedPowerImpact, ShiftedConvexImpact
 
 __all__ = [
     "MarketParams",
@@ -112,6 +107,7 @@ class Schedule:
 
     @classmethod
     def constant(cls, rate: float, duration: float, horizon: float) -> "Schedule":
+        require_finite(rate=rate, duration=duration, horizon=horizon)
         if rate < 0.0 or duration < 0.0 or duration > horizon * (1.0 + 1e-12):
             raise ValueError("constant schedule needs rate >= 0 and 0 <= duration <= horizon")
 
@@ -125,20 +121,55 @@ def twap_rate(model: ImpactModel, decay: float) -> float:
     """The unique rate above the threshold with x*h(x) - g(x) = decay.
 
     The excess starts non-positive at the threshold, is strictly increasing
-    and diverges, so `increasing_root` brackets it and solves it with the
-    derivative x*h'(x).  Stops when |excess - decay| <= 1e-12 * (1 + decay).
+    and diverges.  The right end of the bracket [threshold, hi] grows by
+    factors of 8 until the excess at hi reaches decay, and starts the
+    iteration if it already meets the tolerance.  Each iteration shrinks the
+    bracket by the sign of the error and takes the Newton step with the
+    derivative x*h'(x), or the bracket midpoint where that step is not finite
+    or leaves the open bracket.  Stops when |excess - decay| <= 1e-12 *
+    (1 + decay).
     """
     if not decay > 0.0:  # a NaN decay fails here too
         raise ValueError("twap_rate needs a positive decay rate")
     require_finite(decay=decay)
-    root = increasing_root(
-        lambda x: x * model._h(x) - model._g(x),
-        lambda x: x * model._dh(x),
-        np.array([float(decay)]),
-        model.threshold,
-        "TWAP rate",
-    )
-    return float(root[0])
+
+    def hook(fn, x):
+        # the hooks act on arrays; numpy scalars keep a zero slope's division
+        # at inf or NaN under errstate instead of raising ZeroDivisionError
+        return fn(np.array([x]))[0]
+
+    def excess(x):
+        return x * hook(model._h, x) - hook(model._g, x)
+
+    target = float(decay)
+    tol = 1e-12 * (1.0 + target)
+    x = lo = np.float64(model.threshold)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        hi = lo + 1.0
+        for _ in range(500):
+            f_hi = excess(hi)
+            if not f_hi < target:
+                break
+            hi = lo + 8.0 * (hi - lo)
+            if not np.isfinite(hi):
+                raise NumericalFailure("TWAP rate target beyond float range")
+        else:
+            raise NumericalFailure("could not bracket the TWAP rate")
+        # Newton steps from the left of a convex excess overshoot a right end
+        # that already meets the tolerance, and would bisect all the way to it
+        if abs(f_hi - target) <= tol:
+            x = hi
+        for _ in range(200):
+            err = excess(x) - target
+            if abs(err) <= tol:
+                return float(x)
+            if err < 0.0:
+                lo = x
+            elif err > 0.0:
+                hi = x
+            step = x - err / (x * hook(model._dh, x))
+            x = step if lo < step < hi else 0.5 * (lo + hi)
+    raise NumericalFailure("TWAP rate bisection did not reach tolerance")
 
 
 @dataclass(frozen=True)

@@ -127,6 +127,10 @@ class OutputSettings:
 
 @dataclass(frozen=True)
 class CompareSettings:
+    """Strategy specs for `compare`.  The default's `threshold` strategy needs a
+    model with a positive threshold; on a zero-threshold model (quadratic,
+    Gamma clock, pure power) set `strategies` or the run exits 2."""
+
     strategies: tuple = ("twap", "threshold")
 
 

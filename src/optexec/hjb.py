@@ -42,6 +42,15 @@ __all__ = [
 _W_EPS = 1e-12  # saturation counts skip W = 0 nodes, where every selling node is capped
 
 
+def on_grid(v: float, lo: float, hi: float, name: str) -> float:
+    """v clipped to a solved grid's range [lo, hi]; a v outside it by more
+    than rounding, 1e-12 * (1 + |hi|), raises ValueError naming it."""
+    lo, hi = float(lo), float(hi)
+    if v < lo - 1e-12 * (1.0 + abs(hi)) or v > hi + 1e-12 * (1.0 + abs(hi)):
+        raise ValueError(f"{name} = {v:g} outside the solved grid [{lo:g}, {hi:g}]")
+    return min(max(v, lo), hi)
+
+
 @dataclass
 class ValueSurface:
     """Reduced value W and the induced optimal-speed policy on a (t, x) grid.
@@ -61,18 +70,12 @@ class ValueSurface:
     saturation_fraction: float
     substeps: np.ndarray
 
-    def _locate(self, grid, v, name):
-        lo, hi = float(grid[0]), float(grid[-1])
-        if v < lo - 1e-12 * (1.0 + abs(hi)) or v > hi + 1e-12 * (1.0 + abs(hi)):
-            raise ValueError(f"{name} = {v:g} outside the solved grid [{lo:g}, {hi:g}]")
-        return min(max(v, lo), hi)
-
     def _lookup(self, field, t, x) -> float:
         """`field` (values or policy) at one (time-to-go, inventory) point:
         linear between grid rows, then between grid columns.  A point off the
         solved grid (beyond rounding) raises ValueError naming t or x."""
-        t = self._locate(self.t_grid, float(t), "t")
-        x = self._locate(self.x_grid, float(x), "x")
+        t = on_grid(float(t), self.t_grid[0], self.t_grid[-1], "t")
+        x = on_grid(float(x), self.x_grid[0], self.x_grid[-1], "x")
         lt = int(np.searchsorted(self.t_grid, t))
         lt = min(max(lt, 1), self.t_grid.size - 1)
         wt = (t - self.t_grid[lt - 1]) / (self.t_grid[lt] - self.t_grid[lt - 1])
@@ -104,7 +107,7 @@ def _node_controls(model, W, dx, y_max, h_ymax):
 def _cfl_rate(model, speed, dx, decay):
     """max of y/dx + max(decay, 0) + g(y) over the speeds y, set by the fastest
     since g is non-decreasing; a non-finite rate raises."""
-    top = float(np.max(speed))
+    top = float(speed.max())
     with np.errstate(over="ignore"):
         g_top = float(model._g(np.array([top]))[0]) if top >= 0.0 else math.nan
     rate = top / dx + max(decay, 0.0) + g_top
@@ -176,7 +179,7 @@ def solve_reduced_hjb(
     x_grid = np.linspace(0.0, x_max, nx + 1)
     dt = horizon / nt
     dx = x_max / nx
-    _cfl_rate(model, y_max, dx, decay)  # the bound every retry stays under must be finite
+    _cfl_rate(model, np.array([y_max]), dx, decay)  # the bound every retry stays under must be finite
     h_ymax = model.h(y_max)
     guard = x_max * math.exp(max(0.0, -decay) * horizon) * (1.0 + 1e-6) + 1e-9
 

@@ -37,52 +37,6 @@ def _match(x, out: np.ndarray):
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
-def increasing_root(f, df, target: np.ndarray, lo, what: str) -> np.ndarray:
-    """Elementwise x >= lo with |f(x) - target| <= 1e-12 * (1 + target).
-
-    f must be increasing on [lo, inf) with f(lo) <= target and f -> infinity,
-    df its derivative (NaN where unknown); both act on float arrays.  `lo` is
-    a scalar or an array like `target`.  The right end of each bracket
-    [lo, hi] grows by factors of 8 until f(hi) >= target, and an element whose
-    grown f(hi) already meets the tolerance starts at hi.  Starting from lo,
-    each iteration evaluates f, shrinks the brackets by the sign of the error
-    and moves each unconverged element by the Newton step x - err / df(x), or
-    to its bracket midpoint where that step is not finite or leaves the open
-    bracket.  Converged elements stay where they are.  `twap_rate` solves its
-    excess equation with it; every marginal inverse is closed-form.
-    """
-    tol = _INVERSE_RTOL * (1.0 + target)
-    lo = np.broadcast_to(np.asarray(lo, dtype=float), target.shape)
-    x = np.array(lo)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        hi = lo + 1.0
-        for _ in range(500):
-            f_hi = f(hi)
-            short = f_hi < target
-            if not short.any():
-                break
-            hi = np.where(short, lo + 8.0 * (hi - lo), hi)
-            if not np.isfinite(hi).all():
-                raise NumericalFailure(f"{what} target beyond float range")
-        else:
-            raise NumericalFailure(f"could not bracket the {what}")
-        # start at a right end that already meets the tolerance: the loop
-        # tests only x, and Newton steps from the left of a convex f
-        # overshoot such an end, so it would bisect all the way to it
-        x = np.where(np.abs(f_hi - target) <= tol, hi, x)
-        for _ in range(200):
-            err = f(x) - target
-            lo = np.where(err < 0.0, x, lo)
-            hi = np.where(err > 0.0, x, hi)
-            done = np.abs(err) <= tol
-            if done.all():
-                return x
-            step = x - err / df(x)
-            step = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
-            x = np.where(done, x, step)
-        raise NumericalFailure(f"{what} bisection did not reach tolerance")
-
-
 class ImpactModel:
     """Base class.  A family supplies `_g`, `_h`, `_dh` (= h') and `_h_inverse`.
 

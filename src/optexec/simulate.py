@@ -19,8 +19,9 @@ G_j,k = sum_{l<k} g(sell_j,l/dt)*dt.  Each chunk builds Yref once, as one
 running sum over its noise block in place (the float operations of the
 zero-drag Euler step), and reads every strategy's price S_j,k =
 exp(Yref_k)*exp(-G_j,k) and terminal cash off it, with no per-step loop.
-G >= 0, so exp(-G) <= 1 and no controlled price exceeds the reference price
-`simulate_unimpacted` reports for the same path.  Only paths whose lowest
+G >= 0, so exp(-G) <= 1 and no controlled price exceeds the impact-free
+reference price of the same path: the price of the zero schedule, whose drag
+is g(0) = 0, simulated with log_floor = -inf.  Only paths whose lowest
 Yref minus G's largest value falls below the floor can be absorbed, and only
 those get the per-step floor check.
 
@@ -48,9 +49,7 @@ __all__ = [
     "FeedbackStrategy",
     "TerminalStats",
     "SimResult",
-    "UnimpactedResult",
     "simulate",
-    "simulate_unimpacted",
     "StrategyComparison",
     "compare_strategies",
     "QUANTILE_LEVELS",
@@ -132,12 +131,6 @@ class SimResult:
     paths: Optional[dict] = None
 
 
-@dataclass(eq=False)
-class UnimpactedResult:
-    price: TerminalStats
-    paths: Optional[np.ndarray] = None
-
-
 def _path_noise(seed: int, start: int, count: int, n_steps: int) -> np.ndarray:
     """Standard normals for paths start .. start+count-1, one Philox stream each."""
     out = np.empty((count, n_steps))
@@ -156,18 +149,6 @@ def _path_noise(seed: int, start: int, count: int, n_steps: int) -> np.ndarray:
     return out
 
 
-def _validate_common(n_paths, n_steps, seed, horizon, s0, c0=0.0, x0=0.0):
-    if n_paths < 1 or n_steps < 1:
-        raise ValueError("need n_paths >= 1 and n_steps >= 1")
-    require_finite(c0=c0, x0=x0, s0=s0, horizon=horizon)
-    if horizon <= 0.0:
-        raise ValueError("horizon must be positive")
-    if x0 < 0.0 or s0 < 0.0:
-        raise ValueError("need x0 >= 0 and s0 >= 0")
-    if not isinstance(seed, (int, np.integer)) or seed < 0 or seed >= 2**63:
-        raise ValueError("seed must be a non-negative integer below 2**63")
-
-
 def simulate(
     strategy,
     market: MarketParams,
@@ -183,7 +164,8 @@ def simulate(
     return_paths: bool = False,
 ) -> SimResult:
     """Monte Carlo estimate of E[C_T], the risk-neutral trader's terminal cash,
-    under the given strategy."""
+    under the given strategy.  A path whose log-price falls below `log_floor`
+    is absorbed at price 0; -inf never absorbs, and a NaN floor raises."""
     xs, cash, price, absorbed, hist = _simulate_all(
         [strategy], market, model, c0, x0, s0, horizon, n_paths, n_steps, seed,
         log_floor, return_paths,
@@ -297,7 +279,17 @@ def _simulate_all(
     drift, then `_price_paths` runs all strategies at once.  Returns the
     inventory paths, (rows, n_steps + 1), then `_price_paths`' cash, price,
     absorbed counts and history."""
-    _validate_common(n_paths, n_steps, seed, horizon, s0, c0, x0)
+    if n_paths < 1 or n_steps < 1:
+        raise ValueError("need n_paths >= 1 and n_steps >= 1")
+    require_finite(c0=c0, x0=x0, s0=s0, horizon=horizon)
+    if horizon <= 0.0:
+        raise ValueError("horizon must be positive")
+    if x0 < 0.0 or s0 < 0.0:
+        raise ValueError("need x0 >= 0 and s0 >= 0")
+    if not isinstance(seed, (int, np.integer)) or seed < 0 or seed >= 2**63:
+        raise ValueError("seed must be a non-negative integer below 2**63")
+    if math.isnan(log_floor):  # -inf never absorbs, +inf absorbs every path
+        raise ValueError("log_floor must not be NaN")
     for strategy in strategies:
         if abs(strategy.horizon - horizon) > 1e-12 * max(1.0, horizon):
             raise ValueError("strategy horizon does not match the simulation horizon")
@@ -313,29 +305,6 @@ def _simulate_all(
             x = xs[j, k + 1] = x - sell
     drags = model.g(sells / dt)
     return (xs, *_price_paths(sells, drags, market, c0, s0, dt, n_paths, seed, log_floor, return_paths))
-
-
-def simulate_unimpacted(
-    market: MarketParams,
-    s0: float,
-    horizon: float,
-    n_paths: int,
-    n_steps: int,
-    seed: int,
-    return_paths: bool = False,
-) -> UnimpactedResult:
-    """Impact-free reference price driven by the same noise streams as
-    `simulate` with matching (seed, path_index): under shared noise the
-    controlled price never exceeds this one."""
-    _validate_common(n_paths, n_steps, seed, horizon, s0)
-    # a row that sells nothing, has zero drag and is never absorbed: a
-    # zero-impact strategy's row (exp(-G) = 1), so such a run reproduces this
-    # price bit for bit
-    zero = np.zeros((1, n_steps))
-    _, price, _, hist = _price_paths(
-        zero, zero, market, 0.0, s0, horizon / n_steps, n_paths, seed, -math.inf, return_paths
-    )
-    return UnimpactedResult(price=_stats(price[0]), paths=None if hist is None else hist[1, 0])
 
 
 @dataclass

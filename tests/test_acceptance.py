@@ -36,7 +36,6 @@ from optexec.simulate import (
     DeterministicStrategy,
     compare_strategies,
     simulate,
-    simulate_unimpacted,
 )
 
 QUAD = QuadraticImpact(1.0)
@@ -265,8 +264,13 @@ def test_criterion_11_pathwise_dominance():
     res = simulate(
         strat, market, QUAD, 0.0, 0.1, 100.0, 1.0, n_paths=1000, n_steps=200, seed=303, return_paths=True
     )
-    ref = simulate_unimpacted(market, 100.0, 1.0, n_paths=1000, n_steps=200, seed=303, return_paths=True)
-    gap = float(np.max(res.paths["S"] - ref.paths))
+    # the impact-free reference: the zero schedule (drag g(0) = 0), never absorbed
+    zero = DeterministicStrategy(Schedule.constant(0.0, 0.0, 1.0))
+    ref = simulate(
+        zero, market, QUAD, 0.0, 0.0, 100.0, 1.0, n_paths=1000, n_steps=200, seed=303,
+        log_floor=-math.inf, return_paths=True,
+    )
+    gap = float(np.max(res.paths["S"] - ref.paths["S"]))
     ok = gap <= 1e-12
     report(11, ok, f"max (controlled - reference) price over 1000 paths: {gap:.2e}")
 

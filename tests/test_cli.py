@@ -421,12 +421,20 @@ def test_exit_codes(bench_config, tmp_path):
 
 @pytest.mark.parametrize(
     "subcommand, sets",
-    [("compare", ["compare.strategies=twap,feedback"]), ("simulate", ["sim.strategy=feedback"])],
+    [
+        ("compare", ["compare.strategies=twap,feedback"]),
+        ("simulate", ["sim.strategy=feedback"]),
+        ("solve-hjb", []),
+    ],
 )
-def test_off_grid_feedback_exits_2(bench_config, tmp_path, capsys, subcommand, sets):
-    # x0 = 0.1 lies above the solved grid's x_max: the policy lookup raises instead of clipping
+def test_off_grid_feedback_exits_2(bench_config, tmp_path, capsys, monkeypatch, subcommand, sets):
+    # x0 = 0.1 lies above the grid's x_max: the run fails before it solves, with
+    # the message the first surface lookup would raise, instead of clipping
+    solves = []
+    monkeypatch.setattr(cli, "solve_reduced_hjb", lambda *a, **k: solves.append(a))
     args = [subcommand, "--config", bench_config, "--output", str(tmp_path / "run")]
     assert main(args + _sets("solver.x_max=0.05", *_SMALL_SIM, *sets)) == 2
+    assert solves == []
     err = json.loads(capsys.readouterr().err)
     assert (err["error"], err["message"]) == ("config_error", "x = 0.1 outside the solved grid [0, 0.05]")
 

@@ -362,11 +362,16 @@ _NAN, _INF = math.nan, math.inf
         (lambda: mixed_power_solution(0.0, _NAN, 100.0, MIXED, 0.05, 1.0), "x0"),
         (lambda: linear_quasi_block(1.0, 0.0, 1.0, 1.0, delta=0.01, decay=_NAN), "decay"),
         (lambda: incomplete_beta(_NAN, 1.5, 2.0), "z"),
+        (lambda: Schedule.constant(_NAN, 0.5, 1.0), "rate"),
+        (lambda: Schedule.constant(1.0, _NAN, 1.0), "duration"),
+        (lambda: Schedule.constant(0.1, 0.5, _INF), "horizon"),
     ],
     ids=["twap_rate-inf", "extreme-inf", "mixed-nan-decay", "mixed-nan-horizon", "mixed-nan-x0",
-         "quasi-block-nan-decay", "beta-nan-z"],
+         "quasi-block-nan-decay", "beta-nan-z", "schedule-nan-rate", "schedule-nan-duration",
+         "schedule-inf-horizon"],
 )
 def test_closed_forms_reject_non_finite_inputs(call, name):
-    # unchecked, these return a number, report `unsolved` or divide by zero
+    # unchecked, these return a number, report `unsolved` or divide by zero;
+    # a constant schedule would sell a NaN total
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         call()

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
+from optexec.closed_form import twap_rate
 from optexec.config import build_run_config, impact_from_config
 from optexec.errors import ConfigError, NumericalFailure
 from optexec.impact import (
@@ -13,7 +15,6 @@ from optexec.impact import (
     MixedPowerImpact,
     QuadraticImpact,
     ShiftedConvexImpact,
-    increasing_root,
 )
 
 ALL_INVERTIBLE = [
@@ -245,15 +246,21 @@ _EXTREME_YBAR = np.concatenate(([0.0, 5e-324, 1e-300], np.logspace(-14, 8), [1e6
 )
 def test_h_inverse_closed_form_over_the_float_range(params):
     # the cubic's root meets the tolerance from 0 through subnormal and huge
-    # targets, and agrees with the bracketed iteration run from x = 0
+    # targets, and agrees with a per-target brentq root: h(x) >= k*x with
+    # k = 2*gamma*alpha0, so [0, 2*ybar/k] brackets it
     lv = LevyEffectiveImpact(*params)
     ybar = _EXTREME_YBAR
     tol = 1e-12 * (1.0 + ybar)
     x = lv.h_inverse(ybar)
     assert np.all(np.isfinite(x)) and np.all(x >= 0.0)
+    k = 2.0 * lv.gamma * lv.alpha0
     with np.errstate(over="ignore"):
         assert np.all(np.abs(lv._h(x) - ybar) <= tol)
-        oracle = increasing_root(lv._h, lv._dh, ybar, 0.0, "marginal inverse")
+        oracle = [
+            brentq(lambda v, y=y: lv._h(np.array([v]))[0] - y, 0.0, 2.0 * y / k, xtol=1e-300)
+            if y > 0.0 else 0.0
+            for y in ybar
+        ]
     assert np.all(np.abs(x - oracle) <= tol)
     try:
         top = lv.h_inverse(1.7e308)
@@ -298,7 +305,8 @@ def test_h_inverse_near_a_triple_root():
 
 
 class _NoDerivative(ImpactModel):
-    """g(x) = x**2 + x**4 with only `_g`/`_h`: a NaN derivative makes the root bisect."""
+    """g(x) = x**2 + x**4 with a NaN h', as pure power's h'(0) = 0*inf is: the
+    TWAP-rate root must fall back to the bracket midpoint."""
 
     family = "no_derivative"
 
@@ -308,20 +316,28 @@ class _NoDerivative(ImpactModel):
     def _h(self, x):
         return 2.0 * x + 4.0 * x**3
 
+    def _dh(self, x):
+        return np.full_like(x, np.nan)
+
 
 def test_h_inverse_bisection_fallback_without_derivative():
     m = _NoDerivative()
-    ybar = np.logspace(-10, 6, 300)
-    x = increasing_root(m._h, lambda x: np.full_like(x, np.nan), ybar, 0.0, "marginal inverse")
-    assert _within_inverse_tol(m, x, ybar)
-    assert np.all(x > 0.0)
+    for decay in np.logspace(-10, 6, 60):
+        rate = twap_rate(m, decay)
+        assert rate > 0.0 and abs(m.excess_impact(rate) - decay) <= 1e-12 * (1.0 + decay)
 
 
 class _Kinked(ImpactModel):
     """h rises steeply near x = 5 and is nearly flat elsewhere, so unguarded
-    Newton steps from 0 overshoot and cycle; the grown bracket must catch them."""
+    Newton steps on the excess overshoot and cycle; the grown bracket must
+    catch them.  g is h's integral from 0."""
 
     family = "kinked"
+
+    def _g(self, x):
+        u = x - 5.0
+        g_atan = u * np.arctan(u) - 0.5 * np.log1p(u * u) - 5.0 * np.arctan(5.0) + 0.5 * math.log(26.0)
+        return 5e-4 * x * x + g_atan + x * np.arctan(5.0)
 
     def _h(self, x):
         return 1e-3 * x + np.arctan(x - 5.0) + np.arctan(5.0)
@@ -332,9 +348,9 @@ class _Kinked(ImpactModel):
 
 def test_h_inverse_bracket_catches_newton_overshoot():
     m = _Kinked()
-    ybar = np.linspace(0.01, 4.0, 200)
-    x = increasing_root(m._h, m._dh, ybar, 0.0, "marginal inverse")
-    assert _within_inverse_tol(m, x, ybar)
+    for decay in np.linspace(0.01, 14.0, 200):
+        rate = twap_rate(m, decay)
+        assert abs(m.excess_impact(rate) - decay) <= 1e-12 * (1.0 + decay)
 
 
 def test_h_inverse_evaluation_count():
@@ -355,38 +371,8 @@ def test_h_inverse_evaluation_count():
     assert _within_inverse_tol(lv, x, ratio)
 
 
-@pytest.mark.parametrize("model", ALL_INVERTIBLE, ids=repr)
-def test_twap_rate_evaluation_count(model):
-    # every family has a closed-form h', so the TWAP-rate root takes Newton
-    # steps: 6-14 evaluations of h (bracket growth included) on these decays,
-    # where bisection needed 34-45
-    from optexec.closed_form import twap_rate
-
-    plain_h = model._h
-    for decay in (1e-4, 0.04, 0.5, 2.0, 30.0):
-        calls = []
-
-        def counting_h(x):
-            calls.append(x.size)
-            return plain_h(x)
-
-        object.__setattr__(model, "_h", counting_h)
-        try:
-            rate = twap_rate(model, decay)
-        finally:
-            object.__setattr__(model, "_h", plain_h)
-        assert abs(model.excess_impact(rate) - decay) <= 1e-12 * (1.0 + decay)
-        assert 0 < len(calls) <= 16
-
-
-@pytest.mark.parametrize("decay, most", [(0.04, 8), (1.0, 10), (30.0, 8)])
-def test_twap_rate_accepts_bracket_end_root(decay, most):
-    # at decay 1 the root of x**2 = decay is the first grown bracket end,
-    # hi = threshold + 1 = 1; testing only x, the root finder used to bisect
-    # all the way to it (42 evaluations of h) against 8 at the other decays
-    from optexec.closed_form import twap_rate
-
-    model = QuadraticImpact(1.0)
+def _counted_twap_rate(model, decay):
+    """twap_rate(model, decay) and the number of `_h` evaluations it made."""
     plain_h = model._h
     calls = []
 
@@ -395,8 +381,86 @@ def test_twap_rate_accepts_bracket_end_root(decay, most):
         return plain_h(x)
 
     object.__setattr__(model, "_h", counting_h)
-    rate = twap_rate(model, decay)
-    assert 0 < len(calls) <= most
+    try:
+        return twap_rate(model, decay), len(calls)
+    finally:
+        object.__setattr__(model, "_h", plain_h)
+
+
+_TWAP_DECAYS = (1e-4, 0.04, 0.5, 2.0, 30.0)
+
+
+@pytest.mark.parametrize("model", ALL_INVERTIBLE, ids=repr)
+def test_twap_rate_evaluation_count(model):
+    # every family has a closed-form h', so the TWAP-rate root takes Newton
+    # steps: 6-14 evaluations of h (bracket growth included) on these decays,
+    # where bisection needed 34-45
+    for decay in _TWAP_DECAYS:
+        rate, calls = _counted_twap_rate(model, decay)
+        assert abs(model.excess_impact(rate) - decay) <= 1e-12 * (1.0 + decay)
+        assert 0 < calls <= 16
+
+
+_PURE_POWER_TWAP = [
+    ("0.010000000025438577", 12),
+    ("0.20000000000067114", 8),
+    ("0.7071067811873449", 7),
+    ("1.4142135623730951", 10),
+    ("5.477225575052992", 8),
+]
+# (repr(rate), h evaluations) at _TWAP_DECAYS: any change to the iteration's
+# float operations or its steps shows here
+_TWAP_GOLDEN = {
+    "QuadraticImpact(alpha0=1)": _PURE_POWER_TWAP,
+    "MixedPowerImpact(alpha=1, p_convex=2, p_concave=0.5, threshold=1)": [
+        ("1.732079674841778", 7),
+        ("1.7435595774162693", 7),
+        ("1.8708286933869722", 7),
+        ("2.236067977499978", 9),
+        ("5.744562646538029", 8),
+    ],
+    "MixedPowerImpact(alpha=0.7, p_convex=3, p_concave=0.4, threshold=0.5)": [
+        ("0.7406674210939191", 8),
+        ("0.7575947902866247", 8),
+        ("0.9139365179679018", 7),
+        ("1.224234463484758", 8),
+        ("2.795009026805393", 10),
+    ],
+    "MixedPowerImpact(alpha=1, p_convex=2, p_concave=0.5, threshold=0)": _PURE_POWER_TWAP,
+    "ShiftedConvexImpact(power=3, threshold=1)": [
+        ("1.0057624447121951", 14),
+        ("1.1114069740398624", 10),
+        ("1.3660254037844386", 8),
+        ("1.6776506988040598", 8),
+        ("3.054317330590461", 10),
+    ],
+    "LevyEffectiveImpact(gamma=1, alpha0=1, alpha1=1, beta1=1)": [
+        ("0.007071200395721897", 13),
+        ("0.14248617437508093", 9),
+        ("0.5482554916439423", 6),
+        ("1.3182009874878355", 10),
+        ("5.616408969631276", 9),
+    ],
+}
+
+
+@pytest.mark.parametrize("model", ALL_INVERTIBLE, ids=repr)
+def test_twap_rate_golden_bits(model):
+    got = []
+    for decay in _TWAP_DECAYS:
+        rate, calls = _counted_twap_rate(model, decay)
+        got.append((repr(rate), calls))
+    assert got == _TWAP_GOLDEN[repr(model)]
+
+
+@pytest.mark.parametrize("decay, most", [(0.04, 8), (1.0, 10), (30.0, 8)])
+def test_twap_rate_accepts_bracket_end_root(decay, most):
+    # at decay 1 the root of x**2 = decay is the first grown bracket end,
+    # hi = threshold + 1 = 1; testing only x, the root finder used to bisect
+    # all the way to it (42 evaluations of h) against 8 at the other decays
+    model = QuadraticImpact(1.0)
+    rate, calls = _counted_twap_rate(model, decay)
+    assert 0 < calls <= most
     assert abs(model.excess_impact(rate) - decay) <= 1e-12 * (1.0 + decay)
 
 

@@ -13,7 +13,6 @@ from optexec.simulate import (
     _path_noise,
     compare_strategies,
     simulate,
-    simulate_unimpacted,
 )
 
 # the module, not the function `optexec.simulate` re-exported by the package
@@ -27,6 +26,16 @@ FLAT = MarketParams.from_drift_vol(-0.04, 0.0)
 def twap_strategy(x0=0.1, horizon=1.0):
     sol = twap_solution(0.0, x0, 100.0, QUAD, 0.04, horizon)
     return DeterministicStrategy(sol.schedule), sol
+
+
+def reference(s0, horizon, n_paths, n_steps, seed, return_paths=False):
+    """The impact-free reference price: the zero schedule (drag g(0) = 0),
+    never absorbed."""
+    zero = DeterministicStrategy(Schedule.constant(0.0, 0.0, horizon))
+    return simulate(
+        zero, BS, QUAD, 0.0, 0.0, s0, horizon, n_paths, n_steps, seed,
+        log_floor=-math.inf, return_paths=return_paths,
+    )
 
 
 def test_zero_strategy_changes_nothing():
@@ -109,7 +118,7 @@ def test_results_do_not_depend_on_chunking(monkeypatch):
 
     def everything():
         res = simulate(named[1][1], *run, seed=23, return_paths=True)
-        ref = simulate_unimpacted(BS, 100.0, 1.0, 50, 30, seed=23, return_paths=True)
+        ref = reference(100.0, 1.0, 50, 30, seed=23, return_paths=True)
         return res, ref, compare_strategies(named, *run, seed=23)
 
     res, ref, comp = everything()
@@ -121,7 +130,7 @@ def test_results_do_not_depend_on_chunking(monkeypatch):
         assert np.array_equal(res7.paths[key], res.paths[key])
     assert (res7.cash, res7.inventory, res7.price) == (res.cash, res.inventory, res.price)
     assert res7.absorption_count == res.absorption_count
-    assert np.array_equal(ref7.paths, ref.paths)
+    assert np.array_equal(ref7.paths["S"], ref.paths["S"])
     assert comp7 == comp
 
 
@@ -241,20 +250,13 @@ def test_pathwise_dominance_under_shared_noise():
     strat, _ = twap_strategy()
     n_paths, n_steps = 300, 200
     res = simulate(strat, BS, QUAD, 0.0, 0.1, 100.0, 1.0, n_paths, n_steps, seed=11, return_paths=True)
-    ref = simulate_unimpacted(BS, 100.0, 1.0, n_paths, n_steps, seed=11, return_paths=True)
+    ref = reference(100.0, 1.0, n_paths, n_steps, seed=11, return_paths=True)
     assert res.paths["S"].shape == (n_paths, n_steps + 1)
-    assert np.all(res.paths["S"] <= ref.paths + 1e-12)
-
-
-def test_no_impact_strategy_reproduces_reference_price():
-    strat = DeterministicStrategy(Schedule.constant(0.0, 0.0, 1.0))
-    res = simulate(strat, BS, QUAD, 0.0, 0.0, 100.0, 1.0, 50, 64, seed=9, return_paths=True)
-    ref = simulate_unimpacted(BS, 100.0, 1.0, 50, 64, seed=9, return_paths=True)
-    assert np.array_equal(res.paths["S"], ref.paths)
+    assert np.all(res.paths["S"] <= ref.paths["S"] + 1e-12)
 
 
 def test_unimpacted_lognormal_moment():
-    ref = simulate_unimpacted(BS, 100.0, 1.0, 20000, 100, seed=3)
+    ref = reference(100.0, 1.0, 20000, 100, seed=3)
     target = 100.0 * math.exp((-0.085 + 0.5 * 0.3**2) * 1.0)
     se = math.sqrt(ref.price.variance / 20000)
     assert abs(ref.price.mean - target) <= 3.0 * se
@@ -416,6 +418,18 @@ def test_input_validation():
         simulate(wrong_horizon, BS, QUAD, 0.0, 0.1, 100.0, 1.0, 10, 10, seed=0)
 
 
+def test_log_floor_may_be_infinite_but_not_nan():
+    strat, _ = twap_strategy()
+    run = (BS, QUAD, 0.0, 0.1, 100.0, 1.0, 10, 10)
+    assert simulate(strat, *run, seed=0, log_floor=-math.inf).absorption_count == 0
+    assert simulate(strat, *run, seed=0, log_floor=math.inf).absorption_count == 10
+    # every comparison with NaN is false, so an unchecked NaN floor would never absorb
+    with pytest.raises(ValueError, match="log_floor"):
+        simulate(strat, *run, seed=0, log_floor=math.nan)
+    with pytest.raises(ValueError, match="log_floor"):
+        compare_strategies([("a", strat), ("b", strat)], *run, seed=0, log_floor=math.nan)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 @pytest.mark.parametrize("name", ["c0", "x0", "s0", "horizon"])
 def test_non_finite_inputs_are_rejected(name, value):
@@ -426,6 +440,3 @@ def test_non_finite_inputs_are_rejected(name, value):
         simulate(strat, BS, QUAD, *run, seed=0)
     with pytest.raises(ValueError, match="must be finite"):
         compare_strategies([("a", strat), ("b", strat)], BS, QUAD, *run, seed=0)
-    if name in ("s0", "horizon"):
-        with pytest.raises(ValueError, match="must be finite"):
-            simulate_unimpacted(BS, args["s0"], args["horizon"], 10, 10, seed=0)
