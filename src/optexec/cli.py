@@ -110,7 +110,7 @@ def _write_artifacts(name: str, cfg: RunConfig, out_dir: str, summary: dict, tab
         "version": __version__,
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "config": cfg.resolved,
-        # bit-identical reruns rest on numpy's Philox and normal streams
+        # bit-identical reruns rest on numpy's PCG64 (default_rng) and its normal and uniform draws
         "dependencies": {
             "python": platform.python_version(),
             "numpy": np.__version__,

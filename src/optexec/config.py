@@ -51,7 +51,7 @@ class SolverSettings:
 
     def __post_init__(self):
         if self.nt < 2 or self.nx < 2:
-            raise ConfigError("solver grids need at least 2 cells per axis")
+            raise ConfigError("solver.nt and solver.nx must be at least 2")
         if self.x_max is not None and self.x_max <= 0.0:
             raise ConfigError("solver.x_max must be positive")
         if self.y_max is not None and self.y_max <= 0.0:
@@ -120,7 +120,7 @@ class OutputSettings:
     def __post_init__(self):
         bad = set(self.formats) - {"json", "csv"}
         if bad:
-            raise ConfigError(f"unknown output format(s): {sorted(bad)}")
+            raise ConfigError(f"output.formats: unknown format(s) {sorted(bad)}")
         if self.schedule_samples < 1:
             raise ConfigError("output.schedule_samples must be at least 1")
 
@@ -207,7 +207,7 @@ class RunConfig:
 
 
 def read_config_file(path: str) -> dict:
-    parser = configparser.ConfigParser(interpolation=None)
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
     try:
         with open(path) as fh:
             parser.read_file(fh)

@@ -10,7 +10,8 @@ the minimizer is either 0 or the point on the rising marginal branch where
 h(y) equals the target ratio (s*p_c - p_x) / (s*p_s); it never falls in the
 concave interval (0, threshold].  `best_response` is the one vectorised
 implementation of that argmax (the HJB solver calls it on whole grid rows);
-`optimal_speed` and `hamiltonian` are scalar wrappers over it.
+`optimal_speed` and `hamiltonian` are scalar wrappers over it, on 1-element
+arrays: a 0-d `** power` can differ by an ulp from the array loop a sweep runs.
 
 The independent check is `closed_vs_brute_samples`: random draws, each
 compared with a brute-force minimum of f from a dense grid, a golden-section
@@ -111,7 +112,7 @@ def optimal_speed(s: float, p: Gradient, model: ImpactModel) -> float:
     _check_price(s)
     if p.p_s <= 0.0:
         return 0.0
-    return float(best_response(model, s * p.p_c - p.p_x, s * p.p_s)[0])
+    return float(best_response(model, [s * p.p_c - p.p_x], [s * p.p_s])[0][0])
 
 
 def hamiltonian(s: float, p: Gradient, model: ImpactModel) -> float:
@@ -122,7 +123,7 @@ def hamiltonian(s: float, p: Gradient, model: ImpactModel) -> float:
     _check_price(s)
     if p.p_s <= 0.0:
         raise ValueError("hamiltonian closed form needs p_s > 0")
-    return 0.0 - float(best_response(model, s * p.p_c - p.p_x, s * p.p_s)[1])
+    return 0.0 - float(best_response(model, [s * p.p_c - p.p_x], [s * p.p_s])[1][0])
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -211,8 +212,9 @@ def closed_vs_brute_samples(model: ImpactModel, n_draws: int, seed: int = 0, n_g
     """Random sweep comparing the closed-form Hamiltonian with the oracle.
 
     Returns an (n_draws, 7) float array whose rows are (s, p_c, p_x, p_s,
-    H_closed, H_brute, speed); the draws keep p_s positive so the closed
-    form applies.  The closed values and speeds come from one
+    H_closed, H_brute, speed); s, p_c, p_x and p_s are array draws from
+    default_rng(seed) in that order, with p_s > 0 so the closed form
+    applies.  The closed values and speeds come from one
     `best_response` call over all draws, the brute values from one lockstep
     `_brute_min` run over all draws, whose y_max starts at
     max(2*threshold + 1, 1) and doubles (up to 2**20 times the start) for
@@ -223,13 +225,10 @@ def closed_vs_brute_samples(model: ImpactModel, n_draws: int, seed: int = 0, n_g
     if n_grid < 2:
         raise ValueError(f"the brute-force grid needs n_grid >= 2 points, got {n_grid}")
     rng = np.random.default_rng(seed)
-    # one number at a time, (s, p_c, p_x, p_s) per draw: array draws would reorder the stream
-    draws = (
-        v
-        for _ in range(n_draws)
-        for v in (rng.uniform(0.2, 5.0), rng.normal(1.0, 1.0), rng.normal(0.0, 1.0), rng.uniform(0.05, 3.0))
-    )
-    s, p_c, p_x, p_s = np.fromiter(draws, float, 4 * n_draws).reshape(n_draws, 4).T
+    s = rng.uniform(0.2, 5.0, n_draws)
+    p_c = rng.normal(1.0, 1.0, n_draws)
+    p_x = rng.normal(0.0, 1.0, n_draws)
+    p_s = rng.uniform(0.05, 3.0, n_draws)
     a, b = s * p_c - p_x, s * p_s
     speed, gain = best_response(model, a, b)
     _, h_brute, _ = _brute_min(model, a, b, max(2.0 * model.threshold + 1.0, 1.0), n_grid)

@@ -25,10 +25,11 @@ is g(0) = 0, simulated with log_floor = -inf.  Only paths whose lowest
 Yref minus G's largest value falls below the floor can be absorbed, and only
 those get the per-step floor check.
 
-Noise comes from counter-based Philox streams keyed by (seed, path_index),
-so results are bit-reproducible for a given (seed, n_paths, n_steps,
-strategy) regardless of chunking, and distinct strategies simulated with the
-same seed share noise path-by-path (common random numbers).
+Noise is one np.random.default_rng(seed) stream per run, drawn in path
+order, so results are bit-reproducible for a given (seed, n_steps, strategy)
+whatever the chunking, a run's paths are the first paths of any longer run,
+and distinct strategies simulated with the same seed share noise
+path-by-path (common random numbers).
 """
 
 from __future__ import annotations
@@ -131,24 +132,6 @@ class SimResult:
     paths: Optional[dict] = None
 
 
-def _path_noise(seed: int, start: int, count: int, n_steps: int) -> np.ndarray:
-    """Standard normals for paths start .. start+count-1, one Philox stream each."""
-    out = np.empty((count, n_steps))
-    bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-    gen = np.random.Generator(bits)
-    state = bits.state  # a fresh stream's: empty buffer, no cached uint32
-    key = np.array([seed, start], dtype=np.uint64)
-    state["state"] = {"counter": np.zeros(4, dtype=np.uint64), "key": key}
-    for i in range(count):
-        # this state with counter 0 and the path's key equals a fresh
-        # np.random.Philox(key=[seed, start + i]) bit for bit, without its
-        # set-up; the setter copies the arrays, so they can be reused
-        key[1] = start + i
-        bits.state = state
-        gen.standard_normal(out=out[i])
-    return out
-
-
 def simulate(
     strategy,
     market: MarketParams,
@@ -201,6 +184,7 @@ def _price_paths(sells, drags, market, c0, s0, dt, n_paths, seed, log_floor, ret
         if hist is not None:
             hist[0], hist[1] = c0, 0.0
         return np.full((m, n_paths), float(c0)), np.zeros((m, n_paths)), np.full(m, n_paths), hist
+    gen = np.random.default_rng(seed)
     cash, price = np.empty((m, n_paths)), np.empty((m, n_paths))
     absorbed = np.zeros(m, dtype=int)
     for start in range(0, n_paths, _CHUNK):
@@ -208,7 +192,7 @@ def _price_paths(sells, drags, market, c0, s0, dt, n_paths, seed, log_floor, ret
         rows = slice(start, start + count)
         # the block is only referenced inside the call, so one block is live at a time
         absorbed += _factorised_chunk(
-            _path_noise(seed, start, count, n_steps), sells, drags, market, c0, s0, dt,
+            gen.standard_normal((count, n_steps)), sells, drags, market, c0, s0, dt,
             log_floor, cash[:, rows], price[:, rows], None if hist is None else hist[:, :, rows],
         )
     return cash, price, absorbed, hist

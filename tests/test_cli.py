@@ -487,6 +487,55 @@ def test_negative_check_seed_is_named(tmp_path, capsys):
     assert (err["error"], err["message"]) == ("config_error", "check.seed must be non-negative")
 
 
+_MODEL_SETS = ("impact.family=quadratic", "impact.alpha0=1.0", "market.decay=0.04")
+_PROBLEM = ("problem.c0=0.0", "problem.x0=0.1", "problem.s0=100.0", "problem.horizon=1.0")
+
+
+@pytest.mark.parametrize(
+    "subcommand, sets, key",
+    [
+        ("twap", [*_PROBLEM, "problem.x0=-0.1"], "problem.x0"),
+        ("twap", [*_PROBLEM, "problem.s0=-1"], "problem.s0"),
+        ("twap", [*_PROBLEM, "problem.horizon=0"], "problem.horizon"),
+        ("twap", [], "[problem]"),  # a required section left out
+        ("hamiltonian-check", ["solver.nt=1"], "solver.nt"),
+        ("hamiltonian-check", ["solver.x_max=0"], "solver.x_max"),
+        ("hamiltonian-check", ["solver.y_max=-1"], "solver.y_max"),
+        ("hamiltonian-check", ["sim.n_paths=0"], "sim.n_paths"),
+        ("hamiltonian-check", ["sim.seed=-1"], "sim.seed"),
+        ("hamiltonian-check", ["sim.path_csv_cap=-1"], "sim.path_csv_cap"),
+        ("hamiltonian-check", ["check.draws=0"], "check.draws"),
+        ("hamiltonian-check", ["check.grid_points=1"], "check.grid_points"),
+        ("hamiltonian-check", ["plot.points=1"], "plot.points"),
+        ("hamiltonian-check", ["plot.spacing=cubic"], "plot.spacing"),
+        ("hamiltonian-check", ["plot.spacing=log"], "plot.x_min"),
+        ("hamiltonian-check", ["plot.x_min=-1"], "plot.x_min"),
+        ("hamiltonian-check", ["output.formats=json,xml"], "output.formats"),
+        ("hamiltonian-check", ["output.schedule_samples=0"], "output.schedule_samples"),
+        ("hamiltonian-check", ["impact.alpha0=-1"], "alpha0"),
+        ("hamiltonian-check", ["bogus.key=1"], "bogus"),
+        ("solve-hjb", [*_PROBLEM, "problem.x0=0"], "solver.x_max"),  # the default x_max is 2*x0 = 0
+    ],
+)
+def test_out_of_range_settings_exit_2_and_name_the_key(tmp_path, capsys, subcommand, sets, key):
+    args = [subcommand, *_sets(*_MODEL_SETS, *sets), "--output", str(tmp_path / "run")]
+    assert main(args) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config_error" and key in err["message"], err
+
+
+def test_impact_plot_log_spacing(tmp_path):
+    sets = (*_MODEL_SETS, "plot.spacing=log", "plot.x_min=0.01", "plot.x_max=10", "plot.points=7")
+    out = tmp_path / "plot"
+    assert main(["impact-plot", *_sets(*sets), "--output", str(out)]) == 0
+    rows = [r.split(",") for r in (out / "impact.csv").read_text().strip().splitlines()[1:]]
+    xs = np.array([float(r[0]) for r in rows])
+    assert xs.size == 7
+    np.testing.assert_allclose(xs[[0, -1]], [0.01, 10.0], rtol=1e-12)
+    np.testing.assert_allclose(xs[1:] / xs[:-1], math.sqrt(10.0), rtol=1e-12)  # 10**(3/6) per step
+    assert all(r[2] for r in rows)  # every x > 0, so every h is written
+
+
 def test_output_env_var(bench_config, tmp_path, monkeypatch):
     target = tmp_path / "from_env"
     monkeypatch.setenv("OPTEXEC_OUTPUT_DIR", str(target))

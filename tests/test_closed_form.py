@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -374,4 +375,29 @@ def test_closed_forms_reject_non_finite_inputs(call, name):
     # unchecked, these return a number, report `unsolved` or divide by zero;
     # a constant schedule would sell a NaN total
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        call()
+
+
+_RANGE = "need x0 >= 0, s0 >= 0 and a positive horizon"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Schedule(np.negative, 1.0, 0.0).check_admissible(1.0), "schedule emits a negative selling rate"),
+        (lambda: Schedule.constant(1.0, 0.5, 1.0).check_admissible(0.1), "schedule sells more than the initial inventory"),
+        (lambda: twap_solution(0.0, -0.1, 100.0, QUAD, 0.04, 1.0), _RANGE),
+        (lambda: incomplete_beta(0.5, 1.5, 0.0), "a and b must be positive"),
+        (lambda: mixed_power_solution(0.0, 0.1, 100.0, MIXED, 0.0, 1.0), "needs a positive decay rate"),
+        (lambda: mixed_power_solution(0.0, 0.1, 100.0, MIXED, 0.05, 0.0), _RANGE),
+        (lambda: extreme_comparison(SHIFTED, 0.1, 100.0, -0.05, 1.0), "needs a positive decay rate"),
+        (lambda: linear_quasi_block(1.0, 0.0, 1.0, 1.0, delta=0.0, decay=0.05), "delta must be positive"),
+        (lambda: linear_quasi_block(1.0, 0.0, 1.0, -1.0, delta=0.01, decay=0.05), "need x0 >= 0 and s0 >= 0"),
+    ],
+    ids=["schedule-negative-rate", "schedule-oversells", "twap-negative-x0", "beta-zero-b",
+         "mixed-zero-decay", "mixed-zero-horizon", "extreme-negative-decay", "quasi-block-zero-delta",
+         "quasi-block-negative-s0"],
+)
+def test_closed_forms_reject_out_of_range_inputs(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()

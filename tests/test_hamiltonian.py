@@ -234,12 +234,10 @@ def test_sample_rows_equal_one_draw_calls(model):
     # closed-form calls, including draws whose search doubled y_max
     n_draws, seed = 80, 5
     rows = closed_vs_brute_samples(model, n_draws, seed=seed, n_grid=1001)
-    rng = np.random.default_rng(seed)
     y_max0 = max(2.0 * model.threshold + 1.0, 1.0)
     expected, doubled = [], 0
-    for _ in range(n_draws):
-        s = float(rng.uniform(0.2, 5.0))
-        p = Gradient(float(rng.normal(1.0, 1.0)), float(rng.normal(0.0, 1.0)), float(rng.uniform(0.05, 3.0)))
+    for s, p_c, p_x, p_s in rows[:, :4].tolist():
+        p = Gradient(p_c, p_x, p_s)
         _, h_brute, y_max = _one_draw(model, s, p, y_max0, 1001)
         doubled += y_max > y_max0
         expected.append((s, p.p_c, p.p_x, p.p_s, hamiltonian(s, p, model), h_brute, optimal_speed(s, p, model)))

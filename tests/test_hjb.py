@@ -210,6 +210,11 @@ def test_policy_zero_on_empty_inventory_guard(quad_surface):
     tampered.policy[3, 0] = 0.5
     with pytest.raises(NumericalFailure):
         extract_policy(tampered)
+    # a node in the forbidden concave interval (0, threshold]
+    s_shaped = solve_reduced_hjb(MIXED, 0.05, 1.0, 0.5, nt=10, nx=10)
+    s_shaped.policy[3, 2] = 0.5 * s_shaped.threshold
+    with pytest.raises(NumericalFailure, match="forbidden concave speed interval"):
+        extract_policy(s_shaped)
 
 
 def _proceeds_loop(rates, model, decay, dt):
@@ -263,6 +268,9 @@ class TestScheduleOptimizer:
     def test_rejects_bad_pieces(self):
         with pytest.raises(ValueError):
             optimize_deterministic_schedule(QUAD, 0.04, 1.0, 0.1, 0)
+        for horizon, x0 in ((0.0, 0.1), (1.0, -0.1)):
+            with pytest.raises(ValueError, match="need a positive horizon and x0 >= 0"):
+                optimize_deterministic_schedule(QUAD, 0.04, horizon, x0, 8)
 
     # decay None stands for -g(0.8), which makes the 0.8 piece's w exactly 0;
     # at decay 0 so is every zero-rate piece's, where seg is 0 either way

@@ -534,6 +534,21 @@ def test_levy_effective_convexity():
     assert (second >= -1e-9).all()
 
 
+@pytest.mark.parametrize(
+    "model, params, message",
+    [
+        (ShiftedConvexImpact, dict(power=1.0, threshold=1.0), "power must exceed 1"),
+        (ShiftedConvexImpact, dict(power=2.0, threshold=0.0), "threshold must be positive"),
+        (QuadraticImpact, dict(alpha0=0.0), "alpha0 must be positive"),
+        (LevyEffectiveImpact, dict(gamma=1.0, alpha0=1.0, alpha1=-1.0, beta1=1.0), "alpha1 must be positive"),
+    ],
+    ids=["shifted-power", "shifted-threshold", "quadratic-alpha0", "levy-alpha1"],
+)
+def test_constructors_reject_out_of_range_parameters(model, params, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        model(**params)
+
+
 def test_levy_effective_rejects_nonconvex_parameters():
     with pytest.raises(ValueError):
         LevyEffectiveImpact(gamma=0.1, alpha0=1.0, alpha1=1.0, beta1=1.0)

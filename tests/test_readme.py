@@ -1,9 +1,11 @@
-"""The README's library quick start runs and gives the numbers its comments promise."""
+"""The README's quick start and config block run as written and give the numbers they promise."""
 
 import pathlib
 import re
 
 import pytest
+
+from optexec.cli import main
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -26,3 +28,15 @@ def test_library_quick_start():
     assert 100.0 * surface.value_at(1.0, 0.1) == pytest.approx(sol.value, rel=1e-2)
     # "same number again, within noise": criterion 6's three standard errors
     assert abs(res.mean_utility - sol.value) <= 3.0 * res.std_error
+
+
+def test_config_file_block_runs_as_written(tmp_path):
+    # the documented block, comments after values included, is a working config
+    section = README.read_text(encoding="utf-8").split("### Config file", 1)[1]
+    match = re.search(r"```ini\n(.*?)```", section, re.S)
+    assert match, "no ini block under 'Config file'"
+    path = tmp_path / "readme.ini"
+    path.write_text(match.group(1))
+    out = tmp_path / "run"
+    assert main(["twap", "--config", str(path), "--output", str(out)]) == 0
+    assert (out / "summary.json").exists()

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from optexec.closed_form import MarketParams, Schedule, twap_solution
+from optexec.hamiltonian import closed_vs_brute_samples
 from optexec.hjb import solve_reduced_hjb
 from optexec.impact import MixedPowerImpact, QuadraticImpact
 from optexec.simulate import (
     DeterministicStrategy,
     FeedbackStrategy,
-    _path_noise,
     compare_strategies,
     simulate,
 )
@@ -79,15 +79,18 @@ def test_bit_identical_reruns():
     assert not np.array_equal(a.utilities, c.utilities)
 
 
-@pytest.mark.parametrize(
-    "seed, start, count, n_steps",
-    [(0, 0, 3, 64), (5, 4100, 4, 501), (2**63 - 1, 1, 2, 33)],
-)
-def test_path_noise_rows_are_fresh_philox_streams(seed, start, count, n_steps):
-    block = _path_noise(seed, start, count, n_steps)
-    for i in range(count):
-        bits = np.random.Philox(key=np.array([seed, start + i], dtype=np.uint64))
-        assert np.array_equal(block[i], np.random.Generator(bits).standard_normal(n_steps))
+def test_random_streams_golden_bits():
+    # both random streams are plain default_rng(seed) draws; a numpy change to
+    # either moves these numbers, and every seeded result with them
+    strat, _ = twap_strategy()
+    res = simulate(strat, BS, QUAD, 0.0, 0.1, 100.0, 1.0, 3, 4, seed=0)
+    assert repr(res.utilities.tolist()) == "[9.938429894697528, 9.472007918163595, 9.360678336665998]"
+    rows = closed_vs_brute_samples(QUAD, 3, seed=0, n_grid=11)
+    assert repr(rows[:, :4].tolist()) == (
+        "[[3.2574160991429806, 1.1049001171530397, 1.3040000451301372, 2.808463650173916], "
+        "[1.4949762260665773, 0.46433062683888904, 0.9470809631292422, 2.4567679846585198], "
+        "[0.3966729148937345, 1.3615950549094848, -0.7037352358069926, 0.05807857550193688]]"
+    )
 
 
 def _twap_and_feedback():
@@ -134,11 +137,21 @@ def test_results_do_not_depend_on_chunking(monkeypatch):
     assert comp7 == comp
 
 
+def test_a_run_is_the_start_of_a_longer_run(monkeypatch):
+    # paths are drawn in order from one stream, so path i's noise does not
+    # depend on n_paths, even when the chunks fall differently
+    strat, _ = twap_strategy()
+    run = (BS, QUAD, 0.0, 0.1, 100.0, 1.0)
+    short = simulate(strat, *run, 10, 30, seed=3).utilities
+    monkeypatch.setattr(SIM_MODULE, "_CHUNK", 7)
+    assert np.array_equal(simulate(strat, *run, 50, 30, seed=3).utilities[:10], short)
+
+
 def _euler_loop(sells, drags, market, c0, s0, dt, n_paths, seed, log_floor, return_paths):
     """The per-step Euler-Maruyama loop `_price_paths` ran before the
     factorised march, on one block: the reference for it."""
     m, n_steps = sells.shape
-    noise = _path_noise(seed, 0, n_paths, n_steps)
+    noise = np.random.default_rng(seed).standard_normal((n_paths, n_steps))
     Y = np.full((m, n_paths), math.log(s0) if s0 > 0.0 else log_floor - 1.0)
     S = np.full((m, n_paths), float(s0))
     C = np.full((m, n_paths), float(c0))
@@ -413,6 +426,8 @@ def test_input_validation():
         simulate(strat, BS, QUAD, 0.0, 0.1, 100.0, 1.0, 10, 10, seed=-1)
     with pytest.raises(ValueError):
         simulate(strat, BS, QUAD, 0.0, -0.1, 100.0, 1.0, 10, 10, seed=0)
+    with pytest.raises(ValueError, match="horizon must be positive"):
+        simulate(strat, BS, QUAD, 0.0, 0.1, 100.0, 0.0, 10, 10, seed=0)
     wrong_horizon = DeterministicStrategy(Schedule.constant(0.1, 0.5, 2.0))
     with pytest.raises(ValueError):
         simulate(wrong_horizon, BS, QUAD, 0.0, 0.1, 100.0, 1.0, 10, 10, seed=0)
