@@ -385,6 +385,8 @@ def extreme_comparison(
     require_finite(x0=x0, s0=s0, decay=decay, horizon=horizon)
     if decay <= 0.0:
         raise ValueError("needs a positive decay rate")
+    if x0 < 0.0 or s0 < 0.0 or horizon <= 0.0:
+        raise ValueError("need x0 >= 0, s0 >= 0 and a positive horizon")
     rate = twap_rate(model, decay)
     if x0 > rate * horizon or x0 > model.threshold * horizon:
         raise HypothesisViolation(

@@ -18,7 +18,7 @@ compared with a brute-force minimum of f from a dense grid, a golden-section
 refinement, and y_max doubled while the minimizer sits at the grid's right
 edge.  One private kernel, `_brute_min`, runs that search in lockstep over
 arrays of draws: each grid level is one `g` call shared by all draws, and
-each golden-section iteration is one `g` call over the draws still refining.
+so is each golden-section iteration, of which the grid alone sets the count.
 Every draw sees exactly the float operations of the one-draw search, so a
 one-draw `_brute_min` call gives a sweep row's value bit for bit.  The
 oracle never calls `best_response` or `h_inverse`.
@@ -131,27 +131,19 @@ _GRID_BLOCK = 1 << 15  # grid values per block of draws: 256 KB per buffer
 _MAX_DOUBLINGS = 20
 
 
-def _golden(model, a, b, lo, hi):
+def _golden(model, a, b, lo, hi, width):
     """Lockstep golden-section search of each draw's f on its own [lo, hi].
 
-    Every draw sees the float operations of the scalar textbook loop; each
-    iteration is one `g` call on the draws whose bracket is still wider
-    than 1e-10.  Returns the final interior points and values (c, fc, d, fd).
+    Every draw sees the float operations of the scalar textbook loop: one
+    `g` call per iteration while `width`, the level's widest bracket shrunk
+    by the golden ratio per iteration, exceeds 1e-10.  Returns each draw's
+    better final interior point and its value, c on a tie.
     """
-    out = np.empty((4, a.size))
-    ids = np.arange(a.size)
     c = hi - _INVPHI * (hi - lo)
     d = lo + _INVPHI * (hi - lo)
     fc = _gain_rate(model, a, b, c)
     fd = _gain_rate(model, a, b, d)
-    while True:
-        go = hi - lo > 1e-10
-        if not go.all():
-            stop = ~go
-            out[:, ids[stop]] = c[stop], fc[stop], d[stop], fd[stop]
-            lo, hi, c, d, fc, fd, a, b, ids = (v[go] for v in (lo, hi, c, d, fc, fd, a, b, ids))
-            if not ids.size:
-                return out
+    while width > 1e-10:
         left = fc < fd  # keep [lo, d] and probe a new c; else keep [c, hi] and probe a new d
         lo = np.where(left, lo, c)
         hi = np.where(left, d, hi)
@@ -159,6 +151,9 @@ def _golden(model, a, b, lo, hi):
         c, d = np.where(left, y, d), np.where(left, c, y)
         fy = _gain_rate(model, a, b, y)
         fc, fd = np.where(left, fy, fd), np.where(left, fc, fy)
+        width *= _INVPHI
+    take_c = fc <= fd
+    return np.where(take_c, c, d), np.where(take_c, fc, fd)
 
 
 def _brute_min(model, a, b, y_max, n):
@@ -167,10 +162,11 @@ def _brute_min(model, a, b, y_max, n):
     Per y_max level: one `g` call on the shared grid linspace(0, y_max, n),
     each draw's grid argmin (over blocks of draws, so temporaries stay
     small), then a golden-section refinement on the two grid cells around
-    it.  Draws whose minimizer sits at the right edge go on to the next
-    level with y_max doubled, at most `_MAX_DOUBLINGS` times.  Never touches
-    the closed form (`best_response`, `h_inverse`): it is the oracle that
-    checks it.  Returns arrays (argmin, min, y_max reached).
+    it, run for as many iterations as the grid sets.  Draws whose minimizer
+    sits at the right edge go on to the next level with y_max doubled, at
+    most `_MAX_DOUBLINGS` times.  Never touches the closed form
+    (`best_response`, `h_inverse`): it is the oracle that checks it.
+    Returns arrays (argmin, min, y_max reached).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -196,11 +192,11 @@ def _brute_min(model, a, b, y_max, n):
             i[blk] = np.argmin(vals, axis=1)
             best_v[blk] = vals[np.arange(k), i[blk]]
         best_y = ys[i]
-        c, fc, d, fd = _golden(model, at, bt, ys[np.maximum(i - 1, 0)], ys[np.minimum(i + 1, n - 1)])
-        for y, v in ((c, fc), (d, fd)):
-            better = v < best_v
-            best_y = np.where(better, y, best_y)
-            best_v = np.where(better, v, best_v)
+        width = ys[min(2, n - 1)] - ys[0]  # the widest bracket, two cells, sets every draw's stop
+        y, v = _golden(model, at, bt, ys[np.maximum(i - 1, 0)], ys[np.minimum(i + 1, n - 1)], width)
+        better = v < best_v
+        best_y = np.where(better, y, best_y)
+        best_v = np.where(better, v, best_v)
         y_star[todo], val[todo] = best_y, best_v
         todo = todo[~(best_y < y_max * (1.0 - 2.0 / n))]
         y_max *= 2.0

@@ -157,12 +157,13 @@ def simulate(
     if return_paths:
         t = np.linspace(0.0, horizon, n_steps + 1)
         paths = {"t": t, "S": hist[1, 0], "C": hist[0, 0], "X": np.tile(xs[0], (n_paths, 1))}
+    x_T = float(xs[0, -1])  # every path holds the same inventory
     return SimResult(
         mean_utility=float(cash[0].mean()),
         std_error=_std_error(cash[0]),
         n_paths=n_paths,
         cash=_stats(cash[0]),
-        inventory=_stats(np.full(n_paths, xs[0, -1])),
+        inventory=TerminalStats(x_T, 0.0, (x_T,) * len(QUANTILE_LEVELS)),
         price=_stats(price[0]),
         absorption_count=int(absorbed[0]),
         utilities=cash[0],
@@ -270,8 +271,8 @@ def _simulate_all(
         raise ValueError("horizon must be positive")
     if x0 < 0.0 or s0 < 0.0:
         raise ValueError("need x0 >= 0 and s0 >= 0")
-    if not isinstance(seed, (int, np.integer)) or seed < 0 or seed >= 2**63:
-        raise ValueError("seed must be a non-negative integer below 2**63")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError("seed must be a non-negative integer")
     if math.isnan(log_floor):  # -inf never absorbs, +inf absorbs every path
         raise ValueError("log_floor must not be NaN")
     for strategy in strategies:

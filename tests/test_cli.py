@@ -370,6 +370,17 @@ def _sets(*items):
     return [a for s in items for a in ("--set", s)]
 
 
+def test_simulate_takes_a_seed_above_2_63(bench_config, tmp_path):
+    # default_rng takes any non-negative integer, so the simulator sets no upper bound
+    first, again = tmp_path / "first", tmp_path / "again"
+    sets = _sets(*_SMALL_SIM, "sim.seed=9223372036854775808", "sim.path_csv_cap=3")
+    assert main(["simulate", "--config", bench_config, "--output", str(first), *sets]) == 0
+    assert _summary(first)["seed"] == 2**63
+    assert main(["rerun", str(first / "manifest.json"), "--output", str(again)]) == 0
+    for name in ("summary.json", "paths.csv"):
+        assert (first / name).read_bytes() == (again / name).read_bytes(), name
+
+
 def test_exit_codes(bench_config, tmp_path):
     out = ["--output", str(tmp_path / "run")]
     # 2: config errors

@@ -391,11 +391,15 @@ _RANGE = "need x0 >= 0, s0 >= 0 and a positive horizon"
         (lambda: mixed_power_solution(0.0, 0.1, 100.0, MIXED, 0.0, 1.0), "needs a positive decay rate"),
         (lambda: mixed_power_solution(0.0, 0.1, 100.0, MIXED, 0.05, 0.0), _RANGE),
         (lambda: extreme_comparison(SHIFTED, 0.1, 100.0, -0.05, 1.0), "needs a positive decay rate"),
+        (lambda: extreme_comparison(SHIFTED, -0.1, 100.0, 0.04, 1.0), _RANGE),
+        (lambda: extreme_comparison(SHIFTED, 0.1, -100.0, 0.04, 1.0), _RANGE),
+        (lambda: extreme_comparison(SHIFTED, 0.1, 100.0, 0.04, -1.0), _RANGE),
         (lambda: linear_quasi_block(1.0, 0.0, 1.0, 1.0, delta=0.0, decay=0.05), "delta must be positive"),
         (lambda: linear_quasi_block(1.0, 0.0, 1.0, -1.0, delta=0.01, decay=0.05), "need x0 >= 0 and s0 >= 0"),
     ],
     ids=["schedule-negative-rate", "schedule-oversells", "twap-negative-x0", "beta-zero-b",
-         "mixed-zero-decay", "mixed-zero-horizon", "extreme-negative-decay", "quasi-block-zero-delta",
+         "mixed-zero-decay", "mixed-zero-horizon", "extreme-negative-decay", "extreme-negative-x0",
+         "extreme-negative-s0", "extreme-negative-horizon", "quasi-block-zero-delta",
          "quasi-block-negative-s0"],
 )
 def test_closed_forms_reject_out_of_range_inputs(call, message):

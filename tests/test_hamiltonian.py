@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import optexec
 from optexec.hamiltonian import (
     Gradient,
     _brute_min,
@@ -88,6 +92,29 @@ def test_sample_sweep_rejects_a_one_point_grid():
     # one grid point is y = 0 alone: every draw's search would end at the origin
     with pytest.raises(ValueError, match="n_grid"):
         closed_vs_brute_samples(QUAD, 5, n_grid=1)
+
+
+_SMALL_IMPACT_SWEEP = """
+import numpy as np
+from optexec.hamiltonian import closed_vs_brute_samples
+from optexec.impact import QuadraticImpact
+
+rows = closed_vs_brute_samples(QuadraticImpact(1e-6), 20, seed=0, n_grid=101)
+print(rows.shape[0], bool(np.isfinite(rows).all()))
+"""
+
+
+def test_oracle_ends_where_1e_10_is_below_the_brackets_resolution():
+    # at alpha0 = 1e-6 the doublings carry brackets near 1e6, where an ulp is
+    # 1.2e-10: a search stopped by its own bracket width would never end.  A
+    # fresh interpreter, so a hang fails the test by its timeout
+    src = os.path.dirname(os.path.dirname(os.path.abspath(optexec.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", _SMALL_IMPACT_SWEEP], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["20", "True"]
 
 
 def test_expansion_reaches_interior_minimizer():
@@ -292,7 +319,8 @@ def _textbook_min(f, y_max, n, max_doublings=20):
         a, b = float(ys[max(i - 1, 0)]), float(ys[min(i + 1, n - 1)])
         c, d = b - invphi * (b - a), a + invphi * (b - a)
         fc, fd = float(f(c)), float(f(d))
-        while b - a > 1e-10:
+        width = float(ys[min(2, n - 1)] - ys[0])  # the grid, not the bracket, sets the stop
+        while width > 1e-10:
             if fc < fd:
                 b, d, fd = d, c, fc
                 c = b - invphi * (b - a)
@@ -301,6 +329,7 @@ def _textbook_min(f, y_max, n, max_doublings=20):
                 a, c, fc = c, d, fd
                 d = a + invphi * (b - a)
                 fd = float(f(d))
+            width *= invphi
         for y, v in ((c, fc), (d, fd)):
             if v < best_v:
                 best_y, best_v = y, v

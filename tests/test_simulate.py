@@ -9,6 +9,7 @@ from optexec.hamiltonian import closed_vs_brute_samples
 from optexec.hjb import solve_reduced_hjb
 from optexec.impact import MixedPowerImpact, QuadraticImpact
 from optexec.simulate import (
+    QUANTILE_LEVELS,
     DeterministicStrategy,
     FeedbackStrategy,
     compare_strategies,
@@ -59,6 +60,17 @@ def test_inventory_depletes_exactly():
     strat, _ = twap_strategy()
     res = simulate(strat, FLAT, QUAD, 0.0, 0.1, 100.0, 1.0, 1, 500, seed=0)
     assert res.inventory.mean == 0.0
+
+
+def test_left_inventory_reports_exact_stats():
+    # every path holds the same inventory, so its stats are that one number:
+    # no rounding from averaging or interpolating 2000 copies of it
+    strat = DeterministicStrategy(Schedule.constant(0.05, 1.0, 1.0))
+    res = simulate(strat, BS, QUAD, 0.0, 0.1, 100.0, 1.0, 2000, 100, seed=0)
+    x_T = res.inventory.mean
+    assert 0.0 < x_T < 0.1
+    assert res.inventory.variance == 0.0
+    assert res.inventory.quantiles == (x_T,) * len(QUANTILE_LEVELS)
 
 
 def test_stochastic_mean_near_closed_form():
