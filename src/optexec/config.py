@@ -87,8 +87,8 @@ class CheckSettings:
             raise ConfigError("check.draws must be at least 1")
         if self.seed < 0:
             raise ConfigError("check.seed must be non-negative")
-        if self.grid_points < 2:
-            raise ConfigError("check.grid_points must be at least 2")
+        if self.grid_points < 3:
+            raise ConfigError("check.grid_points must be at least 3")
 
 
 @dataclass(frozen=True)

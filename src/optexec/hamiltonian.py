@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import require_finite
+from .errors import NumericalFailure, require_finite
 from .impact import ImpactModel
 
 __all__ = [
@@ -128,7 +128,6 @@ def hamiltonian(s: float, p: Gradient, model: ImpactModel) -> float:
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID_BLOCK = 1 << 15  # grid values per block of draws: 256 KB per buffer
-_MAX_DOUBLINGS = 20
 
 
 def _golden(model, a, b, lo, hi, width):
@@ -163,9 +162,11 @@ def _brute_min(model, a, b, y_max, n):
     each draw's grid argmin (over blocks of draws, so temporaries stay
     small), then a golden-section refinement on the two grid cells around
     it, run for as many iterations as the grid sets.  Draws whose minimizer
-    sits at the right edge go on to the next level with y_max doubled, at
-    most `_MAX_DOUBLINGS` times.  Never touches the closed form
-    (`best_response`, `h_inverse`): it is the oracle that checks it.
+    sits at the right edge go on to the next level with y_max doubled, until
+    every draw is bracketed; a y_max that leaves the float range raises
+    NumericalFailure.  On n = 2 points no draw leaves the right edge, so
+    callers need n >= 3.  Never touches the closed form (`best_response`,
+    `h_inverse`): it is the oracle that checks it.
     Returns arrays (argmin, min, y_max reached).
     """
     a = np.asarray(a, dtype=float)
@@ -173,9 +174,9 @@ def _brute_min(model, a, b, y_max, n):
     y_star, val, y_cap = np.empty(a.size), np.empty(a.size), np.full(a.size, float(y_max))
     todo = np.arange(a.size)
     rows = max(1, _GRID_BLOCK // n)
-    for _ in range(_MAX_DOUBLINGS + 1):
-        if not todo.size:
-            break
+    while todo.size:
+        if not math.isfinite(y_max):
+            raise NumericalFailure(f"y_max overflowed with {todo.size} draw(s) not yet bracketed")
         ys = np.linspace(0.0, y_max, n)
         gs = model.g(ys)
         at, bt = a[todo], b[todo]
@@ -212,14 +213,15 @@ def closed_vs_brute_samples(model: ImpactModel, n_draws: int, seed: int = 0, n_g
     default_rng(seed) in that order, with p_s > 0 so the closed form
     applies.  The closed values and speeds come from one
     `best_response` call over all draws, the brute values from one lockstep
-    `_brute_min` run over all draws, whose y_max starts at
-    max(2*threshold + 1, 1) and doubles (up to 2**20 times the start) for
-    each draw whose argmin lands on the right endpoint.  Every
-    row is bit-identical to the one-draw calls `hamiltonian`, `_brute_min`
-    and `optimal_speed`.  The grid needs n_grid >= 2 points.
+    `_brute_min` run over all draws, whose y_max starts at 2*threshold + 1
+    and doubles for each draw whose argmin lands on the right endpoint until
+    every draw is bracketed (NumericalFailure if y_max overflows first).
+    Every row is bit-identical to the one-draw calls `hamiltonian`,
+    `_brute_min` and `optimal_speed`.  The grid needs n_grid >= 3 points: on
+    two, the right-edge rule would keep every draw doubling.
     """
-    if n_grid < 2:
-        raise ValueError(f"the brute-force grid needs n_grid >= 2 points, got {n_grid}")
+    if n_grid < 3:
+        raise ValueError(f"the brute-force grid needs n_grid >= 3 points, got {n_grid}")
     rng = np.random.default_rng(seed)
     s = rng.uniform(0.2, 5.0, n_draws)
     p_c = rng.normal(1.0, 1.0, n_draws)
@@ -227,5 +229,5 @@ def closed_vs_brute_samples(model: ImpactModel, n_draws: int, seed: int = 0, n_g
     p_s = rng.uniform(0.05, 3.0, n_draws)
     a, b = s * p_c - p_x, s * p_s
     speed, gain = best_response(model, a, b)
-    _, h_brute, _ = _brute_min(model, a, b, max(2.0 * model.threshold + 1.0, 1.0), n_grid)
+    _, h_brute, _ = _brute_min(model, a, b, 2.0 * model.threshold + 1.0, n_grid)
     return np.column_stack((s, p_c, p_x, p_s, 0.0 - gain, h_brute, speed))

@@ -180,11 +180,6 @@ def _price_paths(sells, drags, market, c0, s0, dt, n_paths, seed, log_floor, ret
     """
     m, n_steps = sells.shape
     hist = np.empty((2, m, n_paths, n_steps + 1)) if return_paths else None
-    if s0 == 0.0:
-        # every path starts absorbed: price 0 and cash c0 throughout, whatever the noise
-        if hist is not None:
-            hist[0], hist[1] = c0, 0.0
-        return np.full((m, n_paths), float(c0)), np.zeros((m, n_paths)), np.full(m, n_paths), hist
     gen = np.random.default_rng(seed)
     cash, price = np.empty((m, n_paths)), np.empty((m, n_paths))
     absorbed = np.zeros(m, dtype=int)
@@ -209,7 +204,7 @@ def _factorised_chunk(noise, sells, drags, market, c0, s0, dt, log_floor, cash, 
     # Yref_k = y0 + dY_0 + ... + dY_{k-1}, summed in order, dY_l = mu*dt + (sigma*sqdt)*xi_l
     noise *= sigma * math.sqrt(dt)
     noise += mu * dt
-    noise[:, 0] += math.log(s0)
+    noise[:, 0] += math.log(s0) if s0 > 0.0 else -math.inf  # s0 = 0 starts at log-price -inf
     Y = np.add.accumulate(noise, axis=1, out=noise)
     G = np.zeros((m, n + 1))  # G_j,k = sum_{l<k} drag_j,l*dt
     np.add.accumulate(drags * dt, axis=1, out=G[:, 1:])

@@ -381,6 +381,14 @@ def test_simulate_takes_a_seed_above_2_63(bench_config, tmp_path):
         assert (first / name).read_bytes() == (again / name).read_bytes(), name
 
 
+def test_hamiltonian_check_exits_4_when_y_max_overflows(tmp_path, capsys):
+    sets = _sets("impact.family=shifted_convex", "impact.power=3", "impact.threshold=1e308",
+                 "check.draws=5", "check.grid_points=101")
+    assert main(["hamiltonian-check", *sets, "--output", str(tmp_path / "ham")]) == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "numerical_failure" and "y_max" in err["message"]
+
+
 def test_exit_codes(bench_config, tmp_path):
     out = ["--output", str(tmp_path / "run")]
     # 2: config errors
@@ -526,6 +534,7 @@ _PROBLEM = ("problem.c0=0.0", "problem.x0=0.1", "problem.s0=100.0", "problem.hor
         ("hamiltonian-check", ["impact.alpha0=-1"], "alpha0"),
         ("hamiltonian-check", ["bogus.key=1"], "bogus"),
         ("solve-hjb", [*_PROBLEM, "problem.x0=0"], "solver.x_max"),  # the default x_max is 2*x0 = 0
+        ("hamiltonian-check", ["check.grid_points=2"], "check.grid_points"),  # no draw could leave the right edge
     ],
 )
 def test_out_of_range_settings_exit_2_and_name_the_key(tmp_path, capsys, subcommand, sets, key):

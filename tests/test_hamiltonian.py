@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import optexec
+from optexec.errors import NumericalFailure
 from optexec.hamiltonian import (
     Gradient,
     _brute_min,
@@ -89,9 +90,17 @@ def test_bruteforce_zero_when_selling_never_pays():
 
 
 def test_sample_sweep_rejects_a_one_point_grid():
-    # one grid point is y = 0 alone: every draw's search would end at the origin
-    with pytest.raises(ValueError, match="n_grid"):
-        closed_vs_brute_samples(QUAD, 5, n_grid=1)
+    # one grid point is y = 0 alone: every draw's search would end at the origin;
+    # on two, no argmin lies below y_max*(1 - 2/n) = 0, so every draw would keep doubling
+    for n_grid in (1, 2):
+        with pytest.raises(ValueError, match="n_grid"):
+            closed_vs_brute_samples(QUAD, 5, n_grid=n_grid)
+
+
+def test_oracle_fails_loudly_when_y_max_overflows():
+    # the start 2*threshold + 1 is already inf: no draw can be bracketed
+    with pytest.raises(NumericalFailure, match="5 draw"):
+        closed_vs_brute_samples(ShiftedConvexImpact(3.0, 1e308), 5, n_grid=101)
 
 
 _SMALL_IMPACT_SWEEP = """
@@ -100,21 +109,23 @@ from optexec.hamiltonian import closed_vs_brute_samples
 from optexec.impact import QuadraticImpact
 
 rows = closed_vs_brute_samples(QuadraticImpact(1e-6), 20, seed=0, n_grid=101)
-print(rows.shape[0], bool(np.isfinite(rows).all()))
+worst = np.max(np.abs(rows[:, 4] - rows[:, 5]) / (1.0 + np.abs(rows[:, 4])))
+print(rows.shape[0], bool(np.isfinite(rows).all()), bool(worst <= 1e-6))
 """
 
 
 def test_oracle_ends_where_1e_10_is_below_the_brackets_resolution():
     # at alpha0 = 1e-6 the doublings carry brackets near 1e6, where an ulp is
-    # 1.2e-10: a search stopped by its own bracket width would never end.  A
-    # fresh interpreter, so a hang fails the test by its timeout
+    # 1.2e-10: a search stopped by its own bracket width would never end.  Some
+    # minimizers lie beyond 2**20 times the start y_max, so the doubling must not
+    # stop before them.  A fresh interpreter, so a hang fails the test by its timeout
     src = os.path.dirname(os.path.dirname(os.path.abspath(optexec.__file__)))
     done = subprocess.run(
         [sys.executable, "-c", _SMALL_IMPACT_SWEEP], env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["20", "True"]
+    assert done.stdout.split() == ["20", "True", "True"]
 
 
 def test_expansion_reaches_interior_minimizer():
@@ -261,7 +272,7 @@ def test_sample_rows_equal_one_draw_calls(model):
     # closed-form calls, including draws whose search doubled y_max
     n_draws, seed = 80, 5
     rows = closed_vs_brute_samples(model, n_draws, seed=seed, n_grid=1001)
-    y_max0 = max(2.0 * model.threshold + 1.0, 1.0)
+    y_max0 = 2.0 * model.threshold + 1.0
     expected, doubled = [], 0
     for s, p_c, p_x, p_s in rows[:, :4].tolist():
         p = Gradient(p_c, p_x, p_s)
@@ -308,10 +319,10 @@ def test_sample_sweep_detects_a_slightly_wrong_inverse():
     assert worst(_OffInverse(**MIXED.params())) > 1e-6
 
 
-def _textbook_min(f, y_max, n, max_doublings=20):
+def _textbook_min(f, y_max, n):
     # scalar grid + golden-section search with y_max doubling, one float at a time
     invphi = (5.0**0.5 - 1.0) / 2.0
-    for _ in range(max_doublings + 1):
+    while True:
         ys = np.linspace(0.0, y_max, n)
         vals = f(ys)
         i = int(np.argmin(vals))
@@ -336,7 +347,6 @@ def _textbook_min(f, y_max, n, max_doublings=20):
         if best_y < y_max * (1.0 - 2.0 / n):
             return best_y, best_v, y_max
         y_max *= 2.0
-    return best_y, best_v, y_max
 
 
 @pytest.mark.parametrize("model", FAMILIES, ids=lambda m: m.family)

@@ -164,10 +164,10 @@ def _euler_loop(sells, drags, market, c0, s0, dt, n_paths, seed, log_floor, retu
     factorised march, on one block: the reference for it."""
     m, n_steps = sells.shape
     noise = np.random.default_rng(seed).standard_normal((n_paths, n_steps))
-    Y = np.full((m, n_paths), math.log(s0) if s0 > 0.0 else log_floor - 1.0)
+    Y = np.full((m, n_paths), math.log(s0) if s0 > 0.0 else -math.inf)
     S = np.full((m, n_paths), float(s0))
     C = np.full((m, n_paths), float(c0))
-    alive = np.full((m, n_paths), s0 > 0.0)
+    alive = np.full((m, n_paths), True)
     hist = np.empty((2, m, n_paths, n_steps + 1))
     hist[:, :, :, 0] = C, S
     for k in range(n_steps):
@@ -187,6 +187,7 @@ def _euler_loop(sells, drags, market, c0, s0, dt, n_paths, seed, log_floor, retu
         ("threshold", 100.0, -60.0, 0),
         ("feedback", 100.0, -60.0, 0),
         ("feedback", 0.0, -60.0, 60),
+        ("feedback", 0.0, -math.inf, 0),  # log-price -inf from the start, and -inf never absorbs
         ("crush", 100.0, -20.0, 60),
         ("crush", 100.0, -45.7, None),  # about half the paths reach -45.7
         ("crush", 100.0, -math.inf, 0),
