@@ -70,9 +70,9 @@ def best_response(model: ImpactModel, a, b, y_max: float = math.inf, h_ymax: flo
 
     The maximizer is 0 or the point above the threshold where h(y) = a/b,
     clipped to y_max; where b = 0 the ratio is +inf, -inf or NaN, giving
-    y_max, 0 and 0.  Ties (ratio at the marginal floor, zero gain) resolve
-    to 0.  `h_ymax` must be h(y_max); callers that solve many rows under one
-    cap compute it once.  A NaN y_max raises ValueError, and so does an
+    y_max, 0 and 0.  A y_max at or below the threshold leaves only 0.  Ties
+    (ratio at the marginal floor, zero gain) resolve to 0.  `h_ymax` must be
+    h(y_max); callers that solve many rows under one cap compute it once.  A NaN y_max raises ValueError, and so does an
     infinite y_max once an element is capped (b = 0 with a > 0 under the
     default cap): its gain is unbounded.
 
@@ -85,6 +85,8 @@ def best_response(model: ImpactModel, a, b, y_max: float = math.inf, h_ymax: flo
     b = np.asarray(b, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = a / b
+    if not y_max > model.threshold:  # (threshold, y_max] is empty: nothing sells
+        return np.zeros_like(ratio), np.zeros_like(ratio)
     candidate = ratio > model.marginal_floor
     capped = candidate & (ratio >= h_ymax)
     if y_max == math.inf and capped.any():
@@ -92,13 +94,15 @@ def best_response(model: ImpactModel, a, b, y_max: float = math.inf, h_ymax: flo
     y = np.where(capped, y_max, 0.0)
     inner = candidate & ~capped
     if inner.any():
-        # the private hook: every ratio here lies above the marginal floor
-        y[inner] = np.minimum(model._h_inverse(ratio[inner]), y_max)
-    # guard against a candidate rounding down onto the threshold; y >= 0 from here on
-    y[y <= model.threshold] = 0.0
-    with np.errstate(over="ignore"):
+        # the private hook: every ratio here lies above the marginal floor.  Its root
+        # lies above the threshold too, but rounds onto it where the gap is below an
+        # ulp of the threshold: such a root moves to the next float up, and `take` decides
+        root = np.maximum(model._h_inverse(ratio[inner]), math.nextafter(model.threshold, math.inf))
+        y[inner] = np.minimum(root, y_max)
+    # near the top of the float range y*a and b*g(y) can both overflow; inf - inf never sells
+    with np.errstate(over="ignore", invalid="ignore"):
         gy = model._g(y)
-    val = y * a - b * gy
+        val = y * a - b * gy
     take = val > 0.0
     return np.where(take, y, 0.0), np.where(take, val, 0.0)
 

@@ -29,12 +29,16 @@ Noise is one np.random.default_rng(seed) stream per run, drawn in path
 order, so results are bit-reproducible for a given (seed, n_steps, strategy)
 whatever the chunking, a run's paths are the first paths of any longer run,
 and distinct strategies simulated with the same seed share noise
-path-by-path (common random numbers).
+path-by-path (common random numbers).  The draw is pipelined: numpy fills a
+block with the GIL released, so a helper thread draws the next block of that
+same stream while the current block is priced.  Memory is two blocks of
+_CHUNK x n_steps floats, and the results are bit-identical to a serial draw.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -57,7 +61,7 @@ __all__ = [
 ]
 
 QUANTILE_LEVELS = (0.05, 0.25, 0.5, 0.75, 0.95)
-_CHUNK = 4096
+_CHUNK = 1024  # paths per noise block: 4 MB at 500 steps, two blocks live
 _CASH_ROWS = 256  # rows per cash sub-block: a 1 MB temporary at 500 steps
 
 
@@ -177,20 +181,46 @@ def _price_paths(sells, drags, market, c0, s0, dt, n_paths, seed, log_floor, ret
     on the same noise.  Returns the terminal cash and price, (rows, n_paths)
     each, the absorbed-path count of each row, and the (cash/price, rows,
     n_paths, n_steps + 1) history.
+
+    Chunk k's noise is drawn into block k % 2 on a helper thread while chunk
+    k - 1 is priced on this one; a failed draw is re-raised here, and the
+    helper is joined on every way out.
     """
     m, n_steps = sells.shape
     hist = np.empty((2, m, n_paths, n_steps + 1)) if return_paths else None
     gen = np.random.default_rng(seed)
     cash, price = np.empty((m, n_paths)), np.empty((m, n_paths))
     absorbed = np.zeros(m, dtype=int)
-    for start in range(0, n_paths, _CHUNK):
-        count = min(_CHUNK, n_paths - start)
-        rows = slice(start, start + count)
-        # the block is only referenced inside the call, so one block is live at a time
-        absorbed += _factorised_chunk(
-            gen.standard_normal((count, n_steps)), sells, drags, market, c0, s0, dt,
-            log_floor, cash[:, rows], price[:, rows], None if hist is None else hist[:, :, rows],
-        )
+    chunks = [slice(start, min(start + _CHUNK, n_paths)) for start in range(0, n_paths, _CHUNK)]
+    blocks = np.empty((2, chunks[0].stop, n_steps))
+    noise = [blocks[k % 2, : rows.stop - rows.start] for k, rows in enumerate(chunks)]
+    failed = []
+
+    def draw(block):
+        try:
+            gen.standard_normal(out=block)
+        except BaseException as exc:
+            failed.append(exc)
+
+    def spawn(block):  # bound once started, so `finally` never joins an unstarted thread
+        helper = threading.Thread(target=draw, args=(block,))
+        helper.start()
+        return helper
+
+    helper = spawn(noise[0])
+    try:
+        for k, rows in enumerate(chunks):
+            helper.join()
+            if failed:
+                raise failed[0]
+            if k + 1 < len(chunks):  # chunk k - 1 has returned, so its block is free
+                helper = spawn(noise[k + 1])
+            absorbed += _factorised_chunk(
+                noise[k], sells, drags, market, c0, s0, dt, log_floor,
+                cash[:, rows], price[:, rows], None if hist is None else hist[:, :, rows],
+            )
+    finally:
+        helper.join()
     return cash, price, absorbed, hist
 
 
@@ -224,7 +254,7 @@ def _factorised_chunk(noise, sells, drags, market, c0, s0, dt, log_floor, cash, 
     absorbed = np.zeros(m, dtype=int)
     for j in range(m):
         head, w = c0 + sells[j, 0] * s0, weights[j, 1:]
-        # per-row pairwise sums, a few hundred rows at a time: no 16 MB temporary,
+        # per-row pairwise sums, a few hundred rows at a time: no block-sized temporary,
         # and no BLAS mat-vec, whose summation order could depend on the row count
         for lo in range(0, Z.shape[0], _CASH_ROWS):
             block = Z[lo : lo + _CASH_ROWS, : n - 1]

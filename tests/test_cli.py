@@ -389,6 +389,16 @@ def test_hamiltonian_check_exits_4_when_y_max_overflows(tmp_path, capsys):
     assert err["error"] == "numerical_failure" and "y_max" in err["message"]
 
 
+def test_hamiltonian_check_resolves_roots_that_round_onto_a_large_threshold(tmp_path):
+    # at threshold 1e15 some draws' optimal speeds lie less than an ulp above it;
+    # zeroing them (in place of the next float up) read max_scaled_diff 4.95e13
+    sets = _sets("impact.family=shifted_convex", "impact.power=3", "impact.threshold=1e15",
+                 "check.draws=200")
+    assert main(["hamiltonian-check", *sets, "--output", str(tmp_path / "ham")]) == 0
+    doc = _summary(tmp_path / "ham")
+    assert doc["max_scaled_diff"] <= 1e-6 and doc["within_tol"] is True
+
+
 def test_exit_codes(bench_config, tmp_path):
     out = ["--output", str(tmp_path / "run")]
     # 2: config errors

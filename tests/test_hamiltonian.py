@@ -262,6 +262,16 @@ def test_best_response_rejects_an_unbounded_gain(model):
     assert speed[0] == y_max and gain[0] == y_max
 
 
+@pytest.mark.parametrize("model", [m for m in FAMILIES if m.threshold > 0.0], ids=lambda m: m.family)
+def test_best_response_sells_nothing_when_the_policy_range_is_empty(model):
+    # (threshold, y_max] is empty, so even a capped element (b = 0) sells nothing
+    from optexec.hamiltonian import best_response
+
+    for y_max in (model.threshold, 0.5 * model.threshold):
+        speed, gain = best_response(model, [5.0, 0.5, 1.0], [1.0, 1.0, 0.0], y_max, model.h(y_max))
+        assert speed.tolist() == [0.0] * 3 and gain.tolist() == [0.0] * 3
+
+
 def _bits(rows):
     return np.asarray(rows, dtype=float).view(np.uint64)
 

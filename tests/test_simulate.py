@@ -1,5 +1,8 @@
 import importlib
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -113,7 +116,7 @@ def _twap_and_feedback():
 
 def test_compare_strategies_equals_separate_simulate_runs():
     named = _twap_and_feedback()
-    n_paths = 4096 + 17  # a full chunk and a partial one
+    n_paths = SIM_MODULE._CHUNK + 17  # a full chunk and a partial one
     run = (BS, QUAD, 0.0, 0.1, 100.0, 1.0, n_paths, 16)
     comp = compare_strategies(named, *run, seed=19)
     utils = [simulate(strat, *run, seed=19).utilities for _, strat in named]
@@ -157,6 +160,94 @@ def test_a_run_is_the_start_of_a_longer_run(monkeypatch):
     short = simulate(strat, *run, 10, 30, seed=3).utilities
     monkeypatch.setattr(SIM_MODULE, "_CHUNK", 7)
     assert np.array_equal(simulate(strat, *run, 50, 30, seed=3).utilities[:10], short)
+
+
+def test_a_noise_block_filled_in_place_has_the_drawn_bits():
+    # the pipeline fills preallocated blocks; the stream must not notice
+    block = np.empty((3, 5, 7))
+    gen = np.random.default_rng(11)
+    gen.standard_normal(out=block[1, :4])
+    gen.standard_normal(out=block[0, :5])
+    drawn = np.random.default_rng(11)
+    assert np.array_equal(block[1, :4], drawn.standard_normal((4, 7)))
+    assert np.array_equal(block[0, :5], drawn.standard_normal((5, 7)))
+
+
+def _rng_calling(monkeypatch, before_draw):
+    """Make every run's generator call before_draw(k) ahead of its k-th block draw."""
+    plain_rng = np.random.default_rng
+
+    class Rng:
+        def __init__(self, seed):
+            self.gen, self.draws = plain_rng(seed), 0
+
+        def standard_normal(self, out):
+            self.draws += 1
+            before_draw(self.draws)
+            return self.gen.standard_normal(out=out)
+
+    monkeypatch.setattr(np.random, "default_rng", Rng)
+
+
+def test_a_failing_chunk_propagates_and_joins_the_helper(monkeypatch):
+    named = _twap_and_feedback()
+    plain = SIM_MODULE._factorised_chunk
+    calls = []
+
+    def second_fails(*args):
+        calls.append(1)
+        if len(calls) == 2:
+            raise FloatingPointError("chunk 2")
+        return plain(*args)
+
+    monkeypatch.setattr(SIM_MODULE, "_CHUNK", 7)
+    monkeypatch.setattr(SIM_MODULE, "_factorised_chunk", second_fails)
+    # chunk 3's block is still being drawn when chunk 2 fails
+    _rng_calling(monkeypatch, lambda k: time.sleep(0.2) if k == 3 else None)
+    baseline = threading.active_count()
+    with pytest.raises(FloatingPointError, match="chunk 2"):
+        compare_strategies(named, BS, QUAD, 0.0, 0.1, 100.0, 1.0, 50, 30, seed=1)
+    assert len(calls) == 2
+    assert threading.active_count() == baseline
+
+
+def test_a_failing_draw_is_raised_in_the_caller(monkeypatch):
+    def second_fails(k):
+        if k == 2:
+            raise MemoryError("draw 2")
+
+    monkeypatch.setattr(SIM_MODULE, "_CHUNK", 7)
+    _rng_calling(monkeypatch, second_fails)
+    strat, _ = twap_strategy()
+    baseline = threading.active_count()
+    with pytest.raises(MemoryError, match="draw 2"):
+        simulate(strat, BS, QUAD, 0.0, 0.1, 100.0, 1.0, 50, 30, seed=1)
+    assert threading.active_count() == baseline
+
+
+def test_concurrent_runs_under_fast_thread_switching_keep_their_bits(monkeypatch):
+    # more runs than cores, each with its own helper thread, switching threads
+    # every microsecond: noise blocks shared between runs would move the bits
+    named = _twap_and_feedback()
+    monkeypatch.setattr(SIM_MODULE, "_CHUNK", 7)
+    run = (BS, QUAD, 0.0, 0.1, 100.0, 1.0, 60, 30)
+    want = compare_strategies(named, *run, seed=29)
+    got = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [
+            threading.Thread(target=lambda: got.append(compare_strategies(named, *run, seed=29)))
+            for _ in range(4)
+        ]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+            assert not w.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [want] * 4
 
 
 def _euler_loop(sells, drags, market, c0, s0, dt, n_paths, seed, log_floor, return_paths):
