@@ -13,7 +13,6 @@ from .closed_form import (
     Schedule,
     TwapSolution,
     extreme_comparison,
-    incomplete_beta,
     linear_quasi_block,
     mixed_power_solution,
     proceeds_factor,

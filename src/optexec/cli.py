@@ -4,7 +4,8 @@ Every run writes `summary.json` (deterministic: identical configs give
 byte-identical bytes), the requested CSV tables, and `manifest.json`
 (resolved config, version, dependency versions and timestamp) from which
 `optexec rerun` can reproduce the run exactly.  Exit codes: 0 ok, 2 config
-error, 3 hypothesis violation, 4 numerical failure.
+error, 3 hypothesis violation, 4 numerical failure (including a
+`hamiltonian-check` whose own check fails, after its artifacts are written).
 """
 
 from __future__ import annotations
@@ -334,6 +335,9 @@ def _compare(cfg: RunConfig):
     return summary, {"comparison": (["strategy", "mean", "std_error"], columns)}
 
 
+_CHECK_TOL = 1e-6  # hamiltonian-check's bound on the scaled closed-vs-brute difference
+
+
 def _hamiltonian_check(cfg: RunConfig):
     table = closed_vs_brute_samples(
         cfg.model, cfg.check.draws, seed=cfg.check.seed, n_grid=cfg.check.grid_points
@@ -343,7 +347,7 @@ def _hamiltonian_check(cfg: RunConfig):
     summary = {
         "draws": cfg.check.draws,
         "max_scaled_diff": worst,
-        "within_tol": bool(worst <= 1e-6),
+        "within_tol": bool(worst <= _CHECK_TOL),
     }
     header = ["s", "p_c", "p_x", "p_s", "H_closed", "H_brute", "speed"]
     return summary, {"hamiltonian": (header, table.T)}
@@ -388,6 +392,11 @@ def _run(name: str, mapping: dict, overrides, output) -> int:
     summary, tables = handler(cfg)
     out_dir = output or os.environ.get(OUTPUT_ENV_VAR) or cfg.output.directory
     _write_artifacts(name, cfg, out_dir, summary, tables)
+    if summary.get("within_tol") is False:  # a failed check keeps its artifacts, then exits 4
+        raise NumericalFailure(
+            f"closed form and brute-force oracle disagree: max_scaled_diff "
+            f"{summary['max_scaled_diff']:.6g} exceeds {_CHECK_TOL:g}"
+        )
     return 0
 
 

@@ -12,15 +12,14 @@ x*h(x) - g(x) = decay above the impact threshold) earns
     c0 + s0 * (1 - exp(-h(nu) * x0)) / h(nu)
 
 whenever x0 <= nu * T; the mixed-power family additionally has closed forms
-for large inventories, expressed through a reciprocal-integrand incomplete
-Beta integral that is implemented exactly as written (it is not the
-regularized Beta of the standard libraries).
+for large inventories, whose size threshold x_large is the integral of
+(1 - exp(-v))**(-1/p) up to w = p*(decay+gamma)*T/(p-1), summed as one of
+two fixed-length series.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -35,7 +34,6 @@ __all__ = [
     "twap_rate",
     "TwapSolution",
     "twap_solution",
-    "incomplete_beta",
     "MixedPowerSolution",
     "mixed_power_solution",
     "proceeds_factor",
@@ -208,73 +206,43 @@ def twap_solution(
     )
 
 
-def _checked_quad(what: str, integrand, upper: float) -> float:
-    """Integral of `integrand` over [0, upper] by adaptive quadrature at
-    relative accuracy 1e-12; a non-finite value or an error estimate above
-    1e-8 relative raises NumericalFailure."""
-    from scipy import integrate  # loaded on first use: no CLI run but mixed-power needs it
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.quad(integrand, 0.0, upper, epsabs=0.0, epsrel=1e-12, limit=400)
-    if not math.isfinite(val) or (val != 0.0 and err > 1e-8 * abs(val)):
-        raise NumericalFailure(f"{what} quadrature unreliable: value {val}, error {err}")
-    return val
+_LN2 = math.log(2.0)
+_SERIES_TERMS = 64  # both series below shrink by at least 1/2 a term
 
 
-def incomplete_beta(z: float, a: float, b: float) -> float:
-    """The reciprocal-integrand incomplete Beta: integral of
-    1 / (x**(a-1) * (1-x)**(b-1)) from 0 to z.
+def _poly(coeffs, x: float) -> float:
+    """sum of coeffs[k] * x**k, by Horner's rule."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
-    Not the regularized Beta function.  The integrand is x**(1-a) *
-    (1-x)**(1-b); for a in (1, 2) the endpoint singularity at 0 is removed
-    by substituting x = u**k with k = 2/(2-a) before adaptive quadrature.
-    Relative accuracy 1e-10.
+
+def _large_inventory_integral(w: float, s: float) -> float:
+    """I(w), the integral of (1 - exp(-v))**(-s) over [0, w], for w >= 0 and 0 <= s < 1.
+
+    Up to w = ln 2, u = 1 - exp(-v) turns I into the integral of
+    u**(-s) / (1 - u) over [0, z], z = -expm1(-w), whose geometric series
+    integrates to sum_{k>=0} z**(k+1-s) / (k+1-s).  Beyond ln 2 the binomial
+    series (1 - q)**(-s) = sum_k (s)_k/k! q**k at q = exp(-v) integrates to
+
+        I(w) = I(ln 2) + (w - ln 2) + T(1/2) - T(exp(-w)),
+        T(q) = sum_{k>=1} (s)_k/k! q**k / k.
+
+    z and q never exceed 1/2 and every coefficient is at most its
+    predecessor, so a fixed `_SERIES_TERMS` terms leave a tail below 2**-64
+    of the sum: no tolerance and no loop that can run on.
     """
-    require_finite(z=z, a=a, b=b)
-    if z < 0.0:
-        raise ValueError("z must be non-negative")
-    if z > 1.0:
-        raise ValueError("z must not exceed 1")
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError("a and b must be positive")
-    if z > 0.0 and a >= 2.0:
-        raise ValueError("integral diverges at 0 for a >= 2")
-    if z == 1.0 and b >= 2.0:
-        raise ValueError("integral diverges at 1 for b >= 2")
-    if z == 0.0:
-        return 0.0
-
-    if a > 1.0:
-        k = 2.0 / (2.0 - a)
-
-        def integrand(u):
-            return k * u * (1.0 - u**k) ** (1.0 - b)
-
-        upper = z ** (1.0 / k)
-    else:
-
-        def integrand(x):
-            return x ** (1.0 - a) * (1.0 - x) ** (1.0 - b)
-
-        upper = z
-
-    return _checked_quad("incomplete Beta", integrand, upper)
-
-
-def _beta_via_log_substitution(w: float, a: float) -> float:
-    """The same reciprocal Beta integral at z = 1 - exp(-w) and b = 2,
-    rewritten through u = 1 - exp(-v) as the integral of (1 - exp(-v))**(1-a)
-    over [0, w].  Stable for large w, where z rounds to 1 in floating point;
-    the v**(1-a) endpoint singularity is removed by v = u**k exactly as in
-    `incomplete_beta`."""
-    k = 2.0 / (2.0 - a)
-
-    def integrand(u):
-        v = u**k
-        return k * u ** (k - 1.0) * (-math.expm1(-v)) ** (1.0 - a)
-
-    return _checked_quad("large-horizon Beta", integrand, w ** (1.0 / k))
+    head = [1.0 / (k + 1.0 - s) for k in range(_SERIES_TERMS)]
+    if w <= _LN2:
+        z = -math.expm1(-w)
+        return z ** (1.0 - s) * _poly(head, z)
+    tail, c = [0.0], 1.0
+    for k in range(1, _SERIES_TERMS):
+        c *= (s + k - 1.0) / k  # (s)_k / k!
+        tail.append(c / k)
+    at_ln2 = 0.5 ** (1.0 - s) * _poly(head, 0.5)
+    return at_ln2 + (w - _LN2) + _poly(tail, 0.5) - _poly(tail, math.exp(-w))
 
 
 @dataclass(frozen=True)
@@ -303,11 +271,13 @@ def mixed_power_solution(
 
     (delta equals h(rate)).  Large inventories (x0 >= x_large) sell along a
     decreasing-in-inventory rate that diverges at the horizon and the value
-    is (s0/delta) * z**((p-1)/p) with z = 1 - exp(-p*(decay+gamma)*T/(p-1));
-    x_large itself is the reciprocal incomplete Beta of z at (1/p + 1, 2)
-    divided by delta, and is exactly the number of shares that schedule
-    sells.  Small inventories (x0 <= x_small = rate * T) reduce to constant
-    selling at `rate`.  In between there is no analytic solution.
+    is (s0/delta) * z**((p-1)/p) with z = 1 - exp(-w) and
+    w = p*(decay+gamma)*T/(p-1).  x_large = I(w)/delta, with I(w) the
+    integral of (1 - exp(-v))**(-1/p) over [0, w], is exactly the number of
+    shares that schedule sells; I is summed as a fixed-length series
+    (`_large_inventory_integral`).  Small inventories (x0 <= x_small =
+    rate * T) reduce to constant selling at `rate`.  In between there is no
+    analytic solution.
     """
     if not isinstance(model, MixedPowerImpact):
         raise ValueError("mixed_power_solution needs a mixed-power impact model")
@@ -324,10 +294,9 @@ def mixed_power_solution(
     c = p * load / (p - 1.0)
     w = c * horizon
     z = -math.expm1(-w)
-    # the reciprocal Beta integral at (z, 1/p + 1, 2), computed through its
-    # log substitution: near-singular directly once z approaches 1, exact and
-    # tame in this form for every horizon
-    x_large = _beta_via_log_substitution(w, 1.0 / p + 1.0) / delta
+    x_large = _large_inventory_integral(w, 1.0 / p) / delta
+    if not math.isfinite(x_large):  # w = c * horizon or the quotient left the float range
+        raise NumericalFailure(f"x_large overflows the float range (w = {w:g})")
     x_small = rate * horizon
 
     if x0 >= x_large:

@@ -399,6 +399,33 @@ def test_hamiltonian_check_resolves_roots_that_round_onto_a_large_threshold(tmp_
     assert doc["max_scaled_diff"] <= 1e-6 and doc["within_tol"] is True
 
 
+def test_hamiltonian_check_exits_4_when_its_check_fails(tmp_path, capsys):
+    # at threshold 1e100 no float lies between the threshold and the optimal speed
+    # of an order-1 draw, so the oracle and the closed form disagree; the run still
+    # writes its summary and table, then fails like any other numerical failure
+    sets = _sets("impact.family=shifted_convex", "impact.power=3", "impact.threshold=1e100",
+                 "check.draws=200")
+    assert main(["hamiltonian-check", *sets, "--output", str(tmp_path / "ham")]) == 4
+    doc = _summary(tmp_path / "ham")
+    assert doc["within_tol"] is False and doc["max_scaled_diff"] > 1e100
+    assert len((tmp_path / "ham" / "hamiltonian.csv").read_text().strip().splitlines()) == 201
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["exit_code"]) == ("numerical_failure", 4)
+    assert "max_scaled_diff" in err["message"]
+
+
+def test_mixed_power_near_unit_convex_exponent(tmp_path):
+    # p = 1.01: the old quadrature substitution's u**202 underflowed to 0 and
+    # raised ZeroDivisionError (exit 1 with a traceback); the series stays finite
+    config = tmp_path / "run.ini"
+    config.write_text(BENCH_INI.replace(_QUADRATIC, _MIXED_POWER))
+    sets = _sets(*_RERUN_CASES["mixed-power"][1], "impact.p_convex=1.01")
+    out = tmp_path / "mp"
+    assert main(["mixed-power", "--config", str(config), *sets, "--output", str(out)]) == 0
+    doc = _summary(out)
+    assert math.isfinite(doc["x_large"]) and doc["x_large"] > 0.0
+
+
 def test_exit_codes(bench_config, tmp_path):
     out = ["--output", str(tmp_path / "run")]
     # 2: config errors

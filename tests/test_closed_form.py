@@ -8,15 +8,15 @@ from hypothesis import given, settings, strategies as st
 from optexec.closed_form import (
     MarketParams,
     Schedule,
+    _large_inventory_integral,
     extreme_comparison,
-    incomplete_beta,
     linear_quasi_block,
     mixed_power_solution,
     proceeds_factor,
     twap_rate,
     twap_solution,
 )
-from optexec.errors import HypothesisViolation
+from optexec.errors import HypothesisViolation, NumericalFailure
 from optexec.impact import (
     LevyEffectiveImpact,
     MixedPowerImpact,
@@ -35,9 +35,24 @@ SHIFTED_RATE_005 = 1.124070233912695
 # independent root of the displayed effective-rate equation at unit
 # parameters and decay 0.1 (scipy.optimize.brentq)
 LEVY_RATE_01 = 0.22783872846490094
-# composite Gauss-Legendre oracles for the reciprocal Beta integral
-BETA_HALF_15_2 = 1.7627471740390865  # = 2*artanh(sqrt(0.5))
-BETA_03_125_2 = 0.6270772138771548
+# composite Gauss-Legendre oracles for the integral of u**(-s)/(1-u) over
+# [0, z], which is I(-log(1 - z)) at the same s
+BETA_HALF_15_2 = 1.7627471740390865  # z = 1/2, s = 1/2: 2*artanh(sqrt(0.5))
+BETA_03_125_2 = 0.6270772138771548  # z = 0.3, s = 1/4
+LN2 = math.log(2.0)
+
+
+def _p2_integral(w):
+    """I(w) at s = 1/2 (p = 2), exactly: w + 2*log1p(sqrt(z)) with z = 1 - exp(-w)."""
+    return w + 2.0 * math.log1p(math.sqrt(-math.expm1(-w)))
+
+
+def _alg_weight_quadrature(w, s):
+    """I(w) as the integral of u**(-s)/(1-u) over [0, z], by QUADPACK's algebraic weight."""
+    from scipy.integrate import quad
+
+    val, _ = quad(lambda u: 1.0 / (1.0 - u), 0.0, -math.expm1(-w), weight="alg", wvar=(-s, 0.0))
+    return val
 
 
 class TestMarketParams:
@@ -134,33 +149,48 @@ class TestTwapSolution:
             twap_solution(model=QUAD, decay=0.04, **args)
 
 
-class TestIncompleteBeta:
+class TestLargeInventoryIntegral:
+    """I(w), the integral of (1 - exp(-v))**(-s) over [0, w] behind x_large."""
+
     def test_empty_integral(self):
-        assert incomplete_beta(0.0, 1.5, 2.0) == 0.0
+        assert _large_inventory_integral(0.0, 0.5) == 0.0
 
     def test_unit_parameters_give_identity(self):
-        assert incomplete_beta(0.37, 1.0, 1.0) == pytest.approx(0.37, rel=1e-12)
+        # s = 0 integrates 1: both series reduce to I(w) = w
+        for w in (0.37, LN2, 3.0, 700.0):
+            assert _large_inventory_integral(w, 0.0) == pytest.approx(w, rel=1e-15)
 
     def test_against_gauss_legendre_oracle(self):
-        assert incomplete_beta(0.5, 1.5, 2.0) == pytest.approx(BETA_HALF_15_2, rel=1e-10)
-        assert incomplete_beta(0.3, 1.25, 2.0) == pytest.approx(BETA_03_125_2, rel=1e-10)
+        assert _large_inventory_integral(LN2, 0.5) == pytest.approx(BETA_HALF_15_2, rel=1e-15)
+        at_03 = _large_inventory_integral(-math.log(0.7), 0.25)
+        assert at_03 == pytest.approx(BETA_03_125_2, rel=1e-14)
 
     def test_closed_form_cross_check(self):
-        assert incomplete_beta(0.5, 1.5, 2.0) == pytest.approx(
-            2.0 * math.atanh(math.sqrt(0.5)), rel=1e-12
-        )
+        # p = 2 on both sides of ln 2, ln 2 +- 1 ulp included
+        below, above = math.nextafter(LN2, 0.0), math.nextafter(LN2, 1.0)
+        for w in (1e-12, 0.01, 0.5, below, LN2, above, 0.7, 2.0, 40.0, 700.0):
+            assert _large_inventory_integral(w, 0.5) == pytest.approx(_p2_integral(w), rel=1e-15), w
 
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            incomplete_beta(-0.1, 1.5, 2.0)
-        with pytest.raises(ValueError):
-            incomplete_beta(1.1, 1.5, 2.0)
-        with pytest.raises(ValueError):
-            incomplete_beta(1.0, 1.5, 2.0)  # divergent at 1 for b >= 2
-        with pytest.raises(ValueError):
-            incomplete_beta(0.5, 2.0, 2.0)  # divergent at 0 for a >= 2
-        # integrable endpoint for b < 2 is fine
-        assert incomplete_beta(1.0, 1.0, 1.5) > 0.0
+    @pytest.mark.parametrize("s", [1.0 / 1.001, 0.8, 1.0 / 3.0, 0.05])
+    @pytest.mark.parametrize("w", [0.05, 0.6, LN2, 0.8, 3.0, 8.0])
+    def test_both_sides_of_ln2_against_weighted_quadrature(self, s, w):
+        reference = _alg_weight_quadrature(w, s)
+        assert _large_inventory_integral(w, s) == pytest.approx(reference, rel=1e-13)
+
+    @pytest.mark.parametrize("s", [1.0 / 1.01, 0.5, 0.05])
+    @pytest.mark.parametrize("w", [1e-300, 1e-12])
+    def test_small_w_leading_terms(self, s, w):
+        # I = z**(1-s) * (1/(1-s) + z/(2-s) + ...): the z**2 term is below 1e-23 relative
+        z = -math.expm1(-w)
+        lead = z ** (1.0 - s) * (1.0 / (1.0 - s) + z / (2.0 - s))
+        assert _large_inventory_integral(w, s) == pytest.approx(lead, rel=1e-15)
+
+    @pytest.mark.parametrize("s", [1.0 / 1.01, 0.5, 0.25, 0.05])
+    def test_w_700_is_finite_and_adds_the_width(self, s):
+        # past w = 50 the integrand is 1 to within 2e-22, so I grows by the width
+        far = _large_inventory_integral(700.0, s)
+        assert math.isfinite(far)
+        assert far == pytest.approx(_large_inventory_integral(50.0, s) + 650.0, rel=1e-15)
 
 
 class TestMixedPowerSolution:
@@ -219,15 +249,24 @@ class TestMixedPowerSolution:
         assert sol.schedule.total == pytest.approx(sol.x_large, rel=1e-12)
 
     def test_large_threshold_matches_direct_beta_integral(self):
-        # the library computes x_large through the log-substituted form; for
-        # moderate horizons it must equal the reciprocal Beta integral as
-        # written
-        sol = mixed_power_solution(0.0, 0.0, 1.0, MIXED, 0.05, 1.0)
-        p = MIXED.p_convex
-        c = p * (0.05 + MIXED.gamma) / (p - 1.0)
-        z = 1.0 - math.exp(-c * 1.0)
-        direct = incomplete_beta(z, 1.0 / p + 1.0, 2.0) / sol.delta
-        assert sol.x_large == pytest.approx(direct, rel=1e-10)
+        # x_large = I(w)/delta with w = p*(decay + gamma)*T/(p - 1); MIXED has p = 2,
+        # where I is elementary, and p = 3 is checked against weighted quadrature
+        other = MixedPowerImpact(0.7, 3.0, 0.4, 0.5)
+        for m, decay, horizon, reference, rel in (
+            (MIXED, 0.05, 1.0, _p2_integral, 1e-14),
+            (MIXED, 0.05, 0.01, _p2_integral, 1e-14),
+            (other, 0.02, 1.0, lambda w: _alg_weight_quadrature(w, 1.0 / 3.0), 1e-12),
+        ):
+            sol = mixed_power_solution(0.0, 0.0, 1.0, m, decay, horizon)
+            p = m.p_convex
+            w = p * (decay + m.gamma) / (p - 1.0) * horizon
+            assert sol.x_large == pytest.approx(reference(w) / sol.delta, rel=rel)
+
+    def test_overflowing_x_large_fails_loudly(self):
+        # c * horizon overflows to inf: an infinite x_large would reach summary.json
+        m = MixedPowerImpact(alpha=1.0, p_convex=1.5, p_concave=0.5, threshold=0.0)
+        with pytest.raises(NumericalFailure, match="^x_large overflows the float range"):
+            mixed_power_solution(0.0, 1.5, 100.0, m, 1.0, 1e308)
 
     def test_large_horizon_limit(self):
         m = MixedPowerImpact(alpha=1.0, p_convex=2.0, p_concave=0.5, threshold=0.0)
@@ -362,13 +401,12 @@ _NAN, _INF = math.nan, math.inf
         (lambda: mixed_power_solution(0.0, 0.1, 100.0, MIXED, 0.05, _NAN), "horizon"),
         (lambda: mixed_power_solution(0.0, _NAN, 100.0, MIXED, 0.05, 1.0), "x0"),
         (lambda: linear_quasi_block(1.0, 0.0, 1.0, 1.0, delta=0.01, decay=_NAN), "decay"),
-        (lambda: incomplete_beta(_NAN, 1.5, 2.0), "z"),
         (lambda: Schedule.constant(_NAN, 0.5, 1.0), "rate"),
         (lambda: Schedule.constant(1.0, _NAN, 1.0), "duration"),
         (lambda: Schedule.constant(0.1, 0.5, _INF), "horizon"),
     ],
     ids=["twap_rate-inf", "extreme-inf", "mixed-nan-decay", "mixed-nan-horizon", "mixed-nan-x0",
-         "quasi-block-nan-decay", "beta-nan-z", "schedule-nan-rate", "schedule-nan-duration",
+         "quasi-block-nan-decay", "schedule-nan-rate", "schedule-nan-duration",
          "schedule-inf-horizon"],
 )
 def test_closed_forms_reject_non_finite_inputs(call, name):
@@ -387,7 +425,6 @@ _RANGE = "need x0 >= 0, s0 >= 0 and a positive horizon"
         (lambda: Schedule(np.negative, 1.0, 0.0).check_admissible(1.0), "schedule emits a negative selling rate"),
         (lambda: Schedule.constant(1.0, 0.5, 1.0).check_admissible(0.1), "schedule sells more than the initial inventory"),
         (lambda: twap_solution(0.0, -0.1, 100.0, QUAD, 0.04, 1.0), _RANGE),
-        (lambda: incomplete_beta(0.5, 1.5, 0.0), "a and b must be positive"),
         (lambda: mixed_power_solution(0.0, 0.1, 100.0, MIXED, 0.0, 1.0), "needs a positive decay rate"),
         (lambda: mixed_power_solution(0.0, 0.1, 100.0, MIXED, 0.05, 0.0), _RANGE),
         (lambda: extreme_comparison(SHIFTED, 0.1, 100.0, -0.05, 1.0), "needs a positive decay rate"),
@@ -397,7 +434,7 @@ _RANGE = "need x0 >= 0, s0 >= 0 and a positive horizon"
         (lambda: linear_quasi_block(1.0, 0.0, 1.0, 1.0, delta=0.0, decay=0.05), "delta must be positive"),
         (lambda: linear_quasi_block(1.0, 0.0, 1.0, -1.0, delta=0.01, decay=0.05), "need x0 >= 0 and s0 >= 0"),
     ],
-    ids=["schedule-negative-rate", "schedule-oversells", "twap-negative-x0", "beta-zero-b",
+    ids=["schedule-negative-rate", "schedule-oversells", "twap-negative-x0",
          "mixed-zero-decay", "mixed-zero-horizon", "extreme-negative-decay", "extreme-negative-x0",
          "extreme-negative-s0", "extreme-negative-horizon", "quasi-block-zero-delta",
          "quasi-block-negative-s0"],

@@ -12,6 +12,7 @@ from optexec.errors import NumericalFailure
 from optexec.hamiltonian import (
     Gradient,
     _brute_min,
+    best_response,
     closed_vs_brute_samples,
     hamiltonian,
     optimal_speed,
@@ -213,8 +214,6 @@ _EDGE_B = np.array([0.0, 0.0, 0.0, 1e-300, 1e-300, 1e-12])
 def test_best_response_matches_dense_grid_argmax(rows, span):
     # the control kernel against a dense-grid argmax over {0} u (threshold, y_max],
     # including b = 0 (the HJB's W = 0 nodes), tiny b and negative a
-    from optexec.hamiltonian import best_response
-
     a = np.concatenate([_EDGE_A, [r[0] for r in rows]])
     b = np.concatenate([_EDGE_B, [r[1] for r in rows]])
     n = 20000
@@ -239,8 +238,6 @@ def test_best_response_matches_dense_grid_argmax(rows, span):
 @pytest.mark.parametrize("model", FAMILIES, ids=lambda m: m.family)
 def test_best_response_rejects_a_nan_cap(model):
     # a NaN cap must fail loudly, not come back as speed 0; row 2 (b = 0) is capped
-    from optexec.hamiltonian import best_response
-
     a, b = np.array([0.0, 5.0, 1.0]), np.array([1.0, 1.0, 0.0])
     for h_ymax in (math.inf, model.h(3.0)):
         with pytest.raises(ValueError):
@@ -250,8 +247,6 @@ def test_best_response_rejects_a_nan_cap(model):
 @pytest.mark.parametrize("model", FAMILIES, ids=lambda m: m.family)
 def test_best_response_rejects_an_unbounded_gain(model):
     # b = 0 with a > 0 is capped, and under the default infinite cap its gain is unbounded
-    from optexec.hamiltonian import best_response
-
     with pytest.raises(ValueError, match="unbounded"):
         best_response(model, [1.0, 2.0], [0.0, 1.0])
     # without a capped element the default cap stays usable; under a finite cap the node takes y_max
@@ -265,8 +260,6 @@ def test_best_response_rejects_an_unbounded_gain(model):
 @pytest.mark.parametrize("model", [m for m in FAMILIES if m.threshold > 0.0], ids=lambda m: m.family)
 def test_best_response_sells_nothing_when_the_policy_range_is_empty(model):
     # (threshold, y_max] is empty, so even a capped element (b = 0) sells nothing
-    from optexec.hamiltonian import best_response
-
     for y_max in (model.threshold, 0.5 * model.threshold):
         speed, gain = best_response(model, [5.0, 0.5, 1.0], [1.0, 1.0, 0.0], y_max, model.h(y_max))
         assert speed.tolist() == [0.0] * 3 and gain.tolist() == [0.0] * 3
@@ -371,3 +364,44 @@ def test_oracle_matches_textbook_scalar_search(model):
         got.append(_one_draw(model, s, p, 1.0, 501))
         want.append(_textbook_min(lambda y: b * model.g(np.asarray(y, dtype=float)) - a * y, 1.0, 501))
     assert np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("model", FAMILIES, ids=lambda m: m.family)
+def test_oracle_argmin_respects_the_speed_theorem(model):
+    # criterion 1's sweep, with the oracle's argmin kept: it never lies in
+    # (0, threshold], it sells exactly where the closed form does, and it finds
+    # the same speed to well within the sqrt(eps) resolution of a minimizer
+    rows = closed_vs_brute_samples(model, 1000, seed=101)
+    s, p_c, p_x, p_s, speed = rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3], rows[:, 6]
+    y_brute, _, _ = _brute_min(model, s * p_c - p_x, s * p_s, 2.0 * model.threshold + 1.0, 4001)
+    assert not np.any((y_brute > 0.0) & (y_brute <= model.threshold))
+    assert np.array_equal(y_brute > 0.0, speed > 0.0)
+    both = speed > 0.0
+    assert both.any()
+    assert np.all(np.abs(y_brute[both] - speed[both]) <= 1e-6 * speed[both])
+
+
+_SCALED_FAMILIES = [
+    (lambda theta: ShiftedConvexImpact(3.0, theta), 3.0),
+    (lambda theta: MixedPowerImpact(1.0, 2.0, 0.5, theta), 2.0),
+]
+
+
+@pytest.mark.parametrize("make, p", _SCALED_FAMILIES, ids=["shifted_convex", "mixed_power"])
+def test_best_response_is_scale_covariant(make, p):
+    # both S-shaped families satisfy g_{k*theta}(k*y) = k**p * g_theta(y), p the
+    # convex exponent, so best_response at threshold k with b / k**(p - 1) is k
+    # times the one at threshold 1 with b.  With k a power of two every rescaling
+    # is exact, so speeds and gains agree bit for bit, at thresholds the oracle
+    # could not reach
+    rng = np.random.default_rng(0)
+    n = 20_000
+    a = rng.uniform(0.2, 5.0, n) * rng.normal(1.0, 1.0, n) - rng.normal(0.0, 1.0, n)
+    b = rng.uniform(0.2, 5.0, n) * rng.uniform(0.05, 3.0, n)
+    speed, gain = best_response(make(1.0), a, b)
+    assert np.count_nonzero(speed) > 1000  # draws on the model's scale sell, so the check has content
+    for k in (-300, -60, -20, 20, 50, 100, 300):
+        kappa = 2.0**k
+        y, v = best_response(make(kappa), a, b / kappa ** (p - 1.0))
+        assert np.array_equal(y, kappa * speed), k
+        assert np.array_equal(v, kappa * gain), k

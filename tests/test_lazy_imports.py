@@ -21,15 +21,21 @@ _CLI_RUNS = """
 import json, sys
 import optexec, optexec.cli
 
-problem = ["impact.family=quadratic", "impact.alpha0=1.0", "market.decay=0.04",
-           "problem.c0=0.0", "problem.x0=0.1", "problem.s0=100.0", "problem.horizon=1.0",
-           "solver.nt=30", "solver.nx=30", "solver.refine=false",
-           "sim.n_paths=100", "sim.n_steps=50", "check.draws=20",
-           "compare.strategies=twap,zero,feedback"]
-for sub in ("solve-hjb", "compare", "hamiltonian-check", "twap", "simulate"):
-    argv = [sub, "--output", sys.argv[1] + "/" + sub]
-    if optexec.cli.main(argv + [a for s in problem for a in ("--set", s)]) != 0:
+market = ["market.decay=0.04", "problem.c0=0.0", "problem.s0=100.0", "problem.horizon=1.0"]
+problem = market + ["impact.family=quadratic", "impact.alpha0=1.0", "problem.x0=0.1",
+                    "solver.nt=30", "solver.nx=30", "solver.refine=false",
+                    "sim.n_paths=100", "sim.n_steps=50", "check.draws=20",
+                    "compare.strategies=twap,zero,feedback"]
+# a large inventory, whose x_large and schedule take the mixed-power series
+large = market + ["impact.family=mixed_power", "impact.alpha=1.0", "impact.p_convex=2.0",
+                  "impact.p_concave=0.5", "impact.threshold=0.0", "problem.x0=1.5"]
+runs = [(sub, problem) for sub in ("solve-hjb", "compare", "hamiltonian-check", "twap", "simulate")]
+for sub, sets in runs + [("mixed-power", large)]:
+    out = sys.argv[1] + "/" + sub
+    if optexec.cli.main([sub, "--output", out] + [a for s in sets for a in ("--set", s)]) != 0:
         sys.exit(f"{sub} failed")
+if json.load(open(sys.argv[1] + "/mixed-power/summary.json"))["regime"] != "large_inventory":
+    sys.exit("mixed-power did not take the large-inventory branch")
 print(json.dumps({m: m in sys.modules for m in ("scipy",) + %r}))
 """ % (LAZY,)
 
