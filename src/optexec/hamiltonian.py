@@ -8,9 +8,10 @@ gradient p = (p_c, p_x, p_s), is driven by
 whose infimum over y >= 0 is the Hamiltonian.  For an S-shaped impact curve
 the minimizer is either 0 or the point on the rising marginal branch where
 h(y) equals the target ratio (s*p_c - p_x) / (s*p_s); it never falls in the
-concave interval (0, threshold].  `best_response` is the one vectorised
-implementation of that argmax (the HJB solver calls it on whole grid rows);
-`optimal_speed` and `hamiltonian` are scalar wrappers over it, on 1-element
+concave interval (0, threshold].  `_best_response` is the one vectorised
+implementation of that argmax, the kernel the HJB march calls on whole grid
+rows under its own errstate; `best_response` is its checked shell, and
+`optimal_speed` and `hamiltonian` are scalar wrappers over that, on 1-element
 arrays: a 0-d `** power` can differ by an ulp from the array loop a sweep runs.
 
 The independent check is `closed_vs_brute_samples`: random draws, each
@@ -72,9 +73,9 @@ def best_response(model: ImpactModel, a, b, y_max: float = math.inf, h_ymax: flo
     clipped to y_max; where b = 0 the ratio is +inf, -inf or NaN, giving
     y_max, 0 and 0.  A y_max at or below the threshold leaves only 0.  Ties
     (ratio at the marginal floor, zero gain) resolve to 0.  `h_ymax` must be
-    h(y_max); callers that solve many rows under one cap compute it once.  A NaN y_max raises ValueError, and so does an
-    infinite y_max once an element is capped (b = 0 with a > 0 under the
-    default cap): its gain is unbounded.
+    h(y_max); callers that solve many rows under one cap compute it once.
+    A NaN y_max raises ValueError, and so does an infinite y_max once an element
+    is capped (b = 0 with a > 0 under the default cap): its gain is unbounded.
 
     Returns (speed, gain): the maximizer and the maximal value (0 where
     selling nothing is optimal).
@@ -83,10 +84,18 @@ def best_response(model: ImpactModel, a, b, y_max: float = math.inf, h_ymax: flo
         raise ValueError("y_max must not be NaN")
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = a / b
     if not y_max > model.threshold:  # (threshold, y_max] is empty: nothing sells
-        return np.zeros_like(ratio), np.zeros_like(ratio)
+        shape = np.broadcast(a, b).shape
+        return np.zeros(shape), np.zeros(shape)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return _best_response(model, a, b, y_max, h_ymax)[:2]
+
+
+def _best_response(model, a, b, y_max, h_ymax):
+    """`best_response`'s kernel, unchecked: float arrays a, b, a y_max above the threshold,
+    and the caller's errstate ignoring divide, over and invalid.  Returns (speed, gain, gy)
+    with gy = g(y) at each candidate y, so gy = g(speed) wherever speed > 0."""
+    ratio = a / b
     candidate = ratio > model.marginal_floor
     capped = candidate & (ratio >= h_ymax)
     if y_max == math.inf and capped.any():
@@ -100,11 +109,10 @@ def best_response(model: ImpactModel, a, b, y_max: float = math.inf, h_ymax: flo
         root = np.maximum(model._h_inverse(ratio[inner]), math.nextafter(model.threshold, math.inf))
         y[inner] = np.minimum(root, y_max)
     # near the top of the float range y*a and b*g(y) can both overflow; inf - inf never sells
-    with np.errstate(over="ignore", invalid="ignore"):
-        gy = model._g(y)
-        val = y * a - b * gy
+    gy = model._g(y)
+    val = y * a - b * gy
     take = val > 0.0
-    return np.where(take, y, 0.0), np.where(take, val, 0.0)
+    return np.where(take, y, 0.0), np.where(take, val, 0.0), gy
 
 
 def optimal_speed(s: float, p: Gradient, model: ImpactModel) -> float:

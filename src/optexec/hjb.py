@@ -9,8 +9,8 @@ c + s * W(t, x) with W solving (in the viscosity sense)
 where t is time-to-go and x remaining inventory.  The scheme marches
 forward in t with a backward (upwind) difference for dW/dx — the transport
 term moves information toward larger inventory — and picks each row's
-controls with one call of the control kernel `hamiltonian.best_response`,
-which covers W = 0 nodes as well.
+controls, and its sub-step rate, with one call of the control kernel
+`hamiltonian._best_response` (W = 0 nodes too), under one errstate per march.
 Each time step is crossed in SSP-RK2 sub-steps W <- W/2 + E(E(W))/2 of
 explicit Euler steps E, sized so that h * (y/dx + decay + g(y)) <= 1 at the
 speeds each stage's row chooses.  E is a max of maps affine in the previous
@@ -28,7 +28,7 @@ import numpy as np
 
 from .closed_form import Schedule, twap_rate
 from .errors import NumericalFailure, require_finite
-from .hamiltonian import best_response
+from .hamiltonian import _best_response
 from .impact import ImpactModel
 
 __all__ = [
@@ -91,29 +91,22 @@ class ValueSurface:
         return self._lookup(self.policy, t, x)
 
 
-def _node_controls(model, W, dx, y_max, h_ymax):
-    """Per-node (speed, psi): argmax and max of psi(y) = y*(1 - Wx) - W*g(y)
-    over {0} u (threshold, y_max].
-
-    One `best_response` call on the whole row, with the upwind coefficient
-    kappa = 1 - Wx set to 0 at x = 0, so that node sells nothing.
-    """
+def _node_controls(model, W, dx, y_max, h_ymax, decay):
+    """Per-node (speed, psi), argmax and max of psi(y) = y*(1 - Wx) - W*g(y) over {0} u
+    (threshold, y_max], from one `_best_response` call under the march's errstate, with
+    kappa = 1 - Wx set to 0 at x = 0 so that node sells nothing; and the row's sub-step
+    rate y/dx + max(decay, 0) + g(y) at its fastest speed (g is non-decreasing), with g
+    read off that call (g(0) = 0).  A non-finite rate, a NaN speed's too, raises."""
     kappa = np.empty(W.size)
     kappa[0] = 0.0
     kappa[1:] = 1.0 - (W[1:] - W[:-1]) / dx
-    return best_response(model, kappa, W, y_max, h_ymax)
-
-
-def _cfl_rate(model, speed, dx, decay):
-    """max of y/dx + max(decay, 0) + g(y) over the speeds y, set by the fastest
-    since g is non-decreasing; a non-finite rate raises."""
-    top = float(speed.max())
-    with np.errstate(over="ignore"):
-        g_top = float(model._g(np.array([top]))[0]) if top >= 0.0 else math.nan
-    rate = top / dx + max(decay, 0.0) + g_top
+    speed, psi, gy = _best_response(model, kappa, W, y_max, h_ymax)
+    j = speed.argmax()
+    top = float(speed[j])
+    rate = top / dx + max(decay, 0.0) + (float(gy[j]) if top > 0.0 else 0.0)
     if not math.isfinite(rate):
         raise NumericalFailure(f"sub-step rate {rate} at speed {top}: the controls left the finite range")
-    return rate
+    return speed, psi, rate
 
 
 def _euler(W, psi, h, decay):
@@ -125,14 +118,14 @@ def _euler(W, psi, h, decay):
 
 def _substep(model, W, psi, rate, left, dx, decay, y_max, h_ymax):
     """SSP-RK2 step W/2 + E(E(W))/2 of size h = left/n, n = ceil(left*rate), with
-    `psi` and `rate` those of W.  Redone at the larger rate while E(W)'s own rate
-    breaks h*rate <= 1 (n grows each time; the cap's rate bounds it).  Returns (W, h, n)."""
+    `psi` and `rate` those of W.  Redone at the larger rate while E(W)'s own rate,
+    from its one control call, breaks h*rate <= 1 (n grows each time; the cap's rate
+    bounds it).  Returns (W, h, n)."""
     while True:
         n = max(1, math.ceil(left * rate))
         h = left / n
         W1 = _euler(W, psi, h, decay)
-        speed1, psi1 = _node_controls(model, W1, dx, y_max, h_ymax)
-        rate1 = _cfl_rate(model, speed1, dx, decay)
+        _, psi1, rate1 = _node_controls(model, W1, dx, y_max, h_ymax, decay)
         if h * rate1 <= 1.0:
             return 0.5 * W + 0.5 * _euler(W1, psi1, h, decay), h, n
         rate = rate1
@@ -179,7 +172,6 @@ def solve_reduced_hjb(
     x_grid = np.linspace(0.0, x_max, nx + 1)
     dt = horizon / nt
     dx = x_max / nx
-    _cfl_rate(model, np.array([y_max]), dx, decay)  # the bound every retry stays under must be finite
     h_ymax = model.h(y_max)
     guard = x_max * math.exp(max(0.0, -decay) * horizon) * (1.0 + 1e-6) + 1e-9
 
@@ -187,26 +179,25 @@ def solve_reduced_hjb(
     policy = np.empty((nt + 1, nx + 1))
     substeps = np.zeros(nt, dtype=int)
     W = np.zeros(nx + 1)
-    speed, psi = _node_controls(model, W, dx, y_max, h_ymax)
-
-    for lvl in range(nt + 1):
-        values[lvl] = W
-        policy[lvl] = speed
-        if lvl == nt:
-            break
-        left = dt
-        while True:
-            rate = _cfl_rate(model, speed, dx, decay)
-            W, h, n = _substep(model, W, psi, rate, left, dx, decay, y_max, h_ymax)
-            substeps[lvl] += 1
-            if W[-1] > guard:
-                raise NumericalFailure(
-                    "reduced-value growth guard tripped: decay too negative for this impact"
-                )
-            speed, psi = _node_controls(model, W, dx, y_max, h_ymax)
-            if n == 1:
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # the control kernel's
+        if not math.isfinite(y_max / dx + max(decay, 0.0) + model._g(np.array([y_max]))[0]):  # bounds every retry
+            raise NumericalFailure(f"sub-step rate at the cap y_max = {y_max} is not finite")
+        speed, psi, rate = _node_controls(model, W, dx, y_max, h_ymax, decay)
+        for lvl in range(nt + 1):
+            values[lvl] = W
+            policy[lvl] = speed
+            if lvl == nt:
                 break
-            left -= h
+            left = dt
+            while True:
+                W, h, n = _substep(model, W, psi, rate, left, dx, decay, y_max, h_ymax)
+                substeps[lvl] += 1
+                if W[-1] > guard:
+                    raise NumericalFailure("reduced-value growth guard tripped: decay too negative for this impact")
+                speed, psi, rate = _node_controls(model, W, dx, y_max, h_ymax, decay)
+                if n == 1:
+                    break
+                left -= h
 
     # NaN passes the growth guard and gives speed 0, so the march cannot see it
     if not np.isfinite(values).all():
@@ -256,10 +247,11 @@ def hjb_residual(surface: ValueSurface, model: ImpactModel) -> float:
     dx = float(x_grid[1] - x_grid[0])
     h_ymax = model.h(surface.y_max)
     worst = 0.0
-    for lvl in range(1, t_grid.size - 1):
-        _, psi = _node_controls(model, W[lvl], dx, surface.y_max, h_ymax)
-        resid = (W[lvl + 1] - W[lvl]) / dt - (psi - surface.decay * W[lvl])
-        worst = max(worst, float(np.max(np.abs(resid[1:]))))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # the control kernel's
+        for lvl in range(1, t_grid.size - 1):
+            _, psi, _ = _node_controls(model, W[lvl], dx, surface.y_max, h_ymax, surface.decay)
+            resid = (W[lvl + 1] - W[lvl]) / dt - (psi - surface.decay * W[lvl])
+            worst = max(worst, float(np.max(np.abs(resid[1:]))))
     return worst
 
 

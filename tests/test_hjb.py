@@ -5,9 +5,9 @@ import pytest
 
 from optexec.closed_form import mixed_power_solution, twap_rate, twap_solution
 from optexec.errors import NumericalFailure
+from optexec.hamiltonian import best_response
 import optexec.hjb as hjb
 from optexec.hjb import (
-    _cfl_rate,
     _default_y_max,
     _euler,
     _node_controls,
@@ -24,6 +24,14 @@ MIXED = MixedPowerImpact(alpha=1.0, p_convex=2.0, p_concave=0.5, threshold=1.0)
 LEVY = LevyEffectiveImpact(gamma=1.0, alpha0=1.0, alpha1=2.0, beta1=2.0)
 
 BENCH = dict(decay=0.04, horizon=1.0, x_max=0.2)
+QUIET = dict(divide="ignore", over="ignore", invalid="ignore")  # the errstate the march holds
+
+
+def top_rate(model, speed, dx, decay):
+    """The sub-step rate by its formula, y/dx + max(decay, 0) + g(y) at the row's
+    fastest speed y, with the public g: the reference for the rate the march reads."""
+    top = speed.max()
+    return top / dx + max(decay, 0.0) + model.g(top)
 
 
 @pytest.fixture(scope="module")
@@ -100,22 +108,22 @@ def test_monotone_update_in_neighbor_values():
     below_cap = 0
 
     def ssp(W, h):
-        _, psi = _node_controls(QUAD, W, dx, y_max, h_ymax)
+        _, psi, _ = _node_controls(QUAD, W, dx, y_max, h_ymax, decay)
         W1 = _euler(W, psi, h, decay)
-        _, psi1 = _node_controls(QUAD, W1, dx, y_max, h_ymax)
+        _, psi1, _ = _node_controls(QUAD, W1, dx, y_max, h_ymax, decay)
         return 0.5 * W + 0.5 * _euler(W1, psi1, h, decay)
 
-    for _ in range(20):
-        W = np.concatenate([[0.0], np.cumsum(rng.uniform(0.0, 1.2 * dx, 11))])
-        speed, psi = _node_controls(QUAD, W, dx, y_max, h_ymax)
-        below_cap += speed.max() < y_max
-        rate = _cfl_rate(QUAD, speed, dx, decay)
-        base, h, _ = _substep(QUAD, W, psi, rate, 0.05, dx, decay, y_max, h_ymax)
-        assert np.array_equal(ssp(W, h), base)
-        j = int(rng.integers(1, 12))
-        bumped = W.copy()
-        bumped[j] += 10.0 ** rng.uniform(-8.0, -3.0)
-        assert np.all(ssp(bumped, h) >= base - 1e-15)
+    with np.errstate(**QUIET):
+        for _ in range(20):
+            W = np.concatenate([[0.0], np.cumsum(rng.uniform(0.0, 1.2 * dx, 11))])
+            speed, psi, rate = _node_controls(QUAD, W, dx, y_max, h_ymax, decay)
+            below_cap += speed.max() < y_max
+            base, h, _ = _substep(QUAD, W, psi, rate, 0.05, dx, decay, y_max, h_ymax)
+            assert np.array_equal(ssp(W, h), base)
+            j = int(rng.integers(1, 12))
+            bumped = W.copy()
+            bumped[j] += 10.0 ** rng.uniform(-8.0, -3.0)
+            assert np.all(ssp(bumped, h) >= base - 1e-15)
     assert below_cap >= 10  # most steps are sized by speeds under the cap
 
 
@@ -125,11 +133,12 @@ def test_substep_retries_until_the_second_stage_is_monotone():
     dx, decay, y_max = 0.01, 0.04, 1.0
     h_ymax = QUAD.h(y_max)
     W = np.linspace(0.0, 0.005, 12)
-    _, psi = _node_controls(QUAD, W, dx, y_max, h_ymax)
-    new, h, n = _substep(QUAD, W, psi, 1.0, 0.05, dx, decay, y_max, h_ymax)
-    assert n > 1 and h == 0.05 / n
-    speed1, _ = _node_controls(QUAD, _euler(W, psi, h, decay), dx, y_max, h_ymax)
-    assert h * _cfl_rate(QUAD, speed1, dx, decay) <= 1.0
+    with np.errstate(**QUIET):
+        _, psi, _ = _node_controls(QUAD, W, dx, y_max, h_ymax, decay)
+        new, h, n = _substep(QUAD, W, psi, 1.0, 0.05, dx, decay, y_max, h_ymax)
+        assert n > 1 and h == 0.05 / n
+        speed1, _, _ = _node_controls(QUAD, _euler(W, psi, h, decay), dx, y_max, h_ymax, decay)
+    assert h * top_rate(QUAD, speed1, dx, decay) <= 1.0
     assert np.all(np.isfinite(new)) and new[0] == 0.0
 
 
@@ -159,7 +168,8 @@ def test_residual_positive_and_converging_in_smooth_region():
         hy = model.h(s.y_max)
         worst = 0.0
         for lvl in range(1, tg.size - 1):
-            _, psi = _node_controls(model, W[lvl], dx, s.y_max, hy)
+            with np.errstate(**QUIET):
+                _, psi, _ = _node_controls(model, W[lvl], dx, s.y_max, hy, s.decay)
             r = np.abs((W[lvl + 1] - W[lvl]) / dt - (psi - s.decay * W[lvl]))
             keep = (xg < 0.5 * s.y_max * tg[lvl]) & (np.abs(xg - nu * tg[lvl]) > 0.03)
             keep[0] = False
@@ -356,8 +366,13 @@ def _march_every_trial_in_full(model, nt, nx, y_max, decay, horizon, x_max):
         out[0] = 0.0
         return out
 
+    def controls(W):  # the row's speeds and gains; its rate comes from rate_of
+        with np.errstate(**QUIET):
+            speed, psi, _ = _node_controls(model, W, dx, y_max, h_ymax, decay)
+        return speed, psi
+
     W = np.zeros(nx + 1)
-    speed, psi = _node_controls(model, W, dx, y_max, h_ymax)
+    speed, psi = controls(W)
     values, policy, substeps = [W], [speed], []
     for _ in range(nt):
         left, count = dt, 0
@@ -367,14 +382,14 @@ def _march_every_trial_in_full(model, nt, nx, y_max, decay, horizon, x_max):
                 n = max(1, math.ceil(left * rate))
                 h = left / n
                 W1 = euler(W, psi, h)
-                speed1, psi1 = _node_controls(model, W1, dx, y_max, h_ymax)
+                speed1, psi1 = controls(W1)
                 trial = 0.5 * W + 0.5 * euler(W1, psi1, h)
                 if h * rate_of(speed1) <= 1.0:
                     break
                 rate = rate_of(speed1)
             W = trial
             count += 1
-            speed, psi = _node_controls(model, W, dx, y_max, h_ymax)
+            speed, psi = controls(W)
             if n == 1:
                 break
             left -= h
@@ -417,7 +432,8 @@ def test_doomed_attempts_stop_early(monkeypatch):
     dx, decay, y_max = 0.01, 0.04, 1.0
     h_ymax = QUAD.h(y_max)
     W = np.linspace(0.0, 0.005, 12)
-    _, psi = _node_controls(QUAD, W, dx, y_max, h_ymax)
+    with np.errstate(**QUIET):
+        _, psi, _ = _node_controls(QUAD, W, dx, y_max, h_ymax, decay)
     stage_sizes, control_calls = [], []
 
     def counted_euler(W, psi, h, decay):
@@ -430,7 +446,8 @@ def test_doomed_attempts_stop_early(monkeypatch):
 
     monkeypatch.setattr(hjb, "_euler", counted_euler)
     monkeypatch.setattr(hjb, "_node_controls", counted_controls)
-    new, h, n = _substep(QUAD, W, psi, 1.0, 0.05, dx, decay, y_max, h_ymax)
+    with np.errstate(**QUIET):
+        new, h, n = _substep(QUAD, W, psi, 1.0, 0.05, dx, decay, y_max, h_ymax)
     monkeypatch.undo()
     trials = len(control_calls)
     assert trials >= 2  # at least one doomed trial before the accepted one
@@ -443,11 +460,12 @@ def test_doomed_attempts_stop_early(monkeypatch):
         full_trials += 1
         m = max(1, math.ceil(0.05 * rate))
         W1 = _euler(W, psi, 0.05 / m, decay)
-        speed1, psi1 = _node_controls(QUAD, W1, dx, y_max, h_ymax)
+        with np.errstate(**QUIET):
+            speed1, psi1, _ = _node_controls(QUAD, W1, dx, y_max, h_ymax, decay)
         full = 0.5 * W + 0.5 * _euler(W1, psi1, 0.05 / m, decay)
-        if (0.05 / m) * _cfl_rate(QUAD, speed1, dx, decay) <= 1.0:
+        if (0.05 / m) * top_rate(QUAD, speed1, dx, decay) <= 1.0:
             break
-        rate = _cfl_rate(QUAD, speed1, dx, decay)
+        rate = top_rate(QUAD, speed1, dx, decay)
     assert full_trials == trials and m == n
     assert full.tobytes() == new.tobytes()
 
@@ -483,15 +501,68 @@ def test_non_finite_rate_raises(monkeypatch):
     with pytest.raises(NumericalFailure, match="rate"):
         solve_reduced_hjb(QUAD, nt=10, nx=10, y_max=1e200, **BENCH)
 
-    def poisoned(model, W, dx, y_max, h_ymax):
-        speed, psi = _node_controls(model, W, dx, y_max, h_ymax)
+    # a NaN speed is argmax's pick, so the rate read off the control call is NaN
+    kernel = hjb._best_response
+
+    def poisoned(model, a, W, y_max, h_ymax):
+        speed, gain, gy = kernel(model, a, W, y_max, h_ymax)
         if W[-1] > 0.0:
             speed[3] = np.nan
-        return speed, psi
+        return speed, gain, gy
 
-    monkeypatch.setattr(hjb, "_node_controls", poisoned)
+    monkeypatch.setattr(hjb, "_best_response", poisoned)
     with pytest.raises(NumericalFailure, match="rate"):
         solve_reduced_hjb(QUAD, nt=10, nx=10, **BENCH)
+
+
+@pytest.mark.parametrize("decay", [0.04, -0.1])
+@pytest.mark.parametrize(
+    "model", [QUAD, MIXED, LEVY, ShiftedConvexImpact(3, 1)], ids=["quadratic", "mixed_power", "levy", "shifted"]
+)
+def test_rate_read_off_the_control_call_is_the_formula(model, decay):
+    # the rate folds g at the fastest speed out of the row's own control call;
+    # it must equal max(y)/dx + max(decay, 0) + g(max(y)) computed with the public g
+    dx = 0.1
+    y_max = 4.0 * _default_y_max(model, 0.04, 1.0, 4.0)
+    h_ymax = model.h(y_max)
+    x = np.arange(41) * dx
+    mid = solve_reduced_hjb(model, 0.04, 1.0, 4.0, nt=40, nx=40, y_max=y_max).values[20]
+    # the all-zero start row, a row selling at the cap, one selling nothing, a mid-march row
+    rows = {"start": np.zeros(41), "at_cap": 1e-9 * x, "sells_nothing": 2.0 * x, "mid_march": mid}
+    seen = set()
+    for name, W in rows.items():
+        with np.errstate(**QUIET):
+            speed, _, rate = _node_controls(model, W, dx, y_max, h_ymax, decay)
+        assert rate == top_rate(model, speed, dx, decay), name
+        seen.add("zero" if speed.max() == 0.0 else "cap" if speed.max() == y_max else "inner")
+    assert seen == {"zero", "cap", "inner"}
+
+
+def test_the_march_errstate_stays_scoped(monkeypatch):
+    # the march and best_response hold their errstate only while they run,
+    # whether they return or raise
+    before = np.geterr()
+    solve_reduced_hjb(QUAD, nt=10, nx=10, **BENCH)
+    assert np.geterr() == before
+    with pytest.raises(NumericalFailure, match="rate"):
+        solve_reduced_hjb(QUAD, nt=10, nx=10, y_max=1e200, **BENCH)
+    assert np.geterr() == before
+    speed, gain = best_response(MIXED, [2.0, 0.0, 1.0], [1.0, 1.0, 0.0], y_max=5.0, h_ymax=MIXED.h(5.0))
+    assert np.geterr() == before and speed[1] == 0.0 and speed[2] == 5.0
+    with pytest.raises(ValueError, match="NaN"):
+        best_response(QUAD, [1.0], [1.0], y_max=math.nan)
+    assert np.geterr() == before
+    with pytest.raises(ValueError, match="unbounded"):
+        best_response(QUAD, [1.0], [0.0])
+    assert np.geterr() == before
+
+    def inflated(W, psi, h, decay):  # trips the growth guard on the first sub-step
+        return _euler(W, psi, h, decay) + 1.0
+
+    monkeypatch.setattr(hjb, "_euler", inflated)
+    with pytest.raises(NumericalFailure, match="growth guard"):
+        solve_reduced_hjb(QUAD, nt=10, nx=10, **BENCH)
+    assert np.geterr() == before
 
 
 @pytest.mark.parametrize(
