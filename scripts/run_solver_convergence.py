@@ -3,9 +3,12 @@
 
 Two benchmarks with known closed forms: the constant-rate value for
 quadratic impact (small inventory) and the large-inventory value for the
-pure convex power.  Prints the error at each refinement next to the
-control calls the solve made (one for the first level and two per SSP-RK2
-sub-step, from `ValueSurface.substeps`) and the empirical contraction factor.
+pure convex power.  Each study solves all its grids with one
+`solve_reduced_hjb_ladder` call, which marches them in lockstep under one
+y_max, and prints the error at each refinement next to the control calls
+that grid's march made (one for the first level and two per SSP-RK2
+sub-step, from `ValueSurface.substeps`), the empirical contraction factor,
+and the study's wall time.
 """
 
 import time
@@ -14,24 +17,22 @@ from optexec import (
     MixedPowerImpact,
     QuadraticImpact,
     mixed_power_solution,
-    solve_reduced_hjb,
+    solve_reduced_hjb_ladder,
     twap_solution,
 )
 
 
 def study(name, model, decay, horizon, x0, x_max, exact, grids=(100, 200, 400, 800)):
     print(f"\n{name}: exact value {exact:.8f}")
+    t0 = time.monotonic()
+    surfaces = solve_reduced_hjb_ladder(model, decay, horizon, x_max, [(n, n) for n in grids])
+    wall = time.monotonic() - t0
     prev = None
     prev_w = None
-    for n in grids:
-        t0 = time.monotonic()
-        surf = solve_reduced_hjb(model, decay, horizon, x_max, nt=n, nx=n)
+    for n, surf in zip(grids, surfaces):
         w = surf.value_at(horizon, x0)
         calls = 1 + 2 * int(surf.substeps.sum())
-        line = (
-            f"  {n:4d}x{n:<4d} W={w:.8f}  rel err {abs(w - exact) / exact:.2e}"
-            f"  {calls:6d} control calls  {time.monotonic() - t0:5.1f}s"
-        )
+        line = f"  {n:4d}x{n:<4d} W={w:.8f}  rel err {abs(w - exact) / exact:.2e}  {calls:6d} control calls"
         if prev_w is not None:
             delta = abs(w - prev_w)
             if prev is not None and delta > 0:
@@ -39,6 +40,7 @@ def study(name, model, decay, horizon, x0, x_max, exact, grids=(100, 200, 400, 8
             prev = delta
         prev_w = w
         print(line)
+    print(f"  all {len(grids)} grids in lockstep: {wall:.1f}s")
 
 
 def main():

@@ -32,6 +32,7 @@ from .hjb import (
     hjb_residual,
     optimize_deterministic_schedule,
     solve_reduced_hjb,
+    solve_reduced_hjb_ladder,
 )
 from .impact import (
     ImpactModel,

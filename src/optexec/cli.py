@@ -31,7 +31,7 @@ from .closed_form import (
 from .config import RunConfig, apply_overrides, build_run_config, read_config_file
 from .errors import ConfigError, HypothesisViolation, NumericalFailure
 from .hamiltonian import closed_vs_brute_samples
-from .hjb import on_grid, solve_reduced_hjb
+from .hjb import on_grid, solve_reduced_hjb, solve_reduced_hjb_ladder
 from .impact import LevyEffectiveImpact, MixedPowerImpact, ShiftedConvexImpact
 from .simulate import (
     DeterministicStrategy,
@@ -173,17 +173,22 @@ def _build_strategy(spec: str, cfg: RunConfig):
     raise ConfigError(f"unknown strategy spec {spec!r}")
 
 
-def _solve_surface(cfg: RunConfig):
-    prob, solver = cfg.problem, cfg.solver
-    x_max = solver.x_max if solver.x_max is not None else 2.0 * prob.x0
+def _grid_x_max(cfg: RunConfig) -> float:
+    """The solved grid's inventory range, checked to hold x0 before any solve."""
+    x_max = cfg.solver.x_max if cfg.solver.x_max is not None else 2.0 * cfg.problem.x0
     if x_max <= 0.0:
         raise ConfigError("solver.x_max must be positive (set it explicitly when x0 = 0)")
-    on_grid(prob.x0, 0.0, x_max, "x")  # every caller reads the surface at x0: fail before the solve
+    on_grid(cfg.problem.x0, 0.0, x_max, "x")  # every caller reads the surface at x0: fail before the solve
+    return x_max
+
+
+def _solve_surface(cfg: RunConfig):
+    solver = cfg.solver
     return solve_reduced_hjb(
         cfg.model,
         cfg.market.decay,
-        prob.horizon,
-        x_max,
+        cfg.problem.horizon,
+        _grid_x_max(cfg),
         nt=solver.nt,
         nx=solver.nx,
         y_max=solver.y_max,
@@ -249,8 +254,15 @@ def _extreme_compare(cfg: RunConfig):
 
 
 def _solve_hjb(cfg: RunConfig):
-    p = cfg.problem
-    surface = _solve_surface(cfg)
+    p, solver = cfg.problem, cfg.solver
+    sizes = [(solver.nt, solver.nx)]
+    if solver.refine:
+        if min(solver.nt, solver.nx) < 4:
+            raise ConfigError("solver.refine needs solver.nt >= 4 and solver.nx >= 4: the half grid must be coarser")
+        sizes.append((solver.nt // 2, solver.nx // 2))
+    surface, *coarse = solve_reduced_hjb_ladder(
+        cfg.model, cfg.market.decay, p.horizon, _grid_x_max(cfg), sizes, y_max=solver.y_max
+    )
     w_term = surface.value_at(p.horizon, p.x0)
     value = p.c0 + p.s0 * w_term
     pol = surface.policy
@@ -262,17 +274,8 @@ def _solve_hjb(cfg: RunConfig):
         "policy_zero_fraction": float(np.mean(pol == 0.0)),
         "policy_max": float(pol.max()),
     }
-    if cfg.solver.refine:
-        coarse = solve_reduced_hjb(
-            cfg.model,
-            cfg.market.decay,
-            p.horizon,
-            float(surface.x_grid[-1]),
-            nt=max(cfg.solver.nt // 2, 2),
-            nx=max(cfg.solver.nx // 2, 2),
-            y_max=surface.y_max,
-        )
-        summary["refinement_delta"] = abs(coarse.value_at(p.horizon, p.x0) - w_term)
+    if coarse:
+        summary["refinement_delta"] = abs(coarse[0].value_at(p.horizon, p.x0) - w_term)
     columns = (surface.t_grid, surface.x_grid, surface.values, surface.policy)
     return summary, {"surface": (["t", "x", "W", "speed"], columns)}
 

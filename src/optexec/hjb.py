@@ -9,8 +9,12 @@ c + s * W(t, x) with W solving (in the viscosity sense)
 where t is time-to-go and x remaining inventory.  The scheme marches
 forward in t with a backward (upwind) difference for dW/dx — the transport
 term moves information toward larger inventory — and picks each row's
-controls, and its sub-step rate, with one call of the control kernel
-`hamiltonian._best_response` (W = 0 nodes too), under one errstate per march.
+controls, and its sub-step rate, from one call of the control kernel
+`hamiltonian._best_response` (W = 0 nodes too).  A march is a generator that
+yields each row it needs controls for; `_lockstep` drives one or more marches
+under one errstate, with one kernel call per round on the rows of every live
+march concatenated, so `solve_reduced_hjb_ladder` marches several grids for
+the kernel calls of its longest march.
 Each time step is crossed in SSP-RK2 sub-steps W <- W/2 + E(E(W))/2 of
 explicit Euler steps E, sized so that h * (y/dx + decay + g(y)) <= 1 at the
 speeds each stage's row chooses.  E is a max of maps affine in the previous
@@ -34,6 +38,7 @@ from .impact import ImpactModel
 __all__ = [
     "ValueSurface",
     "solve_reduced_hjb",
+    "solve_reduced_hjb_ladder",
     "extract_policy",
     "hjb_residual",
     "optimize_deterministic_schedule",
@@ -91,22 +96,60 @@ class ValueSurface:
         return self._lookup(self.policy, t, x)
 
 
-def _node_controls(model, W, dx, y_max, h_ymax, decay):
-    """Per-node (speed, psi), argmax and max of psi(y) = y*(1 - Wx) - W*g(y) over {0} u
-    (threshold, y_max], from one `_best_response` call under the march's errstate, with
-    kappa = 1 - Wx set to 0 at x = 0 so that node sells nothing; and the row's sub-step
+def _controls(W, dx, decay):
+    """A march's request for one row's controls, as a sub-generator: it yields
+    (kappa, W) with kappa = 1 - Wx set to 0 at x = 0 so that node sells nothing, is
+    sent `_best_response`'s (speed, gain, gy) for that row by the driver
+    (`_lockstep`), and returns (speed, psi, rate): the per-node argmax and max of
+    psi(y) = y*(1 - Wx) - W*g(y) over {0} u (threshold, y_max], and the row's sub-step
     rate y/dx + max(decay, 0) + g(y) at its fastest speed (g is non-decreasing), with g
     read off that call (g(0) = 0).  A non-finite rate, a NaN speed's too, raises."""
     kappa = np.empty(W.size)
     kappa[0] = 0.0
     kappa[1:] = 1.0 - (W[1:] - W[:-1]) / dx
-    speed, psi, gy = _best_response(model, kappa, W, y_max, h_ymax)
+    speed, psi, gy = yield kappa, W
     j = speed.argmax()
     top = float(speed[j])
     rate = top / dx + max(decay, 0.0) + (float(gy[j]) if top > 0.0 else 0.0)
     if not math.isfinite(rate):
         raise NumericalFailure(f"sub-step rate {rate} at speed {top}: the controls left the finite range")
     return speed, psi, rate
+
+
+def _lockstep(model, y_max, h_ymax, marches):
+    """Run march generators (see `_controls`) to their ends under one errstate and
+    return what each returns, in order.  While two or more are live, each round
+    gathers the row every live march waits on and makes one `_best_response` call on
+    their concatenation, then sends each march its slice; the kernel is elementwise,
+    so a slice is bit for bit the call on that row alone.  The last march left sends
+    its rows to the kernel as they are."""
+    out = [None] * len(marches)
+    asks = {}
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # the control kernel's
+        for i, march in enumerate(marches):
+            try:
+                asks[i] = next(march)
+            except StopIteration as stop:
+                out[i] = stop.value
+        while len(asks) > 1:
+            kappa = np.concatenate([k for k, _ in asks.values()])
+            W = np.concatenate([w for _, w in asks.values()])
+            both = _best_response(model, kappa, W, y_max, h_ymax)
+            lo = 0
+            for i, (_, w) in list(asks.items()):
+                try:
+                    asks[i] = marches[i].send(tuple(a[lo : lo + w.size] for a in both))
+                except StopIteration as stop:
+                    out[i] = stop.value
+                    del asks[i]
+                lo += w.size
+        for i, (kappa, W) in asks.items():
+            try:
+                while True:
+                    kappa, W = marches[i].send(_best_response(model, kappa, W, y_max, h_ymax))
+            except StopIteration as stop:
+                out[i] = stop.value
+    return out
 
 
 def _euler(W, psi, h, decay):
@@ -116,16 +159,16 @@ def _euler(W, psi, h, decay):
     return out
 
 
-def _substep(model, W, psi, rate, left, dx, decay, y_max, h_ymax):
+def _substep(W, psi, rate, left, dx, decay):
     """SSP-RK2 step W/2 + E(E(W))/2 of size h = left/n, n = ceil(left*rate), with
     `psi` and `rate` those of W.  Redone at the larger rate while E(W)'s own rate,
-    from its one control call, breaks h*rate <= 1 (n grows each time; the cap's rate
-    bounds it).  Returns (W, h, n)."""
+    from its one control request, breaks h*rate <= 1 (n grows each time; the cap's
+    rate bounds it).  A sub-generator like `_controls`; returns (W, h, n)."""
     while True:
         n = max(1, math.ceil(left * rate))
         h = left / n
         W1 = _euler(W, psi, h, decay)
-        _, psi1, rate1 = _node_controls(model, W1, dx, y_max, h_ymax, decay)
+        _, psi1, rate1 = yield from _controls(W1, dx, decay)
         if h * rate1 <= 1.0:
             return 0.5 * W + 0.5 * _euler(W1, psi1, h, decay), h, n
         rate = rate1
@@ -136,6 +179,88 @@ def _default_y_max(model, decay, horizon, x_max):
     if decay > 0.0:
         guesses.append(4.0 * twap_rate(model, decay))
     return max(guesses)
+
+
+def _march(model, decay, horizon, x_max, nt, nx, y_max):
+    """One rung's march as a generator of control requests (see `_controls`);
+    returns the rung's ValueSurface."""
+    t_grid = np.linspace(0.0, horizon, nt + 1)
+    x_grid = np.linspace(0.0, x_max, nx + 1)
+    dt = horizon / nt
+    dx = x_max / nx
+    guard = x_max * math.exp(max(0.0, -decay) * horizon) * (1.0 + 1e-6) + 1e-9
+
+    values = np.empty((nt + 1, nx + 1))
+    policy = np.empty((nt + 1, nx + 1))
+    substeps = np.zeros(nt, dtype=int)
+    W = np.zeros(nx + 1)
+    if not math.isfinite(y_max / dx + max(decay, 0.0) + model._g(np.array([y_max]))[0]):  # bounds every retry
+        raise NumericalFailure(f"sub-step rate at the cap y_max = {y_max} is not finite")
+    speed, psi, rate = yield from _controls(W, dx, decay)
+    for lvl in range(nt + 1):
+        values[lvl] = W
+        policy[lvl] = speed
+        if lvl == nt:
+            break
+        left = dt
+        while True:
+            W, h, n = yield from _substep(W, psi, rate, left, dx, decay)
+            substeps[lvl] += 1
+            if W[-1] > guard:
+                raise NumericalFailure("reduced-value growth guard tripped: decay too negative for this impact")
+            speed, psi, rate = yield from _controls(W, dx, decay)
+            if n == 1:
+                break
+            left -= h
+
+    # NaN passes the growth guard and gives speed 0, so the march cannot see it
+    if not np.isfinite(values).all():
+        raise NumericalFailure("the value surface has non-finite entries")
+    live = values[:, 1:] > _W_EPS
+    at_cap = np.count_nonzero(live & (policy[:, 1:] == y_max))
+    return ValueSurface(
+        t_grid=t_grid,
+        x_grid=x_grid,
+        values=values,
+        policy=policy,
+        decay=decay,
+        threshold=model.threshold,
+        y_max=y_max,
+        saturation_fraction=float(at_cap / max(np.count_nonzero(live), 1)),
+        substeps=substeps,
+    )
+
+
+def solve_reduced_hjb_ladder(
+    model: ImpactModel,
+    decay: float,
+    horizon: float,
+    x_max: float,
+    sizes,
+    y_max: Optional[float] = None,
+) -> list:
+    """March the reduced equation on each (nt, nx) grid of `sizes` over
+    [0, horizon] x [0, x_max] under one `y_max`, in lockstep: one control-kernel
+    call per round serves every grid still marching (`_lockstep`).  Returns one
+    ValueSurface per grid, in order, each bit for bit what `solve_reduced_hjb`
+    gives for that grid at the same `y_max`.  Empty `sizes`, a grid with fewer
+    than 2 cells a side and the inputs `solve_reduced_hjb` rejects raise
+    ValueError before any march.
+    """
+    if not sizes:
+        raise ValueError("need at least one (nt, nx) grid")
+    if any(nt < 2 or nx < 2 for nt, nx in sizes):
+        raise ValueError("need nt >= 2 and nx >= 2 grid cells")
+    require_finite(decay=decay, horizon=horizon, x_max=x_max)
+    if horizon <= 0.0 or x_max <= 0.0:
+        raise ValueError("horizon and x_max must be positive")
+    if y_max is None:
+        y_max = 4.0 * _default_y_max(model, decay, horizon, x_max)
+    require_finite(y_max=y_max)
+    if y_max <= model.threshold:
+        raise ValueError("y_max must exceed the impact threshold or the policy range is empty")
+    marches = [_march(model, decay, horizon, x_max, nt, nx, y_max) for nt, nx in sizes]
+    return _lockstep(model, y_max, model.h(y_max), marches)
 
 
 def solve_reduced_hjb(
@@ -156,65 +281,9 @@ def solve_reduced_hjb(
     the floor, x > 0) whose speed sits at the cap.  A non-finite decay,
     horizon, x_max or y_max raises ValueError before the march, and a
     non-finite value in the marched surface raises NumericalFailure.
+    The one-grid case of `solve_reduced_hjb_ladder`.
     """
-    if nt < 2 or nx < 2:
-        raise ValueError("need nt >= 2 and nx >= 2 grid cells")
-    require_finite(decay=decay, horizon=horizon, x_max=x_max)
-    if horizon <= 0.0 or x_max <= 0.0:
-        raise ValueError("horizon and x_max must be positive")
-    if y_max is None:
-        y_max = 4.0 * _default_y_max(model, decay, horizon, x_max)
-    require_finite(y_max=y_max)
-    if y_max <= model.threshold:
-        raise ValueError("y_max must exceed the impact threshold or the policy range is empty")
-
-    t_grid = np.linspace(0.0, horizon, nt + 1)
-    x_grid = np.linspace(0.0, x_max, nx + 1)
-    dt = horizon / nt
-    dx = x_max / nx
-    h_ymax = model.h(y_max)
-    guard = x_max * math.exp(max(0.0, -decay) * horizon) * (1.0 + 1e-6) + 1e-9
-
-    values = np.empty((nt + 1, nx + 1))
-    policy = np.empty((nt + 1, nx + 1))
-    substeps = np.zeros(nt, dtype=int)
-    W = np.zeros(nx + 1)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # the control kernel's
-        if not math.isfinite(y_max / dx + max(decay, 0.0) + model._g(np.array([y_max]))[0]):  # bounds every retry
-            raise NumericalFailure(f"sub-step rate at the cap y_max = {y_max} is not finite")
-        speed, psi, rate = _node_controls(model, W, dx, y_max, h_ymax, decay)
-        for lvl in range(nt + 1):
-            values[lvl] = W
-            policy[lvl] = speed
-            if lvl == nt:
-                break
-            left = dt
-            while True:
-                W, h, n = _substep(model, W, psi, rate, left, dx, decay, y_max, h_ymax)
-                substeps[lvl] += 1
-                if W[-1] > guard:
-                    raise NumericalFailure("reduced-value growth guard tripped: decay too negative for this impact")
-                speed, psi, rate = _node_controls(model, W, dx, y_max, h_ymax, decay)
-                if n == 1:
-                    break
-                left -= h
-
-    # NaN passes the growth guard and gives speed 0, so the march cannot see it
-    if not np.isfinite(values).all():
-        raise NumericalFailure("the value surface has non-finite entries")
-    live = values[:, 1:] > _W_EPS
-    at_cap = np.count_nonzero(live & (policy[:, 1:] == y_max))
-    return ValueSurface(
-        t_grid=t_grid,
-        x_grid=x_grid,
-        values=values,
-        policy=policy,
-        decay=decay,
-        threshold=model.threshold,
-        y_max=y_max,
-        saturation_fraction=float(at_cap / max(np.count_nonzero(live), 1)),
-        substeps=substeps,
-    )
+    return solve_reduced_hjb_ladder(model, decay, horizon, x_max, [(nt, nx)], y_max)[0]
 
 
 def extract_policy(surface: ValueSurface) -> np.ndarray:
@@ -245,14 +314,16 @@ def hjb_residual(surface: ValueSurface, model: ImpactModel) -> float:
     t_grid, x_grid, W = surface.t_grid, surface.x_grid, surface.values
     dt = float(t_grid[1] - t_grid[0])
     dx = float(x_grid[1] - x_grid[0])
-    h_ymax = model.h(surface.y_max)
-    worst = 0.0
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # the control kernel's
+
+    def rows():
+        worst = 0.0
         for lvl in range(1, t_grid.size - 1):
-            _, psi, _ = _node_controls(model, W[lvl], dx, surface.y_max, h_ymax, surface.decay)
+            _, psi, _ = yield from _controls(W[lvl], dx, surface.decay)
             resid = (W[lvl + 1] - W[lvl]) / dt - (psi - surface.decay * W[lvl])
             worst = max(worst, float(np.max(np.abs(resid[1:]))))
-    return worst
+        return worst
+
+    return _lockstep(model, surface.y_max, model.h(surface.y_max), [rows()])[0]
 
 
 # -- independent deterministic-schedule oracle --------------------------------

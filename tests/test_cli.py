@@ -129,25 +129,88 @@ def test_solve_hjb_summary(bench_config, tmp_path):
 
 
 def test_solve_hjb_runs_the_control_kernel_only_in_its_marches(bench_config, tmp_path, monkeypatch):
-    calls, surfaces = [], []
-    node_controls, solve = hjb._node_controls, cli.solve_reduced_hjb
+    rows, ladders = [], []
+    kernel, ladder = hjb._best_response, cli.solve_reduced_hjb_ladder
 
-    def counted(*args):
-        calls.append(None)
-        return node_controls(*args)
+    def counted(model, a, b, y_max, h_ymax):
+        rows.append(b.size)
+        return kernel(model, a, b, y_max, h_ymax)
 
     def captured(*args, **kwargs):
-        surfaces.append(solve(*args, **kwargs))
-        return surfaces[-1]
+        ladders.append(ladder(*args, **kwargs))
+        return ladders[-1]
 
-    monkeypatch.setattr(hjb, "_node_controls", counted)
-    monkeypatch.setattr(cli, "solve_reduced_hjb", captured)
+    monkeypatch.setattr(hjb, "_best_response", counted)
+    monkeypatch.setattr(cli, "solve_reduced_hjb_ladder", captured)
     sets = ("solver.nt=40", "solver.nx=40", "solver.refine=true")
     args = ["solve-hjb", "--config", bench_config, "--output", str(tmp_path / "hjb")]
     assert main(args + [a for s in sets for a in ("--set", s)]) == 0
-    # the main solve and the refine solve: one call at t = 0, two per sub-step
-    assert len(surfaces) == 2
-    assert len(calls) == sum(1 + 2 * int(surf.substeps.sum()) for surf in surfaces)
+    # one ladder marches the main grid and the half grid in lockstep: each round
+    # is one kernel call for both, so the calls are the longer march's count,
+    # one at t = 0 and two per sub-step, not the sum of the two
+    ((fine, coarse),) = ladders
+    assert (fine.x_grid.size, coarse.x_grid.size) == (41, 21)
+    per_march = [1 + 2 * int(surf.substeps.sum()) for surf in (fine, coarse)]
+    assert len(rows) == max(per_march)
+    assert per_march[1] < per_march[0]
+    assert rows.count(41 + 21) == per_march[1] and rows.count(41) == per_march[0] - per_march[1]
+
+
+@pytest.mark.parametrize("nt, nx", [(2, 2), (400, 2), (3, 40)])
+def test_refine_on_a_grid_without_a_coarser_half_exits_2(bench_config, tmp_path, capsys, nt, nx):
+    # the half grid is clamped to 2 cells, so below 4 it is the same grid (or
+    # coarser in one axis only) and refinement_delta would read ~0 for nothing
+    args = ["solve-hjb", "--config", bench_config, "--output", str(tmp_path / "hjb")]
+    sets = _sets(f"solver.nt={nt}", f"solver.nx={nx}", "solver.refine=true")
+    assert main(args + sets) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config_error" and "solver.refine" in err["message"]
+    assert main(args + _sets(f"solver.nt={nt}", f"solver.nx={nx}")) == 0  # refine = false runs
+
+
+def test_refine_at_4_cells_runs(bench_config, tmp_path):
+    out = tmp_path / "hjb"
+    args = ["solve-hjb", "--config", bench_config, "--output", str(out)]
+    assert main(args + _sets("solver.nt=4", "solver.nx=4", "solver.refine=true")) == 0
+    assert _summary(out)["refinement_delta"] > 0.0
+
+
+def test_refinement_delta_is_the_half_grid_solve_at_the_same_cap(bench_config, tmp_path):
+    # the lockstep half grid gives the number a separate half-grid run gives
+    # at the main run's resolved y_max
+    def run(name, *sets):
+        args = ["solve-hjb", "--config", bench_config, "--output", str(tmp_path / name)]
+        assert main(args + _sets(*sets)) == 0
+        return _summary(tmp_path / name)
+
+    refined = run("refined", "solver.nt=40", "solver.nx=30", "solver.refine=true")
+    main_grid = run("main", "solver.nt=40", "solver.nx=30")
+    half = run("half", "solver.nt=20", "solver.nx=15", f"solver.y_max={main_grid['y_max']!r}")
+    assert half["y_max"] == main_grid["y_max"] == refined["y_max"]
+    assert refined["W_terminal"] == main_grid["W_terminal"]
+    assert refined["refinement_delta"] == abs(main_grid["W_terminal"] - half["W_terminal"])
+    assert refined["refinement_delta"] > 0.0
+
+
+@pytest.mark.parametrize("fault, message", [("nan", "non-finite"), ("growth", "growth guard")])
+def test_a_failure_in_the_half_grid_alone_exits_4(bench_config, tmp_path, monkeypatch, capsys, fault, message):
+    euler = hjb._euler
+
+    def poisoned(W, psi, h, decay):
+        out = euler(W, psi, h, decay)
+        if W.size == 21:  # the 20-cell half grid only
+            if fault == "nan":
+                out[1] = np.nan
+            else:
+                out += 1.0
+        return out
+
+    monkeypatch.setattr(hjb, "_euler", poisoned)
+    args = ["solve-hjb", "--config", bench_config, "--output", str(tmp_path / "hjb")]
+    assert main(args + _sets("solver.nt=40", "solver.nx=40", "solver.refine=true")) == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "numerical_failure" and message in err["message"]
+    assert not (tmp_path / "hjb").exists()
 
 
 def test_solve_hjb_exits_4_on_a_non_finite_surface(bench_config, tmp_path, monkeypatch, capsys):
@@ -488,6 +551,7 @@ def test_off_grid_feedback_exits_2(bench_config, tmp_path, capsys, monkeypatch, 
     # the message the first surface lookup would raise, instead of clipping
     solves = []
     monkeypatch.setattr(cli, "solve_reduced_hjb", lambda *a, **k: solves.append(a))
+    monkeypatch.setattr(cli, "solve_reduced_hjb_ladder", lambda *a, **k: solves.append(a))
     args = [subcommand, "--config", bench_config, "--output", str(tmp_path / "run")]
     assert main(args + _sets("solver.x_max=0.05", *_SMALL_SIM, *sets)) == 2
     assert solves == []

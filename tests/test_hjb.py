@@ -5,17 +5,18 @@ import pytest
 
 from optexec.closed_form import mixed_power_solution, twap_rate, twap_solution
 from optexec.errors import NumericalFailure
-from optexec.hamiltonian import best_response
+from optexec.hamiltonian import _best_response, best_response
 import optexec.hjb as hjb
 from optexec.hjb import (
+    _controls,
     _default_y_max,
     _euler,
-    _node_controls,
     _substep,
     extract_policy,
     hjb_residual,
     optimize_deterministic_schedule,
     solve_reduced_hjb,
+    solve_reduced_hjb_ladder,
 )
 from optexec.impact import LevyEffectiveImpact, MixedPowerImpact, QuadraticImpact, ShiftedConvexImpact
 
@@ -25,6 +26,22 @@ LEVY = LevyEffectiveImpact(gamma=1.0, alpha0=1.0, alpha1=2.0, beta1=2.0)
 
 BENCH = dict(decay=0.04, horizon=1.0, x_max=0.2)
 QUIET = dict(divide="ignore", over="ignore", invalid="ignore")  # the errstate the march holds
+
+
+def drive(model, y_max, march, rows=None):
+    """Run one march generator (`_controls`, `_substep`) to its end by hand: each row
+    it yields gets one control-kernel call under the march's errstate, and `rows`,
+    when given, collects the rows asked for.  Returns what the generator returns."""
+    h_ymax, answer = model.h(y_max), None
+    with np.errstate(**QUIET):
+        while True:
+            try:
+                kappa, W = march.send(answer)
+            except StopIteration as stop:
+                return stop.value
+            if rows is not None:
+                rows.append(W)
+            answer = _best_response(model, kappa, W, y_max, h_ymax)
 
 
 def top_rate(model, speed, dx, decay):
@@ -104,21 +121,20 @@ def test_monotone_update_in_neighbor_values():
     # mix zero, interior and capped speeds in each row.
     rng = np.random.default_rng(3)
     dx, decay, y_max = 0.01, 0.04, 100.0
-    h_ymax = QUAD.h(y_max)
     below_cap = 0
 
     def ssp(W, h):
-        _, psi, _ = _node_controls(QUAD, W, dx, y_max, h_ymax, decay)
+        _, psi, _ = drive(QUAD, y_max, _controls(W, dx, decay))
         W1 = _euler(W, psi, h, decay)
-        _, psi1, _ = _node_controls(QUAD, W1, dx, y_max, h_ymax, decay)
+        _, psi1, _ = drive(QUAD, y_max, _controls(W1, dx, decay))
         return 0.5 * W + 0.5 * _euler(W1, psi1, h, decay)
 
     with np.errstate(**QUIET):
         for _ in range(20):
             W = np.concatenate([[0.0], np.cumsum(rng.uniform(0.0, 1.2 * dx, 11))])
-            speed, psi, rate = _node_controls(QUAD, W, dx, y_max, h_ymax, decay)
+            speed, psi, rate = drive(QUAD, y_max, _controls(W, dx, decay))
             below_cap += speed.max() < y_max
-            base, h, _ = _substep(QUAD, W, psi, rate, 0.05, dx, decay, y_max, h_ymax)
+            base, h, _ = drive(QUAD, y_max, _substep(W, psi, rate, 0.05, dx, decay))
             assert np.array_equal(ssp(W, h), base)
             j = int(rng.integers(1, 12))
             bumped = W.copy()
@@ -131,13 +147,12 @@ def test_substep_retries_until_the_second_stage_is_monotone():
     # a rate far below the row's own sizes a step whose intermediate row
     # breaks h * rate <= 1, so the step is redone with that row's rate
     dx, decay, y_max = 0.01, 0.04, 1.0
-    h_ymax = QUAD.h(y_max)
     W = np.linspace(0.0, 0.005, 12)
     with np.errstate(**QUIET):
-        _, psi, _ = _node_controls(QUAD, W, dx, y_max, h_ymax, decay)
-        new, h, n = _substep(QUAD, W, psi, 1.0, 0.05, dx, decay, y_max, h_ymax)
+        _, psi, _ = drive(QUAD, y_max, _controls(W, dx, decay))
+        new, h, n = drive(QUAD, y_max, _substep(W, psi, 1.0, 0.05, dx, decay))
         assert n > 1 and h == 0.05 / n
-        speed1, _, _ = _node_controls(QUAD, _euler(W, psi, h, decay), dx, y_max, h_ymax, decay)
+        speed1, _, _ = drive(QUAD, y_max, _controls(_euler(W, psi, h, decay), dx, decay))
     assert h * top_rate(QUAD, speed1, dx, decay) <= 1.0
     assert np.all(np.isfinite(new)) and new[0] == 0.0
 
@@ -165,11 +180,9 @@ def test_residual_positive_and_converging_in_smooth_region():
     def smooth_max(s, model, nu):
         tg, xg, W = s.t_grid, s.x_grid, s.values
         dt, dx = tg[1] - tg[0], xg[1] - xg[0]
-        hy = model.h(s.y_max)
         worst = 0.0
         for lvl in range(1, tg.size - 1):
-            with np.errstate(**QUIET):
-                _, psi, _ = _node_controls(model, W[lvl], dx, s.y_max, hy, s.decay)
+            _, psi, _ = drive(model, s.y_max, _controls(W[lvl], dx, s.decay))
             r = np.abs((W[lvl + 1] - W[lvl]) / dt - (psi - s.decay * W[lvl]))
             keep = (xg < 0.5 * s.y_max * tg[lvl]) & (np.abs(xg - nu * tg[lvl]) > 0.03)
             keep[0] = False
@@ -356,7 +369,6 @@ def _march_every_trial_in_full(model, nt, nx, y_max, decay, horizon, x_max):
     over the whole row and every trial step run through both stages before its
     verdict: the reference for the solver's top-speed rate and early stop."""
     dt, dx = horizon / nt, x_max / nx
-    h_ymax = model.h(y_max)
 
     def rate_of(speed):
         return float(np.max(speed / dx + max(decay, 0.0) + model.g(speed)))
@@ -367,8 +379,7 @@ def _march_every_trial_in_full(model, nt, nx, y_max, decay, horizon, x_max):
         return out
 
     def controls(W):  # the row's speeds and gains; its rate comes from rate_of
-        with np.errstate(**QUIET):
-            speed, psi, _ = _node_controls(model, W, dx, y_max, h_ymax, decay)
+        speed, psi, _ = drive(model, y_max, _controls(W, dx, decay))
         return speed, psi
 
     W = np.zeros(nx + 1)
@@ -430,24 +441,16 @@ def test_doomed_attempts_stop_early(monkeypatch):
     # row's controls are known: it is dropped before its second Euler stage,
     # and the step it settles on is the one running every trial in full gives
     dx, decay, y_max = 0.01, 0.04, 1.0
-    h_ymax = QUAD.h(y_max)
     W = np.linspace(0.0, 0.005, 12)
-    with np.errstate(**QUIET):
-        _, psi, _ = _node_controls(QUAD, W, dx, y_max, h_ymax, decay)
+    _, psi, _ = drive(QUAD, y_max, _controls(W, dx, decay))
     stage_sizes, control_calls = [], []
 
     def counted_euler(W, psi, h, decay):
         stage_sizes.append(h)
         return _euler(W, psi, h, decay)
 
-    def counted_controls(*args):
-        control_calls.append(args)
-        return _node_controls(*args)
-
     monkeypatch.setattr(hjb, "_euler", counted_euler)
-    monkeypatch.setattr(hjb, "_node_controls", counted_controls)
-    with np.errstate(**QUIET):
-        new, h, n = _substep(QUAD, W, psi, 1.0, 0.05, dx, decay, y_max, h_ymax)
+    new, h, n = drive(QUAD, y_max, _substep(W, psi, 1.0, 0.05, dx, decay), control_calls)
     monkeypatch.undo()
     trials = len(control_calls)
     assert trials >= 2  # at least one doomed trial before the accepted one
@@ -460,8 +463,7 @@ def test_doomed_attempts_stop_early(monkeypatch):
         full_trials += 1
         m = max(1, math.ceil(0.05 * rate))
         W1 = _euler(W, psi, 0.05 / m, decay)
-        with np.errstate(**QUIET):
-            speed1, psi1, _ = _node_controls(QUAD, W1, dx, y_max, h_ymax, decay)
+        speed1, psi1, _ = drive(QUAD, y_max, _controls(W1, dx, decay))
         full = 0.5 * W + 0.5 * _euler(W1, psi1, 0.05 / m, decay)
         if (0.05 / m) * top_rate(QUAD, speed1, dx, decay) <= 1.0:
             break
@@ -475,12 +477,75 @@ def test_control_calls_follow_the_substeps(monkeypatch):
 
     def counted(*args):
         calls.append(None)
-        return _node_controls(*args)
+        return _best_response(*args)
 
-    monkeypatch.setattr(hjb, "_node_controls", counted)
+    monkeypatch.setattr(hjb, "_best_response", counted)
     surf = solve_reduced_hjb(QUAD, nt=60, nx=60, **BENCH)
     # one call for the first level and two per sub-step: no step was redone
     assert len(calls) == 1 + 2 * int(surf.substeps.sum())
+
+
+LADDER_FAMILIES = {
+    "quadratic": QUAD,
+    "mixed_power": MIXED,
+    "pure_power": MixedPowerImpact(alpha=1.0, p_convex=2.0, p_concave=0.5, threshold=0.0),
+    "shifted": ShiftedConvexImpact(3, 1),
+    "levy": LEVY,
+}
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [[(40, 40), (20, 20)], [(120, 120), (60, 60), (30, 30)], [(20, 30), (40, 15)]],
+    ids=["two_rungs_40", "three_rungs_120", "unsorted_rungs"],
+)
+@pytest.mark.parametrize("cap", [None, 1.0], ids=["default_y_max", "binding_y_max"])
+@pytest.mark.parametrize("decay", [0.04, 0.05, -0.1])
+@pytest.mark.parametrize("family", sorted(LADDER_FAMILIES))
+def test_ladder_equals_standalone_solves(family, decay, cap, sizes):
+    # every rung of a lockstep ladder is bit for bit the standalone solve of
+    # its grid at the ladder's y_max, whichever rung finishes first
+    model = LADDER_FAMILIES[family]
+    y_max = None if cap is None else max(cap, model.threshold + 1.0)
+    ladder = solve_reduced_hjb_ladder(model, decay, 1.0, 1.0, sizes, y_max=y_max)
+    assert len(ladder) == len(sizes)
+    assert (ladder[0].saturation_fraction > 0.0) == (cap is not None)
+    for (nt, nx), got in zip(sizes, ladder):
+        alone = solve_reduced_hjb(model, decay, 1.0, 1.0, nt=nt, nx=nx, y_max=ladder[0].y_max)
+        assert got.values.shape == (nt + 1, nx + 1)
+        assert got.y_max == alone.y_max
+        assert got.values.tobytes() == alone.values.tobytes()
+        assert got.policy.tobytes() == alone.policy.tobytes()
+        assert np.array_equal(got.substeps, alone.substeps)
+        assert got.saturation_fraction == alone.saturation_fraction
+
+
+@pytest.mark.parametrize("sizes", [[], [(40, 40), (1, 20)], [(40, 40), (20, 1)], [(1, 1)]])
+def test_ladder_input_validation(monkeypatch, sizes):
+    # a bad rung anywhere in the ladder is rejected before any rung marches
+    def no_march(*args):
+        raise AssertionError("a rung marched")
+
+    monkeypatch.setattr(hjb, "_march", no_march)
+    with pytest.raises(ValueError, match="grid"):
+        solve_reduced_hjb_ladder(QUAD, sizes=sizes, **BENCH)
+
+
+def test_ladder_makes_one_kernel_call_per_round(monkeypatch):
+    rows = []
+
+    def counted(model, a, b, y_max, h_ymax):
+        rows.append(b.size)
+        return _best_response(model, a, b, y_max, h_ymax)
+
+    monkeypatch.setattr(hjb, "_best_response", counted)
+    ladder = solve_reduced_hjb_ladder(QUAD, sizes=[(60, 60), (30, 30), (15, 15)], **BENCH)
+    per_rung = sorted(1 + 2 * int(s.substeps.sum()) for s in ladder)
+    assert len(rows) == per_rung[-1]
+    # rounds with all three rungs live, then the two longer ones, then the finest alone
+    assert rows.count(61 + 31 + 16) == per_rung[0]
+    assert rows.count(61 + 31) == per_rung[1] - per_rung[0]
+    assert rows.count(61) == per_rung[2] - per_rung[1]
 
 
 def test_large_cap_costs_few_control_calls():
@@ -524,15 +589,13 @@ def test_rate_read_off_the_control_call_is_the_formula(model, decay):
     # it must equal max(y)/dx + max(decay, 0) + g(max(y)) computed with the public g
     dx = 0.1
     y_max = 4.0 * _default_y_max(model, 0.04, 1.0, 4.0)
-    h_ymax = model.h(y_max)
     x = np.arange(41) * dx
     mid = solve_reduced_hjb(model, 0.04, 1.0, 4.0, nt=40, nx=40, y_max=y_max).values[20]
     # the all-zero start row, a row selling at the cap, one selling nothing, a mid-march row
     rows = {"start": np.zeros(41), "at_cap": 1e-9 * x, "sells_nothing": 2.0 * x, "mid_march": mid}
     seen = set()
     for name, W in rows.items():
-        with np.errstate(**QUIET):
-            speed, _, rate = _node_controls(model, W, dx, y_max, h_ymax, decay)
+        speed, _, rate = drive(model, y_max, _controls(W, dx, decay))
         assert rate == top_rate(model, speed, dx, decay), name
         seen.add("zero" if speed.max() == 0.0 else "cap" if speed.max() == y_max else "inner")
     assert seen == {"zero", "cap", "inner"}
@@ -559,9 +622,27 @@ def test_the_march_errstate_stays_scoped(monkeypatch):
     def inflated(W, psi, h, decay):  # trips the growth guard on the first sub-step
         return _euler(W, psi, h, decay) + 1.0
 
+    # so does a ladder's one errstate, around every rung's march
+    solve_reduced_hjb_ladder(QUAD, sizes=[(10, 10), (5, 5)], **BENCH)
+    assert np.geterr() == before
+    with pytest.raises(NumericalFailure, match="rate"):
+        solve_reduced_hjb_ladder(QUAD, sizes=[(10, 10), (5, 5)], y_max=1e200, **BENCH)
+    assert np.geterr() == before
+
     monkeypatch.setattr(hjb, "_euler", inflated)
     with pytest.raises(NumericalFailure, match="growth guard"):
         solve_reduced_hjb(QUAD, nt=10, nx=10, **BENCH)
+    assert np.geterr() == before
+    with pytest.raises(NumericalFailure, match="growth guard"):
+        solve_reduced_hjb_ladder(QUAD, sizes=[(10, 10), (5, 5)], **BENCH)
+    assert np.geterr() == before
+
+    def inflated_half_grid(W, psi, h, decay):  # the 5-cell rung alone trips the guard
+        return _euler(W, psi, h, decay) + (1.0 if W.size == 6 else 0.0)
+
+    monkeypatch.setattr(hjb, "_euler", inflated_half_grid)
+    with pytest.raises(NumericalFailure, match="growth guard"):
+        solve_reduced_hjb_ladder(QUAD, sizes=[(10, 10), (5, 5)], **BENCH)
     assert np.geterr() == before
 
 
