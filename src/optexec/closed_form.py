@@ -119,13 +119,16 @@ def twap_rate(model: ImpactModel, decay: float) -> float:
     """The unique rate above the threshold with x*h(x) - g(x) = decay.
 
     The excess starts non-positive at the threshold, is strictly increasing
-    and diverges.  The right end of the bracket [threshold, hi] grows by
-    factors of 8 until the excess at hi reaches decay, and starts the
-    iteration if it already meets the tolerance.  Each iteration shrinks the
-    bracket by the sign of the error and takes the Newton step with the
-    derivative x*h'(x), or the bracket midpoint where that step is not finite
-    or leaves the open bracket.  Stops when |excess - decay| <= 1e-12 *
-    (1 + decay).
+    and diverges.  The bracket [threshold, hi] starts 1 (or an ulp of the
+    threshold, if wider) wide and grows by factors of 8 until the excess at
+    hi reaches decay.  Each iteration returns x once |excess - decay| <=
+    1e-12 * (1 + decay), hi tried first, else shrinks the bracket by the sign
+    of the error and takes the Newton step with the derivative x*h'(x), or
+    the midpoint where that step is not finite or leaves the open bracket.
+    Where that tolerance is finer than the rounding of the excess (large
+    thresholds), the bracket closes to two adjacent floats and the end with
+    the smaller error is returned.  A NaN excess inside the bracket raises
+    NumericalFailure.
     """
     if not decay > 0.0:  # a NaN decay fails here too
         raise ValueError("twap_rate needs a positive decay rate")
@@ -143,31 +146,30 @@ def twap_rate(model: ImpactModel, decay: float) -> float:
     tol = 1e-12 * (1.0 + target)
     x = lo = np.float64(model.threshold)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        hi = lo + 1.0
-        for _ in range(500):
-            f_hi = excess(hi)
-            if not f_hi < target:
-                break
+        hi = lo + max(1.0, np.spacing(lo))
+        while (f_hi := excess(hi)) < target:
             hi = lo + 8.0 * (hi - lo)
             if not np.isfinite(hi):
                 raise NumericalFailure("TWAP rate target beyond float range")
-        else:
-            raise NumericalFailure("could not bracket the TWAP rate")
         # Newton steps from the left of a convex excess overshoot a right end
         # that already meets the tolerance, and would bisect all the way to it
         if abs(f_hi - target) <= tol:
             x = hi
-        for _ in range(200):
+        e_lo, e_hi = math.inf, f_hi - target  # the first iteration evaluates x = lo
+        while True:
             err = excess(x) - target
             if abs(err) <= tol:
                 return float(x)
             if err < 0.0:
-                lo = x
+                lo, e_lo = x, err
             elif err > 0.0:
-                hi = x
+                hi, e_hi = x, err
+            elif x > lo:
+                raise NumericalFailure(f"TWAP rate excess is NaN at x = {float(x)!r} inside the bracket")
+            if np.nextafter(lo, hi) == hi:  # no float lies strictly inside the bracket
+                return float(lo if abs(e_lo) < abs(e_hi) else hi)
             step = x - err / (x * hook(model._dh, x))
             x = step if lo < step < hi else 0.5 * (lo + hi)
-    raise NumericalFailure("TWAP rate bisection did not reach tolerance")
 
 
 @dataclass(frozen=True)

@@ -127,11 +127,11 @@ class OutputSettings:
 
 @dataclass(frozen=True)
 class CompareSettings:
-    """Strategy specs for `compare`.  The default's `threshold` strategy needs a
-    model with a positive threshold; on a zero-threshold model (quadratic,
-    Gamma clock, pure power) set `strategies` or the run exits 2."""
+    """Strategy specs for `compare`.  The default checks the paper's TWAP claim
+    against the HJB feedback policy, which runs on every family; `threshold`
+    needs a model with a positive threshold and exits 2 on the others."""
 
-    strategies: tuple = ("twap", "threshold")
+    strategies: tuple = ("twap", "feedback")
 
 
 # [section] -> settings dataclass, for every section but [impact] and [market]

@@ -10,7 +10,8 @@ the minimizer is either 0 or the point on the rising marginal branch where
 h(y) equals the target ratio (s*p_c - p_x) / (s*p_s); it never falls in the
 concave interval (0, threshold].  `_best_response` is the one vectorised
 implementation of that argmax, the kernel the HJB march calls on whole grid
-rows under its own errstate; `best_response` is its checked shell, and
+rows under its own errstate and a speed cap y_max; `best_response` is its
+uncapped public shell, the paper's argmax over {0} u (threshold, inf), and
 `optimal_speed` and `hamiltonian` are scalar wrappers over that, on 1-element
 arrays: a 0-d `** power` can differ by an ulp from the array loop a sweep runs.
 
@@ -66,35 +67,29 @@ def _gain_rate(model, a, b, y):
     return b * model.g(y) - a * y
 
 
-def best_response(model: ImpactModel, a, b, y_max: float = math.inf, h_ymax: float = math.inf):
-    """Elementwise argmax of a*y - b*g(y) over y in {0} u (threshold, y_max], for b >= 0.
+def best_response(model: ImpactModel, a, b):
+    """Elementwise argmax of a*y - b*g(y) over y in {0} u (threshold, inf), for b >= 0.
 
-    The maximizer is 0 or the point above the threshold where h(y) = a/b,
-    clipped to y_max; where b = 0 the ratio is +inf, -inf or NaN, giving
-    y_max, 0 and 0.  A y_max at or below the threshold leaves only 0.  Ties
-    (ratio at the marginal floor, zero gain) resolve to 0.  `h_ymax` must be
-    h(y_max); callers that solve many rows under one cap compute it once.
-    A NaN y_max raises ValueError, and so does an infinite y_max once an element
-    is capped (b = 0 with a > 0 under the default cap): its gain is unbounded.
+    The maximizer is 0 or the point above the threshold where h(y) = a/b.
+    Ties (ratio at the marginal floor, zero gain) resolve to 0.  Where b = 0
+    the ratio is -inf or NaN for a <= 0, giving 0, and +inf for a > 0,
+    whose gain is unbounded: that raises ValueError.
 
     Returns (speed, gain): the maximizer and the maximal value (0 where
     selling nothing is optimal).
     """
-    if math.isnan(y_max):
-        raise ValueError("y_max must not be NaN")
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if not y_max > model.threshold:  # (threshold, y_max] is empty: nothing sells
-        shape = np.broadcast(a, b).shape
-        return np.zeros(shape), np.zeros(shape)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return _best_response(model, a, b, y_max, h_ymax)[:2]
+        return _best_response(model, a, b, math.inf, math.inf)[:2]
 
 
 def _best_response(model, a, b, y_max, h_ymax):
-    """`best_response`'s kernel, unchecked: float arrays a, b, a y_max above the threshold,
-    and the caller's errstate ignoring divide, over and invalid.  Returns (speed, gain, gy)
-    with gy = g(y) at each candidate y, so gy = g(speed) wherever speed > 0."""
+    """The argmax over {0} u (threshold, y_max], unchecked: float arrays a, b, a y_max
+    above the threshold, `h_ymax` = h(y_max), and the caller's errstate ignoring divide,
+    over and invalid.  Where b = 0 the ratio +inf, -inf or NaN gives y_max, 0 and 0; a
+    capped element under y_max = inf raises ValueError.  Returns (speed, gain, gy) with
+    gy = g(y) at each candidate y, so gy = g(speed) wherever speed > 0."""
     ratio = a / b
     candidate = ratio > model.marginal_floor
     capped = candidate & (ratio >= h_ymax)

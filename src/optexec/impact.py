@@ -341,13 +341,6 @@ class LevyEffectiveImpact(ImpactModel):
             w = (np.abs(hq) + np.sqrt(np.maximum(hq * hq + p3 * p3 * p3, 0.0))) ** (1.0 / 3.0)
             v = p3 / w
             x = s * (2.0 * hq / np.fmax(w * w + v * v + p3, _TINY) - b3)
-            err = self._h(x) - ybar
-            if not (np.abs(err) <= _INVERSE_RTOL * (1.0 + ybar)).all():  # NaN fails too
+            if not (np.abs(self._h(x) - ybar) <= _INVERSE_RTOL * (1.0 + ybar)).all():  # NaN fails too
                 raise NumericalFailure("marginal inverse missed its tolerance or the float range")
-            # One Newton step on h.  x is within a few ulps of the root except near
-            # a triple root, where its residual is already at rounding level and the
-            # step is rounding noise over h' ~ 0; h' is NaN where alpha0*beta1*x**2
-            # overflows, and there h(x) = k*x holds to rounding.  So a step above
-            # 1e-10 * x, or NaN, is not taken.
-            step = err / self._dh(x)
-            return np.where(np.abs(step) <= 1e-10 * x, x - step, x)
+            return x

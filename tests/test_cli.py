@@ -444,6 +444,37 @@ def test_simulate_takes_a_seed_above_2_63(bench_config, tmp_path):
         assert (first / name).read_bytes() == (again / name).read_bytes(), name
 
 
+def test_twap_at_a_large_threshold(tmp_path):
+    # the excess rounds coarser than twap_rate's tolerance here; the rate is the
+    # closed-form root sqrt(decay + 3 * threshold**2)
+    config = tmp_path / "run.ini"
+    config.write_text(BENCH_INI.replace(_QUADRATIC, _MIXED_POWER))
+    sets = _sets("impact.threshold=1000", "market.decay=0.04")
+    assert main(["twap", "--config", str(config), *sets, "--output", str(tmp_path / "twap")]) == 0
+    root = math.sqrt(3000000.04)
+    assert abs(_summary(tmp_path / "twap")["rate"] - root) <= 2.0 * math.ulp(root)
+
+
+_DEFAULT_COMPARE_FAMILIES = {
+    "quadratic": ["impact.family=quadratic", "impact.alpha0=1.0"],
+    "levy_effective": ["impact.family=levy_effective", "impact.gamma=1.0", "impact.alpha0=1.0",
+                       "impact.alpha1=1.0", "impact.beta1=1.0"],
+    "mixed_power": ["impact.family=mixed_power", "impact.alpha=1.0", "impact.p_convex=2.0",
+                    "impact.p_concave=0.5", "impact.threshold=0.0"],
+    "shifted_convex": ["impact.family=shifted_convex", "impact.power=3.0", "impact.threshold=1.0"],
+}
+
+
+@pytest.mark.parametrize("family", sorted(_DEFAULT_COMPARE_FAMILIES))
+def test_compare_default_strategies_run_on_every_family(family, tmp_path):
+    # no [compare] section: the default twap,feedback needs no positive threshold
+    config = tmp_path / "run.ini"
+    config.write_text(BENCH_INI.replace(_QUADRATIC, "family = quadratic"))
+    sets = _sets(*_DEFAULT_COMPARE_FAMILIES[family], *_SMALL_SIM, "solver.nt=10", "solver.nx=10")
+    assert main(["compare", "--config", str(config), *sets, "--output", str(tmp_path / "cmp")]) == 0
+    assert _summary(tmp_path / "cmp")["strategies"] == ["twap", "feedback"]
+
+
 def test_hamiltonian_check_exits_4_when_y_max_overflows(tmp_path, capsys):
     sets = _sets("impact.family=shifted_convex", "impact.power=3", "impact.threshold=1e308",
                  "check.draws=5", "check.grid_points=101")
@@ -722,7 +753,7 @@ DEFAULT_RESOLVED = {
         "log_floor": "-60.0",
         "path_csv_cap": "0",
     },
-    "compare": {"strategies": "twap,threshold"},
+    "compare": {"strategies": "twap,feedback"},
     "check": {"draws": "1000", "seed": "0", "grid_points": "4001"},
     "plot": {"x_min": "0.0", "points": "512", "spacing": "linear"},
     "output": {"directory": "out", "formats": "json,csv", "schedule_samples": "200"},

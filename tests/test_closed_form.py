@@ -94,6 +94,18 @@ class TestTwapRate:
         with pytest.raises(ValueError, match="needs a positive decay rate"):
             twap_rate(QUAD, math.nan)
 
+    @pytest.mark.parametrize("threshold", [*np.geomspace(300.0, 1e100, 21).tolist(), 2.0**53, 1e16])
+    def test_large_thresholds_give_the_closed_form_root(self, threshold):
+        # here the excess rounds coarser than the tolerance, so the bracket closes
+        # down to two adjacent floats; from 2**53 on, hi = lo + 1 would not move
+        decay = 0.04
+        mixed = MixedPowerImpact(alpha=1.0, p_convex=2.0, p_concave=0.5, threshold=threshold)
+        root = math.sqrt(decay + mixed.gamma)
+        assert abs(twap_rate(mixed, decay) - root) <= 2.0 * math.ulp(root)
+        shifted = ShiftedConvexImpact(power=2.0, threshold=threshold)
+        root = threshold + decay / (threshold + math.sqrt(threshold * threshold + decay))
+        assert abs(twap_rate(shifted, decay) - root) <= 2.0 * math.ulp(root)
+
     @given(decay=st.floats(min_value=1e-4, max_value=10.0))
     @settings(max_examples=60, deadline=None)
     def test_residual_bound_and_threshold_gap(self, decay):

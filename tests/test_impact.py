@@ -1,5 +1,7 @@
 import dataclasses
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -207,7 +209,7 @@ def test_h_inverse_rejects_nan(m):
         m.h_inverse(np.array([1.0, np.nan]))
 
 
-def test_h_inverse_bisection_residual():
+def test_h_inverse_cubic_residual():
     lv = LevyEffectiveImpact(gamma=1.0, alpha0=1.0, alpha1=1.0, beta1=1.0)
     for ybar in (0.3, 5.0, 120.0):
         x = lv.h_inverse(ybar)
@@ -226,7 +228,7 @@ def _within_inverse_tol(m, x, ybar):
         LevyEffectiveImpact(gamma=0.5, alpha0=3.0, alpha1=2.0, beta1=2.0),
     ],
 )
-def test_h_inverse_newton_meets_tolerance(lv):
+def test_h_inverse_cubic_meets_tolerance(lv):
     ybar = np.logspace(-14, 8, 2000)
     assert _within_inverse_tol(lv, lv.h_inverse(ybar), ybar)
     x_flat = np.sqrt(3.0 / (lv.alpha0 * lv.beta1))
@@ -238,12 +240,15 @@ def test_h_inverse_newton_meets_tolerance(lv):
 _EXTREME_YBAR = np.concatenate(([0.0, 5e-324, 1e-300], np.logspace(-14, 8), [1e60, 1e200, 1e300]))
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize(
+_LEVY_PARAMS = pytest.mark.parametrize(
     "params",
     [(1.0, 1.0, 2.0, 2.0), (0.5, 3.0, 2.0, 2.0), (0.3, 2.0, 0.7, 1.5)],
     ids=["levy", "convexity_boundary", "levy_mild"],
 )
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@_LEVY_PARAMS
 def test_h_inverse_closed_form_over_the_float_range(params):
     # the cubic's root meets the tolerance from 0 through subnormal and huge
     # targets, and agrees with a per-target brentq root: h(x) >= k*x with
@@ -271,6 +276,36 @@ def test_h_inverse_closed_form_over_the_float_range(params):
         assert abs(lv._h(np.array([top]))[0] - 1.7e308) <= 1e-12 * (1.0 + 1.7e308)
 
 
+def _decimal_h_root(params, ybar):
+    """The root of the Gamma-clock h(x) = ybar to about 45 digits: a stdlib-decimal
+    bisection on [ybar/(k + c), 2*ybar/k], which brackets it since k*x <= h(x) <= (k + c)*x
+    with k = 2*gamma*alpha0 and c = 2*alpha0*alpha1*beta1."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        gamma, alpha0, alpha1, beta1 = (Decimal(v) for v in params)
+        y = Decimal(ybar)
+        k, c, ab = 2 * gamma * alpha0, 2 * alpha0 * alpha1 * beta1, alpha0 * beta1
+        lo, hi = y / (k + c), 2 * y / k
+        for _ in range(160):
+            mid = (lo + hi) / 2
+            if k * mid + c * mid / (ab * mid * mid + 1) < y:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
+
+
+@_LEVY_PARAMS
+def test_h_inverse_stays_within_8_ulps_of_the_root(params):
+    # the Cardano root against a 45-digit reference root over the float range of
+    # targets (4 ulps at worst here, 7.1 near the convexity boundary's flat point)
+    lv = LevyEffectiveImpact(*params)
+    x = lv.h_inverse(_EXTREME_YBAR)
+    for xi, y in zip(x, _EXTREME_YBAR):
+        root = _decimal_h_root(params, y)
+        assert abs(Decimal(xi) - root) <= 8 * Decimal(math.ulp(float(root))), y
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_gamma_clock_marginal_and_its_slope_stay_finite_at_huge_rates():
     # alpha0*beta1*x**2 overflows from x ~ 1e154; h and h' then tend to their
@@ -292,8 +327,7 @@ def test_gamma_clock_marginal_and_its_slope_stay_finite_at_huge_rates():
 def test_h_inverse_near_a_triple_root():
     # at alpha1 * beta1 = 8 * gamma the cubic has a triple root where h' = 0;
     # the targets one ulp apart around h(flat point) must meet the tolerance.
-    # With round parameters Cardano's depressed cubic can vanish exactly, and
-    # elsewhere a Newton step can divide rounding noise by h' ~ 0.
+    # With round parameters Cardano's depressed cubic can vanish exactly.
     rng = np.random.default_rng(0)
     models = [LevyEffectiveImpact(gamma=1.0, alpha0=1.0, alpha1=2.0, beta1=4.0)]
     for gamma, alpha0, alpha1 in np.exp(rng.uniform(-3.0, 3.0, (40, 3))):
@@ -320,7 +354,7 @@ class _NoDerivative(ImpactModel):
         return np.full_like(x, np.nan)
 
 
-def test_h_inverse_bisection_fallback_without_derivative():
+def test_twap_rate_falls_back_to_the_midpoint_without_derivative():
     m = _NoDerivative()
     for decay in np.logspace(-10, 6, 60):
         rate = twap_rate(m, decay)
@@ -346,28 +380,53 @@ class _Kinked(ImpactModel):
         return 1e-3 + 1.0 / (1.0 + (x - 5.0) ** 2)
 
 
-def test_h_inverse_bracket_catches_newton_overshoot():
+def test_twap_rate_bracket_catches_newton_overshoot():
     m = _Kinked()
     for decay in np.linspace(0.01, 14.0, 200):
         rate = twap_rate(m, decay)
         assert abs(m.excess_impact(rate) - decay) <= 1e-12 * (1.0 + decay)
 
 
+class _NaNInside(ImpactModel):
+    """g(x) = x**2 with a NaN marginal on (0.5, 2), where the excess x**2 = 1 has its root."""
+
+    family = "nan_inside"
+
+    def _g(self, x):
+        return x * x
+
+    def _h(self, x):
+        return np.where((x > 0.5) & (x < 2.0), np.nan, 2.0 * x)
+
+    def _dh(self, x):
+        return np.full_like(x, 2.0)
+
+
+def test_twap_rate_raises_on_a_nan_excess_inside_the_bracket():
+    with pytest.raises(NumericalFailure, match="NaN"):
+        twap_rate(_NaNInside(), 1.0)
+
+
 def test_h_inverse_evaluation_count():
-    # the closed form evaluates h once per call, for its tolerance check and
-    # Newton polish; this pins the per-call cost
+    # the closed form evaluates h once per call, for its tolerance check, and
+    # h' never; this pins the per-call cost
     lv = LevyEffectiveImpact(gamma=1.0, alpha0=1.0, alpha1=2.0, beta1=2.0)
-    plain_h = lv._h
-    calls = []
+    plain_h, plain_dh = lv._h, lv._dh
+    calls, dh_calls = [], []
 
     def counting_h(x):
         calls.append(x.size)
         return plain_h(x)
 
+    def counting_dh(x):
+        dh_calls.append(x.size)
+        return plain_dh(x)
+
     object.__setattr__(lv, "_h", counting_h)
+    object.__setattr__(lv, "_dh", counting_dh)
     ratio = np.geomspace(0.05, 500.0, 151)
     x = lv.h_inverse(ratio)
-    assert calls == [ratio.size]
+    assert calls == [ratio.size] and dh_calls == []
     assert _within_inverse_tol(lv, x, ratio)
 
 
