@@ -6,8 +6,8 @@ quadratic impact (small inventory) and the large-inventory value for the
 pure convex power.  Each study solves all its grids with one
 `solve_reduced_hjb_ladder` call, which marches them in lockstep under one
 y_max, and prints the error at each refinement next to the control calls
-that grid's march made (one for the first level and two per SSP-RK2
-sub-step, from `ValueSurface.substeps`), the empirical contraction factor,
+that grid's march made (one for the first level and one per sub-step,
+from `ValueSurface.substeps`), the empirical contraction factor,
 and the study's wall time.
 """
 
@@ -31,7 +31,7 @@ def study(name, model, decay, horizon, x0, x_max, exact, grids=(100, 200, 400, 8
     prev_w = None
     for n, surf in zip(grids, surfaces):
         w = surf.value_at(horizon, x0)
-        calls = 1 + 2 * int(surf.substeps.sum())
+        calls = 1 + int(surf.substeps.sum())
         line = f"  {n:4d}x{n:<4d} W={w:.8f}  rel err {abs(w - exact) / exact:.2e}  {calls:6d} control calls"
         if prev_w is not None:
             delta = abs(w - prev_w)

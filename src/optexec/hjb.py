@@ -15,11 +15,19 @@ yields each row it needs controls for; `_lockstep` drives one or more marches
 under one errstate, with one kernel call per round on the rows of every live
 march concatenated, so `solve_reduced_hjb_ladder` marches several grids for
 the kernel calls of its longest march.
-Each time step is crossed in SSP-RK2 sub-steps W <- W/2 + E(E(W))/2 of
-explicit Euler steps E, sized so that h * (y/dx + decay + g(y)) <= 1 at the
-speeds each stage's row chooses.  E is a max of maps affine in the previous
-row, the one at the chosen speed with non-negative coefficients, so raising
-any input never lowers the update, and y_max costs sub-steps only where used.
+Each time step is crossed in sub-steps of one implicit-reaction upwind stage
+at the controls of the row it starts from,
+
+    W_i <- ((1 - r_i + h*d-)*W_i + r_i*W_{i-1} + h*y_i) / (1 + h*(d+ + g(y_i))),
+
+with r_i = h*y_i/dx, d+ = max(decay, 0) and d- = max(-decay, 0), sized so that
+h*max(y)/dx <= 1: one control call per sub-step, and neither g nor the decay
+in the step bound.  With the controls frozen every coefficient is
+non-negative, so raising any input never lowers the update, and y_max costs
+sub-steps only where used.  The stage's fixed point solves
+(decay + g(y))*W = y*(1 - W_x), which with the kernel's first-order condition
+g'(y) = (1 - W_x)/W is the TWAP-rate equation: the TWAP cone is a discrete
+steady state.
 """
 
 from __future__ import annotations
@@ -62,7 +70,7 @@ class ValueSurface:
 
     `t_grid` is time-to-go in [0, horizon]; `values[l, i]` approximates
     W(t_grid[l], x_grid[i]) and `policy[l, i]` the maximizing speed there.
-    `substeps[l]` counts the sub-steps from level l to l + 1 (two control calls each).
+    `substeps[l]` counts the sub-steps from level l to l + 1 (one control call each).
     """
 
     t_grid: np.ndarray
@@ -96,24 +104,23 @@ class ValueSurface:
         return self._lookup(self.policy, t, x)
 
 
-def _controls(W, dx, decay):
+def _controls(W, dx):
     """A march's request for one row's controls, as a sub-generator: it yields
     (kappa, W) with kappa = 1 - Wx set to 0 at x = 0 so that node sells nothing, is
     sent `_best_response`'s (speed, gain, gy) for that row by the driver
-    (`_lockstep`), and returns (speed, psi, rate): the per-node argmax and max of
-    psi(y) = y*(1 - Wx) - W*g(y) over {0} u (threshold, y_max], and the row's sub-step
-    rate y/dx + max(decay, 0) + g(y) at its fastest speed (g is non-decreasing), with g
-    read off that call (g(0) = 0).  A non-finite rate, a NaN speed's too, raises."""
+    (`_lockstep`), and returns (speed, psi, g_speed, rate): the per-node argmax and max
+    of psi(y) = y*(1 - Wx) - W*g(y) over {0} u (threshold, y_max], g at that speed read
+    off the same call (g(0) = 0), and the row's sub-step rate max(y)/dx.  A non-finite
+    rate, a NaN speed's too, raises."""
     kappa = np.empty(W.size)
     kappa[0] = 0.0
     kappa[1:] = 1.0 - (W[1:] - W[:-1]) / dx
     speed, psi, gy = yield kappa, W
-    j = speed.argmax()
-    top = float(speed[j])
-    rate = top / dx + max(decay, 0.0) + (float(gy[j]) if top > 0.0 else 0.0)
+    top = float(speed.max())
+    rate = top / dx
     if not math.isfinite(rate):
         raise NumericalFailure(f"sub-step rate {rate} at speed {top}: the controls left the finite range")
-    return speed, psi, rate
+    return speed, psi, np.where(speed > 0.0, gy, 0.0), rate
 
 
 def _lockstep(model, y_max, h_ymax, marches):
@@ -152,26 +159,16 @@ def _lockstep(model, y_max, h_ymax, marches):
     return out
 
 
-def _euler(W, psi, h, decay):
-    """Explicit Euler step of size h from W with gains psi; x = 0 stays 0."""
-    out = W + h * (psi - decay * W)
+def _step(W, speed, g_speed, h, dx, decay):
+    """One implicit-reaction upwind step of size h from W at the frozen controls
+    (speed, g_speed); a negative decay stays explicit.  x = 0 stays 0."""
+    r = (h / dx) * speed
+    out = ((1.0 + h * max(-decay, 0.0)) - r) * W
+    out[1:] += r[1:] * W[:-1]
+    out += h * speed
+    out /= (1.0 + h * max(decay, 0.0)) + h * g_speed
     out[0] = 0.0
     return out
-
-
-def _substep(W, psi, rate, left, dx, decay):
-    """SSP-RK2 step W/2 + E(E(W))/2 of size h = left/n, n = ceil(left*rate), with
-    `psi` and `rate` those of W.  Redone at the larger rate while E(W)'s own rate,
-    from its one control request, breaks h*rate <= 1 (n grows each time; the cap's
-    rate bounds it).  A sub-generator like `_controls`; returns (W, h, n)."""
-    while True:
-        n = max(1, math.ceil(left * rate))
-        h = left / n
-        W1 = _euler(W, psi, h, decay)
-        _, psi1, rate1 = yield from _controls(W1, dx, decay)
-        if h * rate1 <= 1.0:
-            return 0.5 * W + 0.5 * _euler(W1, psi1, h, decay), h, n
-        rate = rate1
 
 
 def _default_y_max(model, decay, horizon, x_max):
@@ -194,9 +191,9 @@ def _march(model, decay, horizon, x_max, nt, nx, y_max):
     policy = np.empty((nt + 1, nx + 1))
     substeps = np.zeros(nt, dtype=int)
     W = np.zeros(nx + 1)
-    if not math.isfinite(y_max / dx + max(decay, 0.0) + model._g(np.array([y_max]))[0]):  # bounds every retry
+    if not math.isfinite(y_max / dx + max(decay, 0.0) + model._g(np.array([y_max]))[0]):  # bounds every step
         raise NumericalFailure(f"sub-step rate at the cap y_max = {y_max} is not finite")
-    speed, psi, rate = yield from _controls(W, dx, decay)
+    speed, _, g_speed, rate = yield from _controls(W, dx)
     for lvl in range(nt + 1):
         values[lvl] = W
         policy[lvl] = speed
@@ -204,11 +201,13 @@ def _march(model, decay, horizon, x_max, nt, nx, y_max):
             break
         left = dt
         while True:
-            W, h, n = yield from _substep(W, psi, rate, left, dx, decay)
+            n = max(1, math.ceil(left * rate))
+            h = left / n
+            W = _step(W, speed, g_speed, h, dx, decay)
             substeps[lvl] += 1
             if W[-1] > guard:
                 raise NumericalFailure("reduced-value growth guard tripped: decay too negative for this impact")
-            speed, psi, rate = yield from _controls(W, dx, decay)
+            speed, _, g_speed, rate = yield from _controls(W, dx)
             if n == 1:
                 break
             left -= h
@@ -276,7 +275,7 @@ def solve_reduced_hjb(
     [0, horizon] x [0, x_max] and record the value and the policy.
 
     `y_max` caps the control (default 4 * `_default_y_max`).  Each time step
-    is crossed in `_substep`s sized by the row's fastest chosen speed.
+    is crossed in `_step`s sized by the row's fastest chosen speed, h*max(y)/dx <= 1.
     `saturation_fraction` is the share of conditioned stored nodes (W above
     the floor, x > 0) whose speed sits at the cap.  A non-finite decay,
     horizon, x_max or y_max raises ValueError before the march, and a
@@ -318,7 +317,7 @@ def hjb_residual(surface: ValueSurface, model: ImpactModel) -> float:
     def rows():
         worst = 0.0
         for lvl in range(1, t_grid.size - 1):
-            _, psi, _ = yield from _controls(W[lvl], dx, surface.decay)
+            _, psi, _, _ = yield from _controls(W[lvl], dx)
             resid = (W[lvl + 1] - W[lvl]) / dt - (psi - surface.decay * W[lvl])
             worst = max(worst, float(np.max(np.abs(resid[1:]))))
         return worst

@@ -147,10 +147,10 @@ def test_solve_hjb_runs_the_control_kernel_only_in_its_marches(bench_config, tmp
     assert main(args + [a for s in sets for a in ("--set", s)]) == 0
     # one ladder marches the main grid and the half grid in lockstep: each round
     # is one kernel call for both, so the calls are the longer march's count,
-    # one at t = 0 and two per sub-step, not the sum of the two
+    # one at t = 0 and one per sub-step, not the sum of the two
     ((fine, coarse),) = ladders
     assert (fine.x_grid.size, coarse.x_grid.size) == (41, 21)
-    per_march = [1 + 2 * int(surf.substeps.sum()) for surf in (fine, coarse)]
+    per_march = [1 + int(surf.substeps.sum()) for surf in (fine, coarse)]
     assert len(rows) == max(per_march)
     assert per_march[1] < per_march[0]
     assert rows.count(41 + 21) == per_march[1] and rows.count(41) == per_march[0] - per_march[1]
@@ -194,10 +194,10 @@ def test_refinement_delta_is_the_half_grid_solve_at_the_same_cap(bench_config, t
 
 @pytest.mark.parametrize("fault, message", [("nan", "non-finite"), ("growth", "growth guard")])
 def test_a_failure_in_the_half_grid_alone_exits_4(bench_config, tmp_path, monkeypatch, capsys, fault, message):
-    euler = hjb._euler
+    step = hjb._step
 
-    def poisoned(W, psi, h, decay):
-        out = euler(W, psi, h, decay)
+    def poisoned(W, *args):
+        out = step(W, *args)
         if W.size == 21:  # the 20-cell half grid only
             if fault == "nan":
                 out[1] = np.nan
@@ -205,7 +205,7 @@ def test_a_failure_in_the_half_grid_alone_exits_4(bench_config, tmp_path, monkey
                 out += 1.0
         return out
 
-    monkeypatch.setattr(hjb, "_euler", poisoned)
+    monkeypatch.setattr(hjb, "_step", poisoned)
     args = ["solve-hjb", "--config", bench_config, "--output", str(tmp_path / "hjb")]
     assert main(args + _sets("solver.nt=40", "solver.nx=40", "solver.refine=true")) == 4
     err = json.loads(capsys.readouterr().err)
@@ -214,14 +214,14 @@ def test_a_failure_in_the_half_grid_alone_exits_4(bench_config, tmp_path, monkey
 
 
 def test_solve_hjb_exits_4_on_a_non_finite_surface(bench_config, tmp_path, monkeypatch, capsys):
-    euler = hjb._euler
+    step = hjb._step
 
-    def poisoned(W, psi, h, decay):
-        out = euler(W, psi, h, decay)
+    def poisoned(*args):
+        out = step(*args)
         out[1] = np.nan
         return out
 
-    monkeypatch.setattr(hjb, "_euler", poisoned)
+    monkeypatch.setattr(hjb, "_step", poisoned)
     args = ["solve-hjb", "--config", bench_config, "--output", str(tmp_path / "hjb")]
     assert main(args + ["--set", "solver.nt=10", "--set", "solver.nx=10"]) == 4
     err = json.loads(capsys.readouterr().err)

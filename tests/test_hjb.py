@@ -10,8 +10,8 @@ import optexec.hjb as hjb
 from optexec.hjb import (
     _controls,
     _default_y_max,
-    _euler,
-    _substep,
+    _lockstep,
+    _step,
     extract_policy,
     hjb_residual,
     optimize_deterministic_schedule,
@@ -23,13 +23,20 @@ from optexec.impact import LevyEffectiveImpact, MixedPowerImpact, QuadraticImpac
 QUAD = QuadraticImpact(1.0)
 MIXED = MixedPowerImpact(alpha=1.0, p_convex=2.0, p_concave=0.5, threshold=1.0)
 LEVY = LevyEffectiveImpact(gamma=1.0, alpha0=1.0, alpha1=2.0, beta1=2.0)
+FAMILIES = {
+    "quadratic": QUAD,
+    "mixed_power": MIXED,
+    "pure_power": MixedPowerImpact(alpha=1.0, p_convex=2.0, p_concave=0.5, threshold=0.0),
+    "shifted": ShiftedConvexImpact(3, 1),
+    "levy": LEVY,
+}
 
 BENCH = dict(decay=0.04, horizon=1.0, x_max=0.2)
 QUIET = dict(divide="ignore", over="ignore", invalid="ignore")  # the errstate the march holds
 
 
 def drive(model, y_max, march, rows=None):
-    """Run one march generator (`_controls`, `_substep`) to its end by hand: each row
+    """Run one march generator (`_controls`) to its end by hand: each row
     it yields gets one control-kernel call under the march's errstate, and `rows`,
     when given, collects the rows asked for.  Returns what the generator returns."""
     h_ymax, answer = model.h(y_max), None
@@ -42,13 +49,6 @@ def drive(model, y_max, march, rows=None):
             if rows is not None:
                 rows.append(W)
             answer = _best_response(model, kappa, W, y_max, h_ymax)
-
-
-def top_rate(model, speed, dx, decay):
-    """The sub-step rate by its formula, y/dx + max(decay, 0) + g(y) at the row's
-    fastest speed y, with the public g: the reference for the rate the march reads."""
-    top = speed.max()
-    return top / dx + max(decay, 0.0) + model.g(top)
 
 
 @pytest.fixture(scope="module")
@@ -114,47 +114,62 @@ def test_policy_range_with_positive_threshold():
     assert np.all((pol == 0.0) | (pol > MIXED.threshold))
 
 
+def _one_step(W, dx, decay, h=None):
+    """A march of one sub-step from W, with h sized from W's own rate over a 0.05
+    time step as the solver sizes it unless given; returns (h, speed, stepped row)."""
+    speed, _, g_speed, rate = yield from _controls(W, dx)
+    if h is None:
+        h = 0.05 / max(1, math.ceil(0.05 * rate))
+    return h, speed, _step(W, speed, g_speed, h, dx, decay)
+
+
 def test_monotone_update_in_neighbor_values():
     # raising any input value never lowers the updated value: size one
-    # SSP-RK2 sub-step on a random row as the solver does, then take a step
+    # sub-step on a random row as the solver does, then take a step
     # of that size from the row with one value raised.  Slopes below 1.2
     # mix zero, interior and capped speeds in each row.
     rng = np.random.default_rng(3)
     dx, decay, y_max = 0.01, 0.04, 100.0
     below_cap = 0
-
-    def ssp(W, h):
-        _, psi, _ = drive(QUAD, y_max, _controls(W, dx, decay))
-        W1 = _euler(W, psi, h, decay)
-        _, psi1, _ = drive(QUAD, y_max, _controls(W1, dx, decay))
-        return 0.5 * W + 0.5 * _euler(W1, psi1, h, decay)
-
-    with np.errstate(**QUIET):
-        for _ in range(20):
-            W = np.concatenate([[0.0], np.cumsum(rng.uniform(0.0, 1.2 * dx, 11))])
-            speed, psi, rate = drive(QUAD, y_max, _controls(W, dx, decay))
-            below_cap += speed.max() < y_max
-            base, h, _ = drive(QUAD, y_max, _substep(W, psi, rate, 0.05, dx, decay))
-            assert np.array_equal(ssp(W, h), base)
-            j = int(rng.integers(1, 12))
-            bumped = W.copy()
-            bumped[j] += 10.0 ** rng.uniform(-8.0, -3.0)
-            assert np.all(ssp(bumped, h) >= base - 1e-15)
+    for _ in range(20):
+        W = np.concatenate([[0.0], np.cumsum(rng.uniform(0.0, 1.2 * dx, 11))])
+        h, speed, base = drive(QUAD, y_max, _one_step(W, dx, decay))
+        below_cap += speed.max() < y_max
+        j = int(rng.integers(1, 12))
+        bumped = W.copy()
+        bumped[j] += 10.0 ** rng.uniform(-8.0, -3.0)
+        _, _, up = drive(QUAD, y_max, _one_step(bumped, dx, decay, h))
+        assert np.all(up >= base - 1e-15)
     assert below_cap >= 10  # most steps are sized by speeds under the cap
 
 
-def test_substep_retries_until_the_second_stage_is_monotone():
-    # a rate far below the row's own sizes a step whose intermediate row
-    # breaks h * rate <= 1, so the step is redone with that row's rate
-    dx, decay, y_max = 0.01, 0.04, 1.0
-    W = np.linspace(0.0, 0.005, 12)
-    with np.errstate(**QUIET):
-        _, psi, _ = drive(QUAD, y_max, _controls(W, dx, decay))
-        new, h, n = drive(QUAD, y_max, _substep(W, psi, 1.0, 0.05, dx, decay))
-        assert n > 1 and h == 0.05 / n
-        speed1, _, _ = drive(QUAD, y_max, _controls(_euler(W, psi, h, decay), dx, decay))
-    assert h * top_rate(QUAD, speed1, dx, decay) <= 1.0
-    assert np.all(np.isfinite(new)) and new[0] == 0.0
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_step_is_monotone_under_stress(family):
+    # one sub-step on 300 random rows per (decay, y_max, dx), each row then
+    # stepped again, at the same h, with one value raised: no output may fall.
+    # The rows of a case run through one `_lockstep`, so each kernel call
+    # serves them all; slopes below 1.2 mix zero, interior and capped speeds
+    model = FAMILIES[family]
+    rng = np.random.default_rng(sorted(FAMILIES).index(family))
+    falls = 0
+    seen = np.zeros(3, dtype=int)  # zero, interior and capped speeds at x > 0
+    for decay in (0.04, -0.5, 1.0):
+        for y_max in (3.0, 100.0, 1e4):
+            for dx in (1e-3, 1e-2, 0.1):
+                rows = [np.concatenate([[0.0], np.cumsum(rng.uniform(0.0, 1.2 * dx, 11))]) for _ in range(300)]
+                base = _lockstep(model, y_max, model.h(y_max), [_one_step(W, dx, decay) for W in rows])
+                speed = np.concatenate([y[1:] for _, y, _ in base])
+                inner = (speed > 0.0) & (speed < y_max)
+                seen += [np.count_nonzero(speed == 0.0), np.count_nonzero(inner), np.count_nonzero(speed == y_max)]
+                marches = []
+                for W, (h, _, _) in zip(rows, base):
+                    W = W.copy()
+                    W[rng.integers(1, 12)] += 10.0 ** rng.uniform(-8.0, -3.0) * dx
+                    marches.append(_one_step(W, dx, decay, h))
+                for (_, _, up), (_, _, out) in zip(_lockstep(model, y_max, model.h(y_max), marches), base):
+                    falls += np.any(up < out - 1e-15)
+    assert falls == 0
+    assert np.all(seen > 0)
 
 
 def test_refinement_contraction_on_benchmark():
@@ -182,7 +197,7 @@ def test_residual_positive_and_converging_in_smooth_region():
         dt, dx = tg[1] - tg[0], xg[1] - xg[0]
         worst = 0.0
         for lvl in range(1, tg.size - 1):
-            _, psi, _ = drive(model, s.y_max, _controls(W[lvl], dx, s.decay))
+            _, psi, _, _ = drive(model, s.y_max, _controls(W[lvl], dx))
             r = np.abs((W[lvl + 1] - W[lvl]) / dt - (psi - s.decay * W[lvl]))
             keep = (xg < 0.5 * s.y_max * tg[lvl]) & (np.abs(xg - nu * tg[lvl]) > 0.03)
             keep[0] = False
@@ -221,11 +236,30 @@ def test_solver_input_validation():
         solve_reduced_hjb(MIXED, 0.05, 1.0, 1.0, y_max=0.5)  # below the threshold
 
 
-def test_negative_decay_is_stable():
-    surf = solve_reduced_hjb(QUAD, -0.3, 1.0, 0.2, nt=60, nx=60)
-    bound = 0.2 * np.exp(0.3 * 1.0) * (1.0 + 1e-9)
-    assert np.all(surf.values <= bound)
+@pytest.mark.parametrize("decay, n", [(-0.3, 60), (-3.0, 10), (-9.0, 10), (-20.0, 10)])
+def test_negative_decay_is_stable(decay, n):
+    # a negative decay stays explicit in the step (made implicit, it trips the
+    # growth guard at -3 and breaks monotonicity in t at -20): W grows at most
+    # like x*e^{|decay|*t}, and it does not fall in time-to-go or in inventory
+    surf = solve_reduced_hjb(QUAD, decay, 1.0, 0.2, nt=n, nx=n)
+    assert np.all(surf.values <= surf.x_grid * math.exp(-decay * 1.0) * (1.0 + 1e-9))
     assert np.all(np.diff(surf.values, axis=0) >= -1e-12)
+    assert np.all(np.diff(surf.values, axis=1) >= -1e-12)
+
+
+def test_substeps_do_not_grow_with_the_threshold():
+    # g leaves the step bound, so a large threshold (g about 6*theta^2 at the
+    # TWAP speed) costs no extra sub-steps, and the TWAP cone stays the
+    # discrete steady state: the value at x_small is the closed form
+    counts = set()
+    for threshold in (10.0, 100.0, 1e3, 1e4):
+        model = MixedPowerImpact(alpha=1.0, p_convex=2.0, p_concave=0.5, threshold=threshold)
+        surf = solve_reduced_hjb(model, 0.04, 1.0, 2.0 * threshold, nt=10, nx=10)
+        x_small = twap_rate(model, 0.04) * 1.0
+        exact = twap_solution(0.0, x_small, 1.0, model, 0.04, 1.0).value
+        assert abs(surf.value_at(1.0, x_small) - exact) <= 1e-12 * exact, threshold
+        counts.add(int(surf.substeps.sum()))
+    assert len(counts) == 1 and counts.pop() <= 20
 
 
 def test_policy_zero_on_empty_inventory_guard(quad_surface):
@@ -364,43 +398,32 @@ def test_saturation_reporting():
     assert wider.saturation_fraction < surf.saturation_fraction
 
 
-def _march_every_trial_in_full(model, nt, nx, y_max, decay, horizon, x_max):
-    """The march with each sub-step sized by max_i(y_i/dx + max(decay, 0) + g(y_i))
-    over the whole row and every trial step run through both stages before its
-    verdict: the reference for the solver's top-speed rate and early stop."""
+def _reference_march(model, nt, nx, y_max, decay, horizon, x_max):
+    """The march with each sub-step sized by max_i(y_i/dx) over the whole row and
+    each step written out with g from the public `model.g` at the chosen speeds:
+    the reference for the solver's top-speed rate and the g it reads off the
+    control call."""
     dt, dx = horizon / nt, x_max / nx
 
-    def rate_of(speed):
-        return float(np.max(speed / dx + max(decay, 0.0) + model.g(speed)))
+    def step(W, speed, h):
+        r = h / dx * speed[1:]
+        num = ((1.0 + h * max(-decay, 0.0)) - r) * W[1:] + r * W[:-1] + h * speed[1:]
+        return np.concatenate(([0.0], num / ((1.0 + h * max(decay, 0.0)) + h * model.g(speed[1:]))))
 
-    def euler(W, psi, h):
-        out = W + h * (psi - decay * W)
-        out[0] = 0.0
-        return out
-
-    def controls(W):  # the row's speeds and gains; its rate comes from rate_of
-        speed, psi, _ = drive(model, y_max, _controls(W, dx, decay))
-        return speed, psi
+    def controls(W):  # the row's speeds; its rate and g come from the public formulas
+        return drive(model, y_max, _controls(W, dx))[0]
 
     W = np.zeros(nx + 1)
-    speed, psi = controls(W)
+    speed = controls(W)
     values, policy, substeps = [W], [speed], []
     for _ in range(nt):
         left, count = dt, 0
         while True:
-            rate = rate_of(speed)
-            while True:
-                n = max(1, math.ceil(left * rate))
-                h = left / n
-                W1 = euler(W, psi, h)
-                speed1, psi1 = controls(W1)
-                trial = 0.5 * W + 0.5 * euler(W1, psi1, h)
-                if h * rate_of(speed1) <= 1.0:
-                    break
-                rate = rate_of(speed1)
-            W = trial
+            n = max(1, math.ceil(left * float(np.max(speed / dx))))
+            h = left / n
+            W = step(W, speed, h)
             count += 1
-            speed, psi = controls(W)
+            speed = controls(W)
             if n == 1:
                 break
             left -= h
@@ -415,9 +438,9 @@ def _march_every_trial_in_full(model, nt, nx, y_max, decay, horizon, x_max):
 @pytest.mark.parametrize("small_cap", [False, True], ids=["default_y_max", "small_y_max"])
 @pytest.mark.parametrize("model", [QUAD, MIXED, LEVY], ids=["quadratic", "mixed_power", "levy"])
 def test_early_stop_returns_the_same_surface(model, small_cap, doublings, horizon):
-    # the solver sizes a sub-step by the row's fastest speed alone (g is
-    # non-decreasing) and drops a trial once its intermediate row breaks the
-    # bound; neither may change a bit against the reference.  The caps are
+    # the solver sizes a sub-step by the row's fastest speed alone and reads g
+    # at the chosen speeds off the control call; neither may change a bit
+    # against the reference, which takes both from their formulas.  The caps are
     # those the retired restart loop tried: a start doubled 0, 1 or 2 times
     # (the small start is 1.0 above the threshold: 1.0 for the convex families)
     decay, x_max = BENCH["decay"], BENCH["x_max"]
@@ -426,7 +449,7 @@ def test_early_stop_returns_the_same_surface(model, small_cap, doublings, horizo
     # two doublings of the default start are the solver's own default cap
     asked = None if not small_cap and doublings == 2 else y_max
     got = solve_reduced_hjb(model, decay, horizon, x_max, nt=40, nx=40, y_max=asked)
-    values, policy, substeps = _march_every_trial_in_full(model, 40, 40, y_max, decay, horizon, x_max)
+    values, policy, substeps = _reference_march(model, 40, 40, y_max, decay, horizon, x_max)
     assert got.y_max == y_max
     assert got.values.tobytes() == values.tobytes()
     assert got.policy.tobytes() == policy.tobytes()
@@ -434,42 +457,6 @@ def test_early_stop_returns_the_same_surface(model, small_cap, doublings, horizo
     live = values[:, 1:] > 1e-12
     at_cap = live & (policy[:, 1:] == y_max)
     assert got.saturation_fraction == at_cap.sum() / live.sum()
-
-
-def test_doomed_attempts_stop_early(monkeypatch):
-    # a trial whose intermediate row breaks h * rate <= 1 is doomed once that
-    # row's controls are known: it is dropped before its second Euler stage,
-    # and the step it settles on is the one running every trial in full gives
-    dx, decay, y_max = 0.01, 0.04, 1.0
-    W = np.linspace(0.0, 0.005, 12)
-    _, psi, _ = drive(QUAD, y_max, _controls(W, dx, decay))
-    stage_sizes, control_calls = [], []
-
-    def counted_euler(W, psi, h, decay):
-        stage_sizes.append(h)
-        return _euler(W, psi, h, decay)
-
-    monkeypatch.setattr(hjb, "_euler", counted_euler)
-    new, h, n = drive(QUAD, y_max, _substep(W, psi, 1.0, 0.05, dx, decay), control_calls)
-    monkeypatch.undo()
-    trials = len(control_calls)
-    assert trials >= 2  # at least one doomed trial before the accepted one
-    assert len(stage_sizes) == trials + 1  # only the accepted trial took a second stage
-    assert stage_sizes[-2] == stage_sizes[-1] == h
-    assert len(set(stage_sizes[:-1])) == trials  # each trial its own size
-
-    rate, full_trials = 1.0, 0
-    while True:
-        full_trials += 1
-        m = max(1, math.ceil(0.05 * rate))
-        W1 = _euler(W, psi, 0.05 / m, decay)
-        speed1, psi1, _ = drive(QUAD, y_max, _controls(W1, dx, decay))
-        full = 0.5 * W + 0.5 * _euler(W1, psi1, 0.05 / m, decay)
-        if (0.05 / m) * top_rate(QUAD, speed1, dx, decay) <= 1.0:
-            break
-        rate = top_rate(QUAD, speed1, dx, decay)
-    assert full_trials == trials and m == n
-    assert full.tobytes() == new.tobytes()
 
 
 def test_control_calls_follow_the_substeps(monkeypatch):
@@ -481,17 +468,8 @@ def test_control_calls_follow_the_substeps(monkeypatch):
 
     monkeypatch.setattr(hjb, "_best_response", counted)
     surf = solve_reduced_hjb(QUAD, nt=60, nx=60, **BENCH)
-    # one call for the first level and two per sub-step: no step was redone
-    assert len(calls) == 1 + 2 * int(surf.substeps.sum())
-
-
-LADDER_FAMILIES = {
-    "quadratic": QUAD,
-    "mixed_power": MIXED,
-    "pure_power": MixedPowerImpact(alpha=1.0, p_convex=2.0, p_concave=0.5, threshold=0.0),
-    "shifted": ShiftedConvexImpact(3, 1),
-    "levy": LEVY,
-}
+    # one call for the first level and one per sub-step
+    assert len(calls) == 1 + int(surf.substeps.sum())
 
 
 @pytest.mark.parametrize(
@@ -501,11 +479,11 @@ LADDER_FAMILIES = {
 )
 @pytest.mark.parametrize("cap", [None, 1.0], ids=["default_y_max", "binding_y_max"])
 @pytest.mark.parametrize("decay", [0.04, 0.05, -0.1])
-@pytest.mark.parametrize("family", sorted(LADDER_FAMILIES))
+@pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_ladder_equals_standalone_solves(family, decay, cap, sizes):
     # every rung of a lockstep ladder is bit for bit the standalone solve of
     # its grid at the ladder's y_max, whichever rung finishes first
-    model = LADDER_FAMILIES[family]
+    model = FAMILIES[family]
     y_max = None if cap is None else max(cap, model.threshold + 1.0)
     ladder = solve_reduced_hjb_ladder(model, decay, 1.0, 1.0, sizes, y_max=y_max)
     assert len(ladder) == len(sizes)
@@ -540,7 +518,7 @@ def test_ladder_makes_one_kernel_call_per_round(monkeypatch):
 
     monkeypatch.setattr(hjb, "_best_response", counted)
     ladder = solve_reduced_hjb_ladder(QUAD, sizes=[(60, 60), (30, 30), (15, 15)], **BENCH)
-    per_rung = sorted(1 + 2 * int(s.substeps.sum()) for s in ladder)
+    per_rung = sorted(1 + int(s.substeps.sum()) for s in ladder)
     assert len(rows) == per_rung[-1]
     # rounds with all three rungs live, then the two longer ones, then the finest alone
     assert rows.count(61 + 31 + 16) == per_rung[0]
@@ -556,7 +534,7 @@ def test_large_cap_costs_few_control_calls():
     assert base.y_max == 4.0
 
     def calls(s):
-        return 1 + 2 * int(s.substeps.sum())
+        return 1 + int(s.substeps.sum())
 
     assert calls(wide) <= 1.25 * calls(base)
 
@@ -585,18 +563,20 @@ def test_non_finite_rate_raises(monkeypatch):
     "model", [QUAD, MIXED, LEVY, ShiftedConvexImpact(3, 1)], ids=["quadratic", "mixed_power", "levy", "shifted"]
 )
 def test_rate_read_off_the_control_call_is_the_formula(model, decay):
-    # the rate folds g at the fastest speed out of the row's own control call;
-    # it must equal max(y)/dx + max(decay, 0) + g(max(y)) computed with the public g
+    # the rate is max(y)/dx of the row's own control call, and the g the step
+    # uses is the call's g at each chosen speed: both must equal their formulas,
+    # g computed with the public g (0 at speed 0)
     dx = 0.1
     y_max = 4.0 * _default_y_max(model, 0.04, 1.0, 4.0)
     x = np.arange(41) * dx
-    mid = solve_reduced_hjb(model, 0.04, 1.0, 4.0, nt=40, nx=40, y_max=y_max).values[20]
+    mid = solve_reduced_hjb(model, decay, 1.0, 4.0, nt=40, nx=40, y_max=y_max).values[20]
     # the all-zero start row, a row selling at the cap, one selling nothing, a mid-march row
     rows = {"start": np.zeros(41), "at_cap": 1e-9 * x, "sells_nothing": 2.0 * x, "mid_march": mid}
     seen = set()
     for name, W in rows.items():
-        speed, _, rate = drive(model, y_max, _controls(W, dx, decay))
-        assert rate == top_rate(model, speed, dx, decay), name
+        speed, _, g_speed, rate = drive(model, y_max, _controls(W, dx))
+        assert rate == speed.max() / dx, name
+        assert g_speed.tobytes() == model.g(speed).tobytes(), name
         seen.add("zero" if speed.max() == 0.0 else "cap" if speed.max() == y_max else "inner")
     assert seen == {"zero", "cap", "inner"}
 
@@ -619,8 +599,8 @@ def test_the_march_errstate_stays_scoped(monkeypatch):
         best_response(QUAD, [1.0], [0.0])
     assert np.geterr() == before
 
-    def inflated(W, psi, h, decay):  # trips the growth guard on the first sub-step
-        return _euler(W, psi, h, decay) + 1.0
+    def inflated(*args):  # trips the growth guard on the first sub-step
+        return _step(*args) + 1.0
 
     # so does a ladder's one errstate, around every rung's march
     solve_reduced_hjb_ladder(QUAD, sizes=[(10, 10), (5, 5)], **BENCH)
@@ -629,7 +609,7 @@ def test_the_march_errstate_stays_scoped(monkeypatch):
         solve_reduced_hjb_ladder(QUAD, sizes=[(10, 10), (5, 5)], y_max=1e200, **BENCH)
     assert np.geterr() == before
 
-    monkeypatch.setattr(hjb, "_euler", inflated)
+    monkeypatch.setattr(hjb, "_step", inflated)
     with pytest.raises(NumericalFailure, match="growth guard"):
         solve_reduced_hjb(QUAD, nt=10, nx=10, **BENCH)
     assert np.geterr() == before
@@ -637,10 +617,10 @@ def test_the_march_errstate_stays_scoped(monkeypatch):
         solve_reduced_hjb_ladder(QUAD, sizes=[(10, 10), (5, 5)], **BENCH)
     assert np.geterr() == before
 
-    def inflated_half_grid(W, psi, h, decay):  # the 5-cell rung alone trips the guard
-        return _euler(W, psi, h, decay) + (1.0 if W.size == 6 else 0.0)
+    def inflated_half_grid(W, *args):  # the 5-cell rung alone trips the guard
+        return _step(W, *args) + (1.0 if W.size == 6 else 0.0)
 
-    monkeypatch.setattr(hjb, "_euler", inflated_half_grid)
+    monkeypatch.setattr(hjb, "_step", inflated_half_grid)
     with pytest.raises(NumericalFailure, match="growth guard"):
         solve_reduced_hjb_ladder(QUAD, sizes=[(10, 10), (5, 5)], **BENCH)
     assert np.geterr() == before
@@ -663,12 +643,12 @@ def test_solver_rejects_non_finite_inputs(name, bad):
 def test_non_finite_surface_raises(monkeypatch):
     # a NaN value passes the growth guard (NaN > guard is False) and gives
     # speed 0, so the march goes on; the finished surface must not be returned
-    def poisoned(W, psi, h, decay):
-        out = _euler(W, psi, h, decay)
+    def poisoned(*args):
+        out = _step(*args)
         if out[-1] > 0.01:
             out[5] = np.nan
         return out
 
-    monkeypatch.setattr(hjb, "_euler", poisoned)
+    monkeypatch.setattr(hjb, "_step", poisoned)
     with pytest.raises(NumericalFailure, match="non-finite"):
         solve_reduced_hjb(QUAD, nt=10, nx=10, **BENCH)
