@@ -52,47 +52,47 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _csv_column(col):
-    """(format field, values) of one table column; float arrays take the fast .17g path."""
-    if isinstance(col, np.ndarray):
-        return ("{:.17g}" if col.dtype.kind == "f" else "{}"), col
-    return "{}", [_fmt(v) for v in col]
+def _slot(col) -> str:
+    """The % slot of one column's cells: .17g for a float array, %s for the rest."""
+    return "%.17g" if isinstance(col, np.ndarray) and col.dtype.kind == "f" else "%s"
 
 
-def _csv_texts(col) -> list:
-    """The cell texts of one column, %-escaped for use inside a template."""
-    fmt, vals = _csv_column(col)
-    vals = vals.tolist() if isinstance(vals, np.ndarray) else vals
-    return [fmt.format(v).replace("%", "%%") for v in vals]
+def _interleave(cols) -> tuple:
+    """The cells of equal-length columns in row order: the arguments of one block's template."""
+    args = [None] * (len(cols) * len(cols[0]))
+    for j, c in enumerate(cols):
+        args[j :: len(cols)] = c.tolist() if isinstance(c, np.ndarray) else c
+    return tuple(args)
 
 
 def _write_csv(path: str, header, columns) -> None:
     """Header plus one row per index of the equal-length columns, comma-separated with CRLF ends.
 
-    Each row is one format string; rows are formatted and written a block at
-    a time, so no table is ever held as text.  A grid table, whose columns
+    Both table shapes use one mechanism: rows are written a block at a time,
+    each block one `%` call on a template of per-column slots, .17g for float
+    arrays and %s for the rest (list cells go in as `_fmt` texts), so no table
+    is held as text, and a % in a text cell, an argument, needs no escaping.
+    A flat table's block is `_CSV_ROWS` rows.  A grid table, whose columns
     are an outer axis, an inner axis and fields shaped (outer, inner), has a
-    row per (outer, inner) pair: the axis texts are formatted once, and each
-    outer level is one `%` call on a template of .17g slots.
+    row per (outer, inner) pair; its block is one outer level, and its
+    template holds the axis texts, formatted once and %-escaped.
     """
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         if np.ndim(columns[-1]) == 2:
             outer, inner, *fields = columns
-            slots = "".join(",%.17g" if f.dtype.kind == "f" else ",%s" for f in fields)
-            body = [x + slots for x in _csv_texts(inner)]
-            args = [None] * (len(body) * len(fields))
-            for i, t in enumerate(_csv_texts(outer)):
-                for j, f in enumerate(fields):
-                    args[j :: len(fields)] = f[i].tolist()
-                fh.write((t + "," + ("\r\n" + t + ",").join(body) + "\r\n") % tuple(args))
+            slots = "".join("," + _slot(f) for f in fields)
+            body = [(_slot(inner) % x).replace("%", "%%") + slots for x in inner.tolist()]
+            for i, t in enumerate(outer.tolist()):
+                t = (_slot(outer) % t).replace("%", "%%")
+                block = t + "," + ("\r\n" + t + ",").join(body) + "\r\n"
+                fh.write(block % _interleave([f[i] for f in fields]))
         else:
-            fields, cols = zip(*map(_csv_column, columns))
-            row = ",".join(fields) + "\r\n"
+            cols = [c if isinstance(c, np.ndarray) else [_fmt(v) for v in c] for c in columns]
+            row = ",".join(map(_slot, cols)) + "\r\n"
             for lo in range(0, len(cols[0]), _CSV_ROWS):
                 block = [c[lo : lo + _CSV_ROWS] for c in cols]
-                block = [c.tolist() if isinstance(c, np.ndarray) else c for c in block]
-                fh.writelines(map(row.format, *block))
+                fh.write(row * len(block[0]) % _interleave(block))
 
 
 def _write_artifacts(name: str, cfg: RunConfig, out_dir: str, summary: dict, tables: dict) -> None:
@@ -265,14 +265,12 @@ def _solve_hjb(cfg: RunConfig):
     )
     w_term = surface.value_at(p.horizon, p.x0)
     value = p.c0 + p.s0 * w_term
-    pol = surface.policy
     summary = {
         "W_terminal": w_term,
         "value": value,
         "saturation_fraction": surface.saturation_fraction,
         "y_max": surface.y_max,
-        "policy_zero_fraction": float(np.mean(pol == 0.0)),
-        "policy_max": float(pol.max()),
+        "policy_zero_fraction": float(np.mean(surface.policy == 0.0)),
     }
     if coarse:
         summary["refinement_delta"] = abs(coarse[0].value_at(p.horizon, p.x0) - w_term)
@@ -403,14 +401,9 @@ def _run(name: str, mapping: dict, overrides, output) -> int:
     return 0
 
 
-def _cmd_run(args) -> int:
-    mapping = read_config_file(args.config) if args.config else {}
-    return _run(args.subcommand, mapping, args.set, args.output)
-
-
-def _cmd_rerun(args) -> int:
+def _rerun(path: str, output) -> int:
     try:
-        with open(args.manifest) as fh:
+        with open(path) as fh:
             manifest = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot load manifest: {exc}") from None
@@ -424,38 +417,40 @@ def _cmd_rerun(args) -> int:
         isinstance(kv, dict) and all(isinstance(v, str) for v in kv.values()) for kv in sections
     ):
         raise ConfigError("manifest config must map sections to string-valued keys")
-    return _run(sub, config, None, args.output)
+    return _run(sub, config, None, output)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser for every subcommand; `main` rejects the options a subcommand does not take."""
     parser = argparse.ArgumentParser(
         prog="optexec",
         description="Optimal liquidation with S-shaped market impact: closed forms, "
         "an HJB solver, and a Monte Carlo simulator.",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in _HANDLERS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="path to the INI-style run configuration")
-        p.add_argument(
-            "--set",
-            action="append",
-            metavar="SECTION.KEY=VALUE",
-            help="override a config value (repeatable)",
-        )
-        p.add_argument("--output", help="output directory (overrides config and environment)")
-        p.set_defaults(func=_cmd_run)
-    rerun = sub.add_parser("rerun", help="re-execute a run from its manifest")
-    rerun.add_argument("manifest")
-    rerun.add_argument("--output", help="output directory override")
-    rerun.set_defaults(func=_cmd_rerun)
+    choices = [*_HANDLERS, "rerun"]
+    parser.add_argument("subcommand", choices=choices, metavar="SUBCOMMAND", help="one of %(choices)s")
+    parser.add_argument("manifest", nargs="?", help="rerun only: the manifest.json of the run to re-execute")
+    parser.add_argument("--config", help="path to the INI-style run configuration")
+    parser.add_argument(
+        "--set", action="append", metavar="SECTION.KEY=VALUE", help="override a config value (repeatable)"
+    )
+    parser.add_argument("--output", help="output directory (overrides config and environment)")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_intermixed_args(argv)  # `rerun --output DIR MANIFEST` puts the manifest last
+    rerun = args.subcommand == "rerun"
+    if rerun == (args.manifest is None):
+        parser.error("rerun takes one MANIFEST; the other subcommands take no positional argument")
+    if rerun and (args.config is not None or args.set is not None):
+        parser.error("rerun reads its config from the manifest: --config and --set are not allowed")
     try:
-        return args.func(args)
+        if rerun:
+            return _rerun(args.manifest, args.output)
+        mapping = read_config_file(args.config) if args.config else {}
+        return _run(args.subcommand, mapping, args.set, args.output)
     except ConfigError as exc:
         return _report_failure(2, "config_error", exc)
     except HypothesisViolation as exc:

@@ -19,11 +19,13 @@ The independent check is `closed_vs_brute_samples`: random draws, each
 compared with a brute-force minimum of f from a dense grid, a golden-section
 refinement, and y_max doubled while the minimizer sits at the grid's right
 edge.  One private kernel, `_brute_min`, runs that search in lockstep over
-arrays of draws: each grid level is one `g` call shared by all draws, and
-so is each golden-section iteration, of which the grid alone sets the count.
-Every draw sees exactly the float operations of the one-draw search, so a
-one-draw `_brute_min` call gives a sweep row's value bit for bit.  The
-oracle never calls `best_response` or `h_inverse`.
+arrays of draws: each grid level is one call of the `_g` hook shared by all
+draws, and so is each golden-section iteration, of which the grid alone sets
+the count.  The hook runs under the public `g`'s overflow-only errstate and
+skips its rate check, which every point in [0, y_max] passes.  Every draw
+sees exactly the float operations of the one-draw search, so a one-draw
+`_brute_min` call gives a sweep row's value bit for bit.  The oracle never
+calls `best_response`, `h_inverse` or `_h_inverse`.
 """
 
 from __future__ import annotations
@@ -64,7 +66,9 @@ def _check_price(s: float) -> None:
 
 def _gain_rate(model, a, b, y):
     """f(y) = b*g(y) - a*y for a = s*p_c - p_x and b = s*p_s; the oracle minimizes it."""
-    return b * model.g(y) - a * y
+    with np.errstate(over="ignore"):  # the public `g`'s errstate, around the hook alone
+        gy = model._g(y)
+    return b * gy - a * y
 
 
 def best_response(model: ImpactModel, a, b):
@@ -141,7 +145,7 @@ def _golden(model, a, b, lo, hi, width):
     """Lockstep golden-section search of each draw's f on its own [lo, hi].
 
     Every draw sees the float operations of the scalar textbook loop: one
-    `g` call per iteration while `width`, the level's widest bracket shrunk
+    `_g` call per iteration while `width`, the level's widest bracket shrunk
     by the golden ratio per iteration, exceeds 1e-10.  Returns each draw's
     better final interior point and its value, c on a tie.
     """
@@ -165,7 +169,7 @@ def _golden(model, a, b, lo, hi, width):
 def _brute_min(model, a, b, y_max, n):
     """Brute-force min of f(y) = b*g(y) - a*y over [0, y_max] for every draw (a, b) at once.
 
-    Per y_max level: one `g` call on the shared grid linspace(0, y_max, n),
+    Per y_max level: one `_g` hook call on the shared grid linspace(0, y_max, n),
     each draw's grid argmin (over blocks of draws, so temporaries stay
     small), then a golden-section refinement on the two grid cells around
     it, run for as many iterations as the grid sets.  Draws whose minimizer
@@ -173,7 +177,7 @@ def _brute_min(model, a, b, y_max, n):
     every draw is bracketed; a y_max that leaves the float range raises
     NumericalFailure.  On n = 2 points no draw leaves the right edge, so
     callers need n >= 3.  Never touches the closed form (`best_response`,
-    `h_inverse`): it is the oracle that checks it.
+    `h_inverse`, `_h_inverse`): it is the oracle that checks it.
     Returns arrays (argmin, min, y_max reached).
     """
     a = np.asarray(a, dtype=float)
@@ -185,7 +189,8 @@ def _brute_min(model, a, b, y_max, n):
         if not math.isfinite(y_max):
             raise NumericalFailure(f"y_max overflowed with {todo.size} draw(s) not yet bracketed")
         ys = np.linspace(0.0, y_max, n)
-        gs = model.g(ys)
+        with np.errstate(over="ignore"):
+            gs = model._g(ys)
         at, bt = a[todo], b[todo]
         i = np.empty(todo.size, dtype=np.intp)
         best_v = np.empty(todo.size)
@@ -197,7 +202,7 @@ def _brute_min(model, a, b, y_max, n):
             np.multiply(bt[blk, None], gs, out=vals)
             np.multiply(at[blk, None], ys, out=ay)
             vals -= ay
-            i[blk] = np.argmin(vals, axis=1)
+            i[blk] = vals.argmin(axis=1)
             best_v[blk] = vals[np.arange(k), i[blk]]
         best_y = ys[i]
         width = ys[min(2, n - 1)] - ys[0]  # the widest bracket, two cells, sets every draw's stop

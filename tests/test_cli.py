@@ -570,6 +570,35 @@ def test_exit_codes(bench_config, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["rerun"],
+        ["rerun", "m.json", "--config", "x.ini"],
+        ["rerun", "m.json", "--set", "a.b=1"],
+        ["twap", "stray"],
+        ["twap", "--set", "a.b=1", "stray"],
+        ["bogus"],
+    ],
+    ids=["no_subcommand", "rerun_without_manifest", "rerun_config", "rerun_set", "stray_positional",
+         "stray_positional_after_options", "unknown_subcommand"],
+)
+def test_cli_misuse_exits_2(argv, capsys):
+    # argparse's usage error: exit 2 before any config is read or any file written
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage: optexec" in capsys.readouterr().err
+
+
+def test_rerun_takes_its_manifest_after_the_options(bench_config, tmp_path):
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert main(["twap", "--config", bench_config, "--output", str(first)]) == 0
+    assert main(["rerun", "--output", str(again), str(first / "manifest.json")]) == 0
+    assert (first / "summary.json").read_bytes() == (again / "summary.json").read_bytes()
+
+
+@pytest.mark.parametrize(
     "subcommand, sets",
     [
         ("compare", ["compare.strategies=twap,feedback"]),
@@ -805,20 +834,25 @@ def test_overrides_parsing():
         apply_overrides({}, ["nodots"])
 
 
-def test_csv_tables_match_the_csv_module(tmp_path):
+@pytest.mark.parametrize("blocks, extra", [(2, 3), (1, 0), (0, 1)], ids=["2_blocks_plus_3", "one_block", "one_row"])
+def test_csv_tables_match_the_csv_module(tmp_path, blocks, extra):
     # the column writer gives the bytes csv.writer gave for rows of .17g floats,
-    # ints and strings, across block boundaries and for mixed list columns
+    # ints and strings, across block boundaries and for mixed list columns; text
+    # cells are template arguments, so a % in them is written as it is
     import csv
 
     from optexec.cli import _CSV_ROWS, _fmt, _write_csv
 
-    n = 2 * _CSV_ROWS + 3
+    n = blocks * _CSV_ROWS + extra
     rng = np.random.default_rng(4)
     floats = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
-    floats[:4] = [0.0, -0.0, 0.1, 1e16]
+    floats[:4] = [0.0, -0.0, 0.1, 1e16][:n]
     ints = np.arange(n)
     mixed = ["" if i % 7 == 0 else float(v) for i, v in enumerate(floats)]
-    names = [f"rate:{i}" if i % 2 else "twap" for i in range(n)]
+    texts = ["twap", "50%", "%s", "%%", "%(x)s", "%.17g"]
+    names = [f"rate:{i}" if i % 2 else texts[i // 2 % len(texts)] for i in range(n)]
+    if n == 1:
+        names = ["50% %s %%"]
     path = tmp_path / "t.csv"
     _write_csv(str(path), ["a", "b", "c", "d"], (floats, ints, mixed, names))
 

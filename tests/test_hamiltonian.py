@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from optexec.hamiltonian import (
     Gradient,
     _best_response,
     _brute_min,
+    _gain_rate,
     best_response,
     closed_vs_brute_samples,
     hamiltonian,
@@ -290,8 +292,23 @@ def test_oracle_never_uses_the_closed_form(monkeypatch):
 
     monkeypatch.setattr(ImpactModel, "h_inverse", forbidden)
     monkeypatch.setattr(ham, "best_response", forbidden)
+    for m in FAMILIES:
+        monkeypatch.setattr(type(m), "_h_inverse", forbidden)
     after = [(_one_draw(m, 1.3, p, 5.0, 501), _one_draw(m, 1.3, p, 0.5, 501)) for m in FAMILIES]
     assert after == before
+
+
+def test_oracle_hides_only_the_overflow_inside_g():
+    # g overflowing to inf is the hook's own result, under the errstate the public
+    # `g` holds; an overflow in the gain arithmetic around it still warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _gain_rate(QUAD, np.ones(1), np.ones(1), np.array([1e200]))[0] == np.inf
+        _brute_min(QUAD, [1.0], [1.0], 1e200, 11)  # g = inf on the grid and in the search
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        _gain_rate(QUAD, np.zeros(1), np.array([1e300]), np.array([1e100]))  # g = 1e200, b*g = inf
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        _brute_min(QUAD, [0.0], [1e300], 1e5, 11)  # b*g overflows on the grid alone, from y = 2e4
 
 
 class _OffInverse(MixedPowerImpact):
