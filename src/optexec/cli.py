@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import os
 import platform
@@ -43,7 +44,8 @@ from .simulate import (
 OUTPUT_ENV_VAR = "OPTEXEC_OUTPUT_DIR"
 
 
-_CSV_ROWS = 1024  # rows formatted per write
+_CSV_ROWS = 512  # rows per write: a flat table's block; a grid block holds the whole outer levels that fit
+_G17_CELLS = 2048  # cells `_g17` formats at once: its working set is about 0.3 kB per cell
 
 
 def _fmt(v) -> str:
@@ -52,47 +54,164 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _slot(col) -> str:
-    """The % slot of one column's cells: .17g for a float array, %s for the rest."""
-    return "%.17g" if isinstance(col, np.ndarray) and col.dtype.kind == "f" else "%s"
+_POW10 = np.array([float(10**k) for k in range(22)])  # exact doubles
 
 
-def _interleave(cols) -> tuple:
-    """The cells of equal-length columns in row order: the arguments of one block's template."""
+def _two_product(a, b):
+    """(p, e) with p + e == a*b exactly: p the rounded product, e its error (Dekker's TwoProduct)."""
+    p = a * b
+    c = 134217729.0 * a  # 2**27 + 1: splits a significand into halves whose products are exact
+    a1 = c - (c - a)
+    c = 134217729.0 * b
+    b1 = c - (c - b)
+    return p, ((a1 * b1 - p) + a1 * (b - b1) + (a - a1) * b1) + (a - a1) * (b - b1)
+
+
+@functools.cache
+def _g17_tables():
+    """The block formatter's lookup tables, built on first use (136 kB).
+
+    `quads` holds the 4 ASCII digits of each of 0..9999 as one uint32, `zeros`
+    its trailing zero digits (4 for 0).  `layout` has a row per (sign, decimal
+    exponent X in -4..15, index of the last non-zero digit): the source byte of
+    each of the 23 output bytes in a 24-byte row ['000', 17 digits, '.', '-', NUL].
+    """
+    d = np.arange(48, 58, dtype=np.uint8)
+    quads = np.empty((10, 10, 10, 10, 4), np.uint8)
+    quads[..., 0], quads[..., 1], quads[..., 2], quads[..., 3] = d[:, None, None, None], d[:, None, None], d[:, None], d
+    z = (d == 48).astype(np.intp)
+    zeros = z * (1 + z[:, None] * (1 + z[:, None, None] * (1 + z[:, None, None, None])))
+    x, last, j = np.ix_(range(-4, 16), range(17), range(23))
+    w = np.where
+    # X >= 0: X + 1 integer digits, then '.' and the fraction if any is left; X < 0: '0.', zeros, the digits
+    fixed = w(j <= x, j + 3, w((j == x + 1) & (last > x), 20, w((x + 1 < j) & (j <= last + 1), j + 2, 22)))
+    small = w(j == 1, 20, w(j < 1 - x, 0, w(j <= last + 1 - x, j + x + 2, 22)))
+    layout = np.full((2, 20 * 17, 23), 21, np.int8)  # int8 rows take 4x faster than intp rows
+    layout[0] = w(x >= 0, fixed, small).reshape(-1, 23)
+    layout[1, :, 1:] = layout[0, :, :-1]  # a '-' first; the unsigned text is at most 22 bytes
+    return quads.reshape(-1, 4).view(np.uint32).ravel(), zeros.ravel(), layout.reshape(-1, 23)
+
+
+def _digits17(a):
+    """(E, N) for finite a in [1e-4, 1e16): a = N * 10**(E - 16) rounded half-even, N a 17-digit integer.
+
+    With E = floor(log10(a)) (log10's estimate, corrected by one where the
+    product below leaves [1e16, 1e17)), 10**(16 - E) is an exact double, so
+    TwoProduct gives a * 10**(16 - E) exactly as p + e.  p is an even integer
+    (past 2**53), so p + rint(e) is the half-even rounding of the exact value.
+    It never carries to 1e17: no double in that range lies within half a unit
+    of the 17th digit below a power of ten.
+    """
+    x = np.floor(np.log10(a)).astype(np.intp)
+    p, e = _two_product(a, _POW10[16 - x])
+    off = np.flatnonzero((p <= 1e16) | (p >= 1e17))  # where p + e may lie outside [1e16, 1e17)
+    if off.size:
+        po, eo = p[off], e[off]
+        x[off] += ((po > 1e17) | ((po == 1e17) & (eo >= 0))) * 1 - ((po < 1e16) | ((po == 1e16) & (eo < 0)))
+        p[off], e[off] = _two_product(a[off], _POW10[16 - x[off]])
+    return x, p.astype(np.int64) + np.rint(e).astype(np.int64)
+
+
+def _spell(v, x, digits):
+    """The (n, 23) NUL-padded ASCII of each v in .17g fixed notation, from its `_digits17` (E, N).
+
+    The digits are read 4 at a time from `quads`, then each output byte is
+    taken from its row by `layout`, which places the point and drops trailing
+    fraction zeros.  A zero v spells 0 or -0.  `digits` is overwritten.
+    """
+    quads, zeros, layout = _g17_tables()
+    n = len(digits)
+    digits[v == 0.0] = 0
+    groups = np.empty((n, 5), np.intp)  # the first digit, then four groups of 4
+    groups[:, 0] = digits // 10**16
+    digits -= groups[:, 0] * 10**16
+    upper = digits // 10**8
+    digits -= upper * 10**8
+    groups[:, 1] = upper // 10**4
+    groups[:, 2] = upper - groups[:, 1] * 10**4
+    groups[:, 3] = digits // 10**4
+    groups[:, 4] = digits - groups[:, 3] * 10**4
+    t = zeros.take(groups[:, 1:])  # a group's trailing zeros, 4 if it is all zeros
+    last = 16 - (t[:, 3] + (t[:, 3] == 4) * (t[:, 2] + (t[:, 2] == 4) * (t[:, 1] + (t[:, 1] == 4) * t[:, 0])))
+    key = (np.signbit(v) * 20 + x + 4) * 17 + last
+    src = np.empty((n, 6), np.uint32)
+    src[:, :5] = quads.take(groups)
+    src[:, 5] = int.from_bytes(b".-\0\0", "little")
+    del upper, groups, t  # the gather's (n, 23) index is the memory peak: free what it does not need
+    return src.view(np.uint8).ravel().take(layout.take(key, axis=0) + np.arange(0, 24 * n, 24)[:, None])
+
+
+def _g17(values) -> list:
+    """`format(v, ".17g").encode()` for each v of a float array, computed in numpy `_G17_CELLS` cells at a time.
+
+    For finite |v| in [1e-4, 1e16), .17g is fixed notation with the 17 digits
+    of `_digits17`, spelled by `_spell`.  Zeros print as '0' or '-0'; the
+    other values (tiny, huge, inf, nan) go through `format`.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    if v.size > _G17_CELLS:
+        texts = []
+        for part in np.array_split(v, -(-v.size // _G17_CELLS)):
+            texts += _g17(part)
+        return texts
+    a = np.abs(v)
+    fast = (a >= 1e-4) & (a < 1e16)
+    a[~fast] = 1.0  # any stand-in: zeros are spelled 0 and the other cells replaced below
+    texts = _spell(v, *_digits17(a)).view("S23").ravel().tolist()
+    for i in np.flatnonzero(~fast & (v != 0.0)).tolist():
+        texts[i] = format(float(v[i]), ".17g").encode()
+    return texts
+
+
+def _cells(cols) -> list:
+    """The cells of equal-length columns in row order, as ASCII texts: the arguments of one block's template.
+
+    The float arrays' cells are formatted together, by one `_g17` call; the
+    other cells (list cells, other arrays) by `_fmt`.
+    """
+    floats = [j for j, c in enumerate(cols) if isinstance(c, np.ndarray) and c.dtype.kind == "f"]
     args = [None] * (len(cols) * len(cols[0]))
+    if floats:
+        texts = _g17(np.stack([cols[j] for j in floats], axis=-1).ravel())
+        for i, j in enumerate(floats):
+            args[j :: len(cols)] = texts[i :: len(floats)]
     for j, c in enumerate(cols):
-        args[j :: len(cols)] = c.tolist() if isinstance(c, np.ndarray) else c
-    return tuple(args)
+        if j not in floats:
+            args[j :: len(cols)] = [_fmt(v).encode() for v in (c.tolist() if isinstance(c, np.ndarray) else c)]
+    return args
 
 
 def _write_csv(path: str, header, columns) -> None:
     """Header plus one row per index of the equal-length columns, comma-separated with CRLF ends.
 
     Both table shapes use one mechanism: rows are written a block at a time,
-    each block one `%` call on a template of per-column slots, .17g for float
-    arrays and %s for the rest (list cells go in as `_fmt` texts), so no table
-    is held as text, and a % in a text cell, an argument, needs no escaping.
-    A flat table's block is `_CSV_ROWS` rows.  A grid table, whose columns
-    are an outer axis, an inner axis and fields shaped (outer, inner), has a
-    row per (outer, inner) pair; its block is one outer level, and its
-    template holds the axis texts, formatted once and %-escaped.
+    each block one `%` call on a template of %s slots whose arguments are the
+    block's cell texts (`_cells`), so no table is held as text, and a % in a
+    text cell, an argument, needs no escaping.  A flat table's block is
+    `_CSV_ROWS` rows.  A grid table, whose columns are an outer axis, an
+    inner axis and fields shaped (outer, inner), has a row per (outer, inner)
+    pair; its block is the whole outer levels that fit in `_CSV_ROWS` rows (at
+    least one), with one template per level that holds the axis texts,
+    %-escaped.  The file is UTF-8.
     """
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+    with open(path, "wb") as fh:
+        fh.write(",".join(header).encode() + b"\r\n")
         if np.ndim(columns[-1]) == 2:
             outer, inner, *fields = columns
-            slots = "".join("," + _slot(f) for f in fields)
-            body = [(_slot(inner) % x).replace("%", "%%") + slots for x in inner.tolist()]
-            for i, t in enumerate(outer.tolist()):
-                t = (_slot(outer) % t).replace("%", "%%")
-                block = t + "," + ("\r\n" + t + ",").join(body) + "\r\n"
-                fh.write(block % _interleave([f[i] for f in fields]))
+            slots = b",%s" * len(fields)
+            body = [x.replace(b"%", b"%%") + slots for x in _cells([inner])]
+            heads = [t.replace(b"%", b"%%") + b"," for t in _cells([outer])]
+            step, m = max(1, _CSV_ROWS // len(body)), len(body) * len(fields)
+            for lo in range(0, len(heads), step):
+                cells = _cells([f[lo : lo + step].ravel() for f in fields])
+                for k, t in enumerate(heads[lo : lo + step]):
+                    block = t + (b"\r\n" + t).join(body) + b"\r\n"
+                    fh.write(block % tuple(cells[k * m : (k + 1) * m]))
         else:
-            cols = [c if isinstance(c, np.ndarray) else [_fmt(v) for v in c] for c in columns]
-            row = ",".join(map(_slot, cols)) + "\r\n"
-            for lo in range(0, len(cols[0]), _CSV_ROWS):
-                block = [c[lo : lo + _CSV_ROWS] for c in cols]
-                fh.write(row * len(block[0]) % _interleave(block))
+            row = b",".join([b"%s"] * len(columns)) + b"\r\n"
+            for lo in range(0, len(columns[0]), _CSV_ROWS):
+                cells = _cells([c[lo : lo + _CSV_ROWS] for c in columns])
+                fh.write(row * (len(cells) // len(columns)) % tuple(cells))
 
 
 def _write_artifacts(name: str, cfg: RunConfig, out_dir: str, summary: dict, tables: dict) -> None:

@@ -154,7 +154,9 @@ def _golden(model, a, b, lo, hi, width):
     fc = _gain_rate(model, a, b, c)
     fd = _gain_rate(model, a, b, d)
     while width > 1e-10:
-        left = fc < fd  # keep [lo, d] and probe a new c; else keep [c, hi] and probe a new d
+        # keep [lo, d] and probe a new c; else keep [c, hi] and probe a new d.  Where
+        # both probes overflow to +inf, nothing favours the right: keep the left
+        left = (fc < fd) | (fd == np.inf)
         lo = np.where(left, lo, c)
         hi = np.where(left, d, hi)
         y = np.where(left, hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo))

@@ -2,9 +2,11 @@ import json
 import math
 import platform
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
 import scipy
+from hypothesis import given, settings, strategies as st
 
 import optexec.cli as cli
 import optexec.hjb as hjb
@@ -890,6 +892,46 @@ def test_grid_tables_match_the_csv_module(tmp_path):
                 for j, x in enumerate(inner.tolist()):
                     writer.writerow([_fmt(v) for v in (o, x, fields[0, k, j].item(), fields[1, k, j].item())])
         assert path.read_bytes() == ref.read_bytes()
+
+
+def _format17(values):
+    return [format(v, ".17g").encode() for v in values.tolist()]
+
+
+def test_block_formatter_matches_format_on_a_deterministic_sweep():
+    # every text equals format(v, ".17g"): 10**k +- up to 2**20 ulps (where log10
+    # misplaces the decimal exponent), the fast path's ends, exact ties, and the
+    # values the fast path hands back to format
+    from optexec.cli import _g17
+
+    steps = np.array([2**j + d for j in range(8, 21) for d in (-1, 0, 1)])
+    ulps = np.concatenate([np.arange(-256, 257), steps, -steps])
+    decades = np.array([float(f"1e{k}") for k in range(-4, 17)])
+    near = (decades.view(np.int64)[:, None] + ulps).ravel().view(np.float64)
+    ends = np.nextafter([1e-4, 1e-4, 1e16, 1e16], [0.0, np.inf, 0.0, np.inf])
+    ties = 1e15 + np.arange(-64, 65) / 8  # every other one lies half-way between two 17-digit texts
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 2.2250738585072009e-308, 1e300, 1.7976931348623157e308]
+    values = np.concatenate([near, ends, ties, special])
+    values = np.concatenate([values, -values])
+    assert _g17(values) == _format17(values)
+    assert _g17(np.array([1e15 + 0.25, 1e15 + 0.75, 0.5, -0.0])) == [b"1000000000000000.2", b"1000000000000000.8", b"0.5", b"-0"]
+
+
+_BITS = st.integers(0, 2**64 - 1).map(lambda b: float(np.array(b, dtype=np.uint64).view(np.float64)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    hnp.arrays(
+        np.float64,
+        st.integers(0, 40),
+        elements=st.one_of(st.floats(), st.floats(1e-4, 1e16), st.floats(-1e16, -1e-4), _BITS),
+    )
+)
+def test_block_formatter_matches_format_on_any_float_array(values):
+    from optexec.cli import _g17
+
+    assert _g17(values) == _format17(values)
 
 
 def test_grid_tables_match_the_repeated_column_form(bench_config, tmp_path):

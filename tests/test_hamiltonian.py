@@ -311,6 +311,15 @@ def test_oracle_hides_only_the_overflow_inside_g():
         _brute_min(QUAD, [0.0], [1e300], 1e5, 11)  # b*g overflows on the grid alone, from y = 2e4
 
 
+def test_golden_search_keeps_the_left_bracket_where_both_probes_overflow():
+    # on [0, 2e199] both golden probes give g = inf; the search must not walk right
+    # past the minimizer at y = 0.5, where f = y**2 - y = -0.25
+    y, v, y_cap = _brute_min(QUAD, [1.0], [1.0], 1e200, 11)
+    assert y[0] == pytest.approx(0.5, abs=1e-6)
+    assert v[0] == -0.25
+    assert y_cap[0] == 1e200
+
+
 class _OffInverse(MixedPowerImpact):
     """The mixed-power curve with a marginal inverse that is 0.1% too large."""
 
