@@ -35,6 +35,7 @@ from .hamiltonian import closed_vs_brute_samples
 from .hjb import on_grid, solve_reduced_hjb, solve_reduced_hjb_ladder
 from .impact import LevyEffectiveImpact, MixedPowerImpact, ShiftedConvexImpact
 from .simulate import (
+    QUANTILE_LEVELS,
     DeterministicStrategy,
     FeedbackStrategy,
     compare_strategies,
@@ -44,8 +45,7 @@ from .simulate import (
 OUTPUT_ENV_VAR = "OPTEXEC_OUTPUT_DIR"
 
 
-_CSV_ROWS = 512  # rows per write: a flat table's block; a grid block holds the whole outer levels that fit
-_G17_CELLS = 2048  # cells `_g17` formats at once: its working set is about 0.3 kB per cell
+_CSV_CELLS = 2048  # cells per write, one `_g17` call: the most whole rows or grid levels that fit, at least one
 
 
 def _fmt(v) -> str:
@@ -142,18 +142,14 @@ def _spell(v, x, digits):
 
 
 def _g17(values) -> list:
-    """`format(v, ".17g").encode()` for each v of a float array, computed in numpy `_G17_CELLS` cells at a time.
+    """`format(v, ".17g").encode()` for each v of a float array, computed in numpy in one pass.
 
     For finite |v| in [1e-4, 1e16), .17g is fixed notation with the 17 digits
     of `_digits17`, spelled by `_spell`.  Zeros print as '0' or '-0'; the
-    other values (tiny, huge, inf, nan) go through `format`.
+    other values (tiny, huge, inf, nan) go through `format`.  The working set
+    is about 0.3 kB per cell, so `_write_csv` passes one block at a time.
     """
     v = np.asarray(values, dtype=np.float64)
-    if v.size > _G17_CELLS:
-        texts = []
-        for part in np.array_split(v, -(-v.size // _G17_CELLS)):
-            texts += _g17(part)
-        return texts
     a = np.abs(v)
     fast = (a >= 1e-4) & (a < 1e16)
     a[~fast] = 1.0  # any stand-in: zeros are spelled 0 and the other cells replaced below
@@ -187,12 +183,12 @@ def _write_csv(path: str, header, columns) -> None:
     Both table shapes use one mechanism: rows are written a block at a time,
     each block one `%` call on a template of %s slots whose arguments are the
     block's cell texts (`_cells`), so no table is held as text, and a % in a
-    text cell, an argument, needs no escaping.  A flat table's block is
-    `_CSV_ROWS` rows.  A grid table, whose columns are an outer axis, an
-    inner axis and fields shaped (outer, inner), has a row per (outer, inner)
-    pair; its block is the whole outer levels that fit in `_CSV_ROWS` rows (at
-    least one), with one template per level that holds the axis texts,
-    %-escaped.  The file is UTF-8.
+    text cell, an argument, needs no escaping.  A block holds up to
+    `_CSV_CELLS` cells: a flat table's block is the most whole rows that fit.
+    A grid table, whose columns are an outer axis, an inner axis and fields
+    shaped (outer, inner), has a row per (outer, inner) pair; its block is the
+    most whole outer levels whose field cells fit (at least one), with one
+    template per level that holds the axis texts, %-escaped.  The file is UTF-8.
     """
     with open(path, "wb") as fh:
         fh.write(",".join(header).encode() + b"\r\n")
@@ -201,7 +197,8 @@ def _write_csv(path: str, header, columns) -> None:
             slots = b",%s" * len(fields)
             body = [x.replace(b"%", b"%%") + slots for x in _cells([inner])]
             heads = [t.replace(b"%", b"%%") + b"," for t in _cells([outer])]
-            step, m = max(1, _CSV_ROWS // len(body)), len(body) * len(fields)
+            m = len(body) * len(fields)
+            step = max(1, _CSV_CELLS // m)
             for lo in range(0, len(heads), step):
                 cells = _cells([f[lo : lo + step].ravel() for f in fields])
                 for k, t in enumerate(heads[lo : lo + step]):
@@ -209,8 +206,9 @@ def _write_csv(path: str, header, columns) -> None:
                     fh.write(block % tuple(cells[k * m : (k + 1) * m]))
         else:
             row = b",".join([b"%s"] * len(columns)) + b"\r\n"
-            for lo in range(0, len(columns[0]), _CSV_ROWS):
-                cells = _cells([c[lo : lo + _CSV_ROWS] for c in columns])
+            step = max(1, _CSV_CELLS // len(columns))
+            for lo in range(0, len(columns[0]), step):
+                cells = _cells([c[lo : lo + step] for c in columns])
                 fh.write(row * (len(cells) // len(columns)) % tuple(cells))
 
 
@@ -247,8 +245,6 @@ def _schedule_table(schedule: Schedule, n: int):
 
 
 def _stats_dict(stats) -> dict:
-    from .simulate import QUANTILE_LEVELS
-
     return {
         "mean": stats.mean,
         "variance": stats.variance,

@@ -134,48 +134,6 @@ class CompareSettings:
     strategies: tuple = ("twap", "feedback")
 
 
-# [section] -> settings dataclass, for every section but [impact] and [market]
-_SECTIONS = {
-    "problem": ProblemSpec,
-    "solver": SolverSettings,
-    "sim": SimSettings,
-    "compare": CompareSettings,
-    "check": CheckSettings,
-    "plot": PlotSettings,
-    "output": OutputSettings,
-}
-
-
-def _schema(cls) -> tuple:
-    """(init field -> cast, required init fields) of a dataclass: the
-    annotations give the casts (Optional[X] casts to X), and the fields
-    without a default are required."""
-    hints = typing.get_type_hints(cls)
-    kinds, required = {}, set()
-    for f in fields(cls):
-        if f.init:
-            args = [a for a in typing.get_args(hints[f.name]) if a is not type(None)]
-            kinds[f.name] = args[0] if args else hints[f.name]
-            if f.default is MISSING:
-                required.add(f.name)
-    return kinds, required
-
-
-# [impact] family -> model dataclass
-_IMPACT_FAMILIES = {
-    cls.family: cls
-    for cls in (MixedPowerImpact, ShiftedConvexImpact, QuadraticImpact, LevyEffectiveImpact)
-}
-# dataclass -> schema; derived at import, not per parse
-_SCHEMAS = {cls: _schema(cls) for cls in (*_SECTIONS.values(), *_IMPACT_FAMILIES.values())}
-_MARKET_KINDS = _schema(MarketParams)[0]
-
-_BOOLS = {
-    **dict.fromkeys(("1", "true", "yes", "on"), True),
-    **dict.fromkeys(("0", "false", "no", "off"), False),
-}
-
-
 @dataclass
 class RunConfig:
     model: Optional[ImpactModel]
@@ -204,6 +162,38 @@ class RunConfig:
             if settings is not None:
                 out[section] = _render(settings)
         return out
+
+
+def _schema(cls) -> tuple:
+    """(init field -> cast, required init fields) of a dataclass: the
+    annotations give the casts (Optional[X] casts to X), and the fields
+    without a default are required."""
+    hints = typing.get_type_hints(cls)
+    kinds, required = {}, set()
+    for f in fields(cls):
+        if f.init:
+            args = [a for a in typing.get_args(hints[f.name]) if a is not type(None)]
+            kinds[f.name] = args[0] if args else hints[f.name]
+            if f.default is MISSING:
+                required.add(f.name)
+    return kinds, required
+
+
+# [impact] family -> model dataclass
+_IMPACT_FAMILIES = {
+    cls.family: cls
+    for cls in (MixedPowerImpact, ShiftedConvexImpact, QuadraticImpact, LevyEffectiveImpact)
+}
+# [section] -> settings dataclass, for every section but [impact] and [market]
+_SECTIONS = {name: cls for name, cls in _schema(RunConfig)[0].items() if name not in ("model", "market")}
+# dataclass -> schema; derived at import, not per parse
+_SCHEMAS = {cls: _schema(cls) for cls in (*_SECTIONS.values(), *_IMPACT_FAMILIES.values())}
+_MARKET_KINDS = _schema(MarketParams)[0]
+
+_BOOLS = {
+    **dict.fromkeys(("1", "true", "yes", "on"), True),
+    **dict.fromkeys(("0", "false", "no", "off"), False),
+}
 
 
 def read_config_file(path: str) -> dict:

@@ -843,9 +843,9 @@ def test_csv_tables_match_the_csv_module(tmp_path, blocks, extra):
     # cells are template arguments, so a % in them is written as it is
     import csv
 
-    from optexec.cli import _CSV_ROWS, _fmt, _write_csv
+    from optexec.cli import _CSV_CELLS, _fmt, _write_csv
 
-    n = blocks * _CSV_ROWS + extra
+    n = blocks * (_CSV_CELLS // 4) + extra  # a block holds the whole 4-cell rows that fit
     rng = np.random.default_rng(4)
     floats = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
     floats[:4] = [0.0, -0.0, 0.1, 1e16][:n]
@@ -870,10 +870,6 @@ def test_csv_tables_match_the_csv_module(tmp_path, blocks, extra):
 def test_grid_tables_match_the_csv_module(tmp_path):
     # a grid table (outer axis, inner axis, fields shaped (outer, inner)) gives the
     # bytes csv.writer gives for one .17g row per (outer, inner) pair, outer-major
-    import csv
-
-    from optexec.cli import _fmt, _write_csv
-
     rng = np.random.default_rng(9)
     inner = rng.normal(size=7) * 10.0 ** rng.integers(-300, 300, size=7)
     inner[:3] = [-0.0, 0.1, 1e16]
@@ -881,17 +877,40 @@ def test_grid_tables_match_the_csv_module(tmp_path):
     fields[0, 0, :] = [-0.0, 0.1, 1e16, np.inf, -np.inf, np.nan, 5e-324]
     fields[1, 1, :] = [1e300, -1e-300, 1.7976931348623157e308, 2.2250738585072014e-308, 0.0, 1.0, 3.0]
     for outer in (np.arange(4), np.array([0.0, -0.0, 0.1, 1e-300])):
-        path = tmp_path / "grid.csv"
-        _write_csv(str(path), ["o", "i", "u", "v"], (outer, inner, *fields))
+        _assert_grid_matches_the_csv_module(tmp_path, outer, inner, fields)
 
-        ref = tmp_path / "ref.csv"
-        with open(ref, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["o", "i", "u", "v"])
-            for k, o in enumerate(outer.tolist()):
-                for j, x in enumerate(inner.tolist()):
-                    writer.writerow([_fmt(v) for v in (o, x, fields[0, k, j].item(), fields[1, k, j].item())])
-        assert path.read_bytes() == ref.read_bytes()
+
+def _assert_grid_matches_the_csv_module(tmp_path, outer, inner, fields):
+    import csv
+
+    from optexec.cli import _fmt, _write_csv
+
+    path = tmp_path / "grid.csv"
+    _write_csv(str(path), ["o", "i", "u", "v"], (outer, inner, *fields))
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["o", "i", "u", "v"])
+        for k, o in enumerate(outer.tolist()):
+            for j, x in enumerate(inner.tolist()):
+                writer.writerow([_fmt(v) for v in (o, x, fields[0, k, j].item(), fields[1, k, j].item())])
+    assert path.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("n_outer, n_inner", [(10, 292), (2, 1025)], ids=["several_blocks", "level_wider_than_a_block"])
+def test_grid_table_blocks_match_the_csv_module(tmp_path, n_outer, n_inner):
+    # a grid block is the whole outer levels whose field cells fit in _CSV_CELLS,
+    # at least one: 3 levels of 584 cells in a block and a last block of one
+    # level, or one 2050-cell level per block
+    from optexec.cli import _CSV_CELLS
+
+    assert _CSV_CELLS // (2 * n_inner) in (3, 0)
+    rng = np.random.default_rng(11)
+    outer = rng.normal(size=n_outer) * 10.0 ** rng.integers(-20, 20, size=n_outer)
+    inner = np.linspace(0.0, 1.0, n_inner)
+    fields = rng.normal(size=(2, n_outer, n_inner)) * 10.0 ** rng.integers(-300, 300, size=(2, n_outer, n_inner))
+    fields[:, -1, :5] = [[0.0, -0.0, np.inf, np.nan, 1e16], [5e-324, 1e-4, -1e300, 0.1, 1.0]]
+    _assert_grid_matches_the_csv_module(tmp_path, outer, inner, fields)
 
 
 def _format17(values):
