@@ -476,7 +476,8 @@ def _impact_plot(cfg: RunConfig):
         xs = np.logspace(np.log10(plot.x_min), np.log10(x_hi), plot.points)
     else:
         xs = np.linspace(plot.x_min, x_hi, plot.points)
-    hs = [model.h(float(x)) if x > 0.0 else "" for x in xs]
+    zeros = int(np.count_nonzero(xs <= 0.0))  # x = 0 can only lead the increasing grid; h is blank there
+    hs = [""] * zeros + model.h(xs[zeros:]).tolist()
     summary = {"family": model.family, "threshold": model.threshold, "x_max": float(x_hi)}
     return summary, {"impact": (["x", "g", "h"], (xs, model.g(xs), hs))}
 

@@ -9,8 +9,8 @@ whose infimum over y >= 0 is the Hamiltonian.  For an S-shaped impact curve
 the minimizer is either 0 or the point on the rising marginal branch where
 h(y) equals the target ratio (s*p_c - p_x) / (s*p_s); it never falls in the
 concave interval (0, threshold].  `_best_response` is the one vectorised
-implementation of that argmax, the kernel the HJB march calls on whole grid
-rows under its own errstate and a speed cap y_max; `best_response` is its
+implementation of that argmax, the kernel the HJB march calls on its stacked
+grid rows under its own errstate and a speed cap y_max; `best_response` is its
 uncapped public shell, the paper's argmax over {0} u (threshold, inf), and
 `optimal_speed` and `hamiltonian` are scalar wrappers over that, on 1-element
 arrays: a 0-d `** power` can differ by an ulp from the array loop a sweep runs.
@@ -92,16 +92,16 @@ def _best_response(model, a, b, y_max, h_ymax):
     """The argmax over {0} u (threshold, y_max], unchecked: float arrays a, b, a y_max
     above the threshold, `h_ymax` = h(y_max), and the caller's errstate ignoring divide,
     over and invalid.  Where b = 0 the ratio +inf, -inf or NaN gives y_max, 0 and 0; a
-    capped element under y_max = inf raises ValueError.  Returns (speed, gain, gy) with
-    gy = g(y) at each candidate y, so gy = g(speed) wherever speed > 0."""
+    capped element under y_max = inf raises ValueError.  Returns (speed, gain, g(speed)),
+    each 0 where selling nothing is optimal."""
     ratio = a / b
     candidate = ratio > model.marginal_floor
     capped = candidate & (ratio >= h_ymax)
     if y_max == math.inf and capped.any():
         raise ValueError("the gain is unbounded: a capped element has y_max = inf")
     y = np.where(capped, y_max, 0.0)
-    inner = candidate & ~capped
-    if inner.any():
+    inner = candidate ^ capped  # capped lies inside candidate
+    if np.count_nonzero(inner):
         # the private hook: every ratio here lies above the marginal floor.  Its root
         # lies above the threshold too, but rounds onto it where the gap is below an
         # ulp of the threshold: such a root moves to the next float up, and `take` decides
@@ -111,7 +111,7 @@ def _best_response(model, a, b, y_max, h_ymax):
     gy = model._g(y)
     val = y * a - b * gy
     take = val > 0.0
-    return np.where(take, y, 0.0), np.where(take, val, 0.0), gy
+    return np.where(take, y, 0.0), np.where(take, val, 0.0), np.where(take, gy, 0.0)
 
 
 def optimal_speed(s: float, p: Gradient, model: ImpactModel) -> float:

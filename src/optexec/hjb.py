@@ -10,11 +10,11 @@ where t is time-to-go and x remaining inventory.  The scheme marches
 forward in t with a backward (upwind) difference for dW/dx — the transport
 term moves information toward larger inventory — and picks each row's
 controls, and its sub-step rate, from one call of the control kernel
-`hamiltonian._best_response` (W = 0 nodes too).  A march is a generator that
-yields each row it needs controls for; `_lockstep` drives one or more marches
-under one errstate, with one kernel call per round on the rows of every live
-march concatenated, so `solve_reduced_hjb_ladder` marches several grids for
-the kernel calls of its longest march.
+`hamiltonian._best_response` (W = 0 nodes too).  `_march` marches every grid
+of a ladder as one stacked vector, each grid's row end to end: a round is one
+kernel call and one set of array ops for all live grids, so
+`solve_reduced_hjb_ladder` marches several grids for the kernel calls of its
+longest march.
 Each time step is crossed in sub-steps of one implicit-reaction upwind stage
 at the controls of the row it starts from,
 
@@ -104,70 +104,17 @@ class ValueSurface:
         return self._lookup(self.policy, t, x)
 
 
-def _controls(W, dx):
-    """A march's request for one row's controls, as a sub-generator: it yields
-    (kappa, W) with kappa = 1 - Wx set to 0 at x = 0 so that node sells nothing, is
-    sent `_best_response`'s (speed, gain, gy) for that row by the driver
-    (`_lockstep`), and returns (speed, psi, g_speed, rate): the per-node argmax and max
-    of psi(y) = y*(1 - Wx) - W*g(y) over {0} u (threshold, y_max], g at that speed read
-    off the same call (g(0) = 0), and the row's sub-step rate max(y)/dx.  A non-finite
-    rate, a NaN speed's too, raises."""
-    kappa = np.empty(W.size)
-    kappa[0] = 0.0
-    kappa[1:] = 1.0 - (W[1:] - W[:-1]) / dx
-    speed, psi, gy = yield kappa, W
-    top = float(speed.max())
-    rate = top / dx
-    if not math.isfinite(rate):
-        raise NumericalFailure(f"sub-step rate {rate} at speed {top}: the controls left the finite range")
-    return speed, psi, np.where(speed > 0.0, gy, 0.0), rate
-
-
-def _lockstep(model, y_max, h_ymax, marches):
-    """Run march generators (see `_controls`) to their ends under one errstate and
-    return what each returns, in order.  While two or more are live, each round
-    gathers the row every live march waits on and makes one `_best_response` call on
-    their concatenation, then sends each march its slice; the kernel is elementwise,
-    so a slice is bit for bit the call on that row alone.  The last march left sends
-    its rows to the kernel as they are."""
-    out = [None] * len(marches)
-    asks = {}
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # the control kernel's
-        for i, march in enumerate(marches):
-            try:
-                asks[i] = next(march)
-            except StopIteration as stop:
-                out[i] = stop.value
-        while len(asks) > 1:
-            kappa = np.concatenate([k for k, _ in asks.values()])
-            W = np.concatenate([w for _, w in asks.values()])
-            both = _best_response(model, kappa, W, y_max, h_ymax)
-            lo = 0
-            for i, (_, w) in list(asks.items()):
-                try:
-                    asks[i] = marches[i].send(tuple(a[lo : lo + w.size] for a in both))
-                except StopIteration as stop:
-                    out[i] = stop.value
-                    del asks[i]
-                lo += w.size
-        for i, (kappa, W) in asks.items():
-            try:
-                while True:
-                    kappa, W = marches[i].send(_best_response(model, kappa, W, y_max, h_ymax))
-            except StopIteration as stop:
-                out[i] = stop.value
-    return out
-
-
-def _step(W, speed, g_speed, h, dx, decay):
+def _step(W, speed, g_speed, h, dx, decay, firsts=0):
     """One implicit-reaction upwind step of size h from W at the frozen controls
-    (speed, g_speed); a negative decay stays explicit.  x = 0 stays 0."""
+    (speed, g_speed); a negative decay stays explicit.  On a stack of rows, h and
+    dx are per-node arrays and `firsts` the rows' x = 0 nodes: those stay 0, so
+    nothing crosses from one row into the next."""
     r = (h / dx) * speed
     out = ((1.0 + h * max(-decay, 0.0)) - r) * W
     out[1:] += r[1:] * W[:-1]
     out += h * speed
     out /= (1.0 + h * max(decay, 0.0)) + h * g_speed
-    out[0] = 0.0
+    out[firsts] = 0.0
     return out
 
 
@@ -178,56 +125,115 @@ def _default_y_max(model, decay, horizon, x_max):
     return max(guesses)
 
 
-def _march(model, decay, horizon, x_max, nt, nx, y_max):
-    """One rung's march as a generator of control requests (see `_controls`);
-    returns the rung's ValueSurface."""
-    t_grid = np.linspace(0.0, horizon, nt + 1)
-    x_grid = np.linspace(0.0, x_max, nx + 1)
-    dt = horizon / nt
-    dx = x_max / nx
+class _Rung:
+    """One grid's march: its stored levels, the level it stores next, and the
+    time left to cross before that level (None once the level is reached)."""
+
+    __slots__ = ("nt", "size", "dt", "dx", "values", "policy", "substeps", "lvl", "left")
+
+    def __init__(self, nt, nx, horizon, x_max):
+        self.nt, self.size, self.dt, self.dx = nt, nx + 1, horizon / nt, x_max / nx
+        self.values = np.empty((nt + 1, nx + 1))
+        self.policy = np.empty((nt + 1, nx + 1))
+        self.substeps = [0] * nt
+        self.lvl, self.left = 0, None
+
+    def surface(self, model, decay, horizon, x_max, y_max):
+        # NaN passes the growth guard and gives speed 0, so the march cannot see it
+        if not np.isfinite(self.values).all():
+            raise NumericalFailure("the value surface has non-finite entries")
+        live = self.values[:, 1:] > _W_EPS
+        at_cap = np.count_nonzero(live & (self.policy[:, 1:] == y_max))
+        return ValueSurface(
+            t_grid=np.linspace(0.0, horizon, self.nt + 1),
+            x_grid=np.linspace(0.0, x_max, self.size),
+            values=self.values,
+            policy=self.policy,
+            decay=decay,
+            threshold=model.threshold,
+            y_max=y_max,
+            saturation_fraction=float(at_cap / max(np.count_nonzero(live), 1)),
+            substeps=np.array(self.substeps),
+        )
+
+
+def _march(model, decay, horizon, x_max, sizes, y_max):
+    """March every (nt, nx) grid of `sizes` at once; returns their ValueSurfaces, in order.
+
+    The live grids' rows lie end to end in one stacked vector W, and each round
+    runs one set of array ops on the stack: kappa = 1 - Wx by backward
+    differences (0 at each row's x = 0 node, which sells nothing), one
+    `_best_response` call for the speeds and g at them, each row's top speed by
+    `np.maximum.reduceat`, and one `_step` that moves each row by its own
+    sub-step h = left / ceil(left * max(y)/dx).  Each elementwise op sees the
+    operands of that grid marched alone, so every grid gets its own march's
+    bits.  A grid stores a level when its sub-steps reach it; once it has
+    stored its last it drops out, and the stack is laid out again.  A
+    non-finite rate (a NaN speed's too), the growth guard on a row's last node
+    and a non-finite value in a finished surface raise NumericalFailure.
+    """
+    rungs = [_Rung(nt, nx, horizon, x_max) for nt, nx in sizes]
+    h_ymax = model.h(y_max)
     guard = x_max * math.exp(max(0.0, -decay) * horizon) * (1.0 + 1e-6) + 1e-9
+    out = [None] * len(rungs)
+    live = rungs
+    W = np.zeros(sum(r.size for r in rungs))
 
-    values = np.empty((nt + 1, nx + 1))
-    policy = np.empty((nt + 1, nx + 1))
-    substeps = np.zeros(nt, dtype=int)
-    W = np.zeros(nx + 1)
-    if not math.isfinite(y_max / dx + max(decay, 0.0) + model._g(np.array([y_max]))[0]):  # bounds every step
-        raise NumericalFailure(f"sub-step rate at the cap y_max = {y_max} is not finite")
-    speed, _, g_speed, rate = yield from _controls(W, dx)
-    for lvl in range(nt + 1):
-        values[lvl] = W
-        policy[lvl] = speed
-        if lvl == nt:
-            break
-        left = dt
+    def layout():
+        """Index the stack of live rows: each row's first node (for reduceat), the
+        nodes kappa and `_step` zero, the rows' last nodes (the growth guard's), dx
+        per node and each node's row (to gather h).  On one row the last four are
+        an index, a slice, dx and None, which numpy serves faster."""
+        counts = np.array([r.size for r in live])
+        firsts = np.cumsum(counts) - counts
+        if len(live) == 1:
+            return firsts, 0, slice(-1, None), live[0].dx, None
+        dx = np.repeat([r.dx for r in live], counts)
+        return firsts, firsts, firsts + counts - 1, dx, np.repeat(np.arange(len(live)), counts)
+
+    firsts, zero, lasts, dx, row_of = layout()
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # the control kernel's
+        g_cap = model._g(np.array([y_max]))[0]
+        if not all(math.isfinite(y_max / r.dx + max(decay, 0.0) + g_cap) for r in rungs):  # bounds every step
+            raise NumericalFailure(f"sub-step rate at the cap y_max = {y_max} is not finite")
         while True:
-            n = max(1, math.ceil(left * rate))
-            h = left / n
-            W = _step(W, speed, g_speed, h, dx, decay)
-            substeps[lvl] += 1
-            if W[-1] > guard:
+            kappa = np.empty(W.size)
+            np.subtract(W[1:], W[:-1], out=kappa[1:])
+            kappa /= dx
+            np.subtract(1.0, kappa, out=kappa)
+            kappa[zero] = 0.0
+            speed, _, g_speed = _best_response(model, kappa, W, y_max, h_ymax)
+            hs, kept = [], []
+            for rung, lo, top in zip(live, firsts.tolist(), np.maximum.reduceat(speed, firsts).tolist()):
+                rate = top / rung.dx
+                if not math.isfinite(rate):
+                    raise NumericalFailure(f"sub-step rate {rate} at speed {top}: the controls left the finite range")
+                if rung.left is None:  # a level reached: store it, then cross to the next
+                    rung.values[rung.lvl] = W[lo : lo + rung.size]
+                    rung.policy[rung.lvl] = speed[lo : lo + rung.size]
+                    if rung.lvl == rung.nt:
+                        out[rungs.index(rung)] = rung.surface(model, decay, horizon, x_max, y_max)
+                        continue
+                    rung.left = rung.dt
+                n = max(1, math.ceil(rung.left * rate))
+                h = rung.left / n
+                rung.substeps[rung.lvl] += 1
+                if n == 1:
+                    rung.lvl, rung.left = rung.lvl + 1, None
+                else:
+                    rung.left -= h
+                kept.append(rung)
+                hs.append(h)
+            if len(kept) < len(live):
+                if not kept:
+                    return out
+                rows = np.concatenate([np.arange(lo, lo + r.size) for r, lo in zip(live, firsts.tolist()) if r in kept])
+                W, speed, g_speed = W[rows], speed[rows], g_speed[rows]
+                live = kept
+                firsts, zero, lasts, dx, row_of = layout()
+            W = _step(W, speed, g_speed, hs[0] if row_of is None else np.array(hs).take(row_of), dx, decay, zero)
+            if any(w > guard for w in W[lasts].tolist()):
                 raise NumericalFailure("reduced-value growth guard tripped: decay too negative for this impact")
-            speed, _, g_speed, rate = yield from _controls(W, dx)
-            if n == 1:
-                break
-            left -= h
-
-    # NaN passes the growth guard and gives speed 0, so the march cannot see it
-    if not np.isfinite(values).all():
-        raise NumericalFailure("the value surface has non-finite entries")
-    live = values[:, 1:] > _W_EPS
-    at_cap = np.count_nonzero(live & (policy[:, 1:] == y_max))
-    return ValueSurface(
-        t_grid=t_grid,
-        x_grid=x_grid,
-        values=values,
-        policy=policy,
-        decay=decay,
-        threshold=model.threshold,
-        y_max=y_max,
-        saturation_fraction=float(at_cap / max(np.count_nonzero(live), 1)),
-        substeps=substeps,
-    )
 
 
 def solve_reduced_hjb_ladder(
@@ -240,7 +246,7 @@ def solve_reduced_hjb_ladder(
 ) -> list:
     """March the reduced equation on each (nt, nx) grid of `sizes` over
     [0, horizon] x [0, x_max] under one `y_max`, in lockstep: one control-kernel
-    call per round serves every grid still marching (`_lockstep`).  Returns one
+    call per round serves every grid still marching (`_march`).  Returns one
     ValueSurface per grid, in order, each bit for bit what `solve_reduced_hjb`
     gives for that grid at the same `y_max`.  Empty `sizes`, a grid with fewer
     than 2 cells a side and the inputs `solve_reduced_hjb` rejects raise
@@ -258,8 +264,7 @@ def solve_reduced_hjb_ladder(
     require_finite(y_max=y_max)
     if y_max <= model.threshold:
         raise ValueError("y_max must exceed the impact threshold or the policy range is empty")
-    marches = [_march(model, decay, horizon, x_max, nt, nx, y_max) for nt, nx in sizes]
-    return _lockstep(model, y_max, model.h(y_max), marches)
+    return _march(model, decay, horizon, x_max, sizes, y_max)
 
 
 def solve_reduced_hjb(
@@ -310,19 +315,17 @@ def hjb_residual(surface: ValueSurface, model: ImpactModel) -> float:
     does not shrink under refinement; it is not a convergence measure, and
     `solve-hjb` does not report it.
     """
-    t_grid, x_grid, W = surface.t_grid, surface.x_grid, surface.values
-    dt = float(t_grid[1] - t_grid[0])
-    dx = float(x_grid[1] - x_grid[0])
-
-    def rows():
-        worst = 0.0
-        for lvl in range(1, t_grid.size - 1):
-            _, psi, _, _ = yield from _controls(W[lvl], dx)
-            resid = (W[lvl + 1] - W[lvl]) / dt - (psi - surface.decay * W[lvl])
-            worst = max(worst, float(np.max(np.abs(resid[1:]))))
-        return worst
-
-    return _lockstep(model, surface.y_max, model.h(surface.y_max), [rows()])[0]
+    W = surface.values
+    dt = float(surface.t_grid[1] - surface.t_grid[0])
+    dx = float(surface.x_grid[1] - surface.x_grid[0])
+    inner = W[1:-1]  # every interior level, through one elementwise kernel call
+    kappa = np.empty(inner.shape)
+    kappa[:, 0] = 0.0
+    kappa[:, 1:] = 1.0 - (inner[:, 1:] - inner[:, :-1]) / dx
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # the control kernel's
+        _, psi, _ = _best_response(model, kappa.ravel(), inner.ravel(), surface.y_max, model.h(surface.y_max))
+    resid = (W[2:] - inner) / dt - (psi.reshape(inner.shape) - surface.decay * inner)
+    return float(np.max(np.abs(resid[:, 1:]), initial=0.0))  # 0 with no interior level
 
 
 # -- independent deterministic-schedule oracle --------------------------------

@@ -200,11 +200,11 @@ def test_a_failure_in_the_half_grid_alone_exits_4(bench_config, tmp_path, monkey
 
     def poisoned(W, *args):
         out = step(W, *args)
-        if W.size == 21:  # the 20-cell half grid only
+        if W.size == 41 + 21:  # the 20-cell half grid's slice only, stacked after the main grid's row
             if fault == "nan":
-                out[1] = np.nan
+                out[41 + 1] = np.nan
             else:
-                out += 1.0
+                out[41:] += 1.0
         return out
 
     monkeypatch.setattr(hjb, "_step", poisoned)

@@ -8,9 +8,7 @@ from optexec.errors import NumericalFailure
 from optexec.hamiltonian import _best_response, best_response
 import optexec.hjb as hjb
 from optexec.hjb import (
-    _controls,
     _default_y_max,
-    _lockstep,
     _step,
     extract_policy,
     hjb_residual,
@@ -35,20 +33,19 @@ BENCH = dict(decay=0.04, horizon=1.0, x_max=0.2)
 QUIET = dict(divide="ignore", over="ignore", invalid="ignore")  # the errstate the march holds
 
 
-def drive(model, y_max, march, rows=None):
-    """Run one march generator (`_controls`) to its end by hand: each row
-    it yields gets one control-kernel call under the march's errstate, and `rows`,
-    when given, collects the rows asked for.  Returns what the generator returns."""
-    h_ymax, answer = model.h(y_max), None
+def controls(model, y_max, W, dx, firsts=(0,)):
+    """The controls of a row, or of rows laid end to end with x = 0 nodes at
+    `firsts`, as the march takes them: kappa = 1 - Wx by backward differences,
+    0 at each x = 0 node, then one control-kernel call under the march's
+    errstate.  Returns (speed, psi, g_speed, tops): tops holds each row's
+    fastest speed, the march's `np.maximum.reduceat`."""
+    firsts = np.asarray(firsts)
+    kappa = np.empty(W.size)
+    kappa[1:] = 1.0 - (W[1:] - W[:-1]) / dx
+    kappa[firsts] = 0.0
     with np.errstate(**QUIET):
-        while True:
-            try:
-                kappa, W = march.send(answer)
-            except StopIteration as stop:
-                return stop.value
-            if rows is not None:
-                rows.append(W)
-            answer = _best_response(model, kappa, W, y_max, h_ymax)
+        speed, psi, g_speed = _best_response(model, kappa, W, y_max, model.h(y_max))
+    return speed, psi, g_speed, np.maximum.reduceat(speed, firsts).tolist()
 
 
 @pytest.fixture(scope="module")
@@ -114,13 +111,18 @@ def test_policy_range_with_positive_threshold():
     assert np.all((pol == 0.0) | (pol > MIXED.threshold))
 
 
-def _one_step(W, dx, decay, h=None):
-    """A march of one sub-step from W, with h sized from W's own rate over a 0.05
-    time step as the solver sizes it unless given; returns (h, speed, stepped row)."""
-    speed, _, g_speed, rate = yield from _controls(W, dx)
-    if h is None:
-        h = 0.05 / max(1, math.ceil(0.05 * rate))
-    return h, speed, _step(W, speed, g_speed, h, dx, decay)
+def _one_step(model, y_max, rows, dx, decay, hs=None):
+    """One sub-step of equal-length rows, stacked as the march stacks its grids:
+    one control call and one `_step` for all, each row's h sized from its own
+    rate over a 0.05 time step as the solver sizes it unless `hs` gives them.
+    Returns (hs, each row's speeds, each stepped row)."""
+    W = np.concatenate(rows)
+    firsts = np.arange(0, W.size, rows[0].size)
+    speed, _, g_speed, tops = controls(model, y_max, W, dx, firsts)
+    if hs is None:
+        hs = [0.05 / max(1, math.ceil(0.05 * (top / dx))) for top in tops]
+    out = _step(W, speed, g_speed, np.repeat(hs, rows[0].size), dx, decay, firsts)
+    return hs, np.split(speed, len(rows)), np.split(out, len(rows))
 
 
 def test_monotone_update_in_neighbor_values():
@@ -133,12 +135,12 @@ def test_monotone_update_in_neighbor_values():
     below_cap = 0
     for _ in range(20):
         W = np.concatenate([[0.0], np.cumsum(rng.uniform(0.0, 1.2 * dx, 11))])
-        h, speed, base = drive(QUAD, y_max, _one_step(W, dx, decay))
+        h, (speed,), (base,) = _one_step(QUAD, y_max, [W], dx, decay)
         below_cap += speed.max() < y_max
         j = int(rng.integers(1, 12))
         bumped = W.copy()
         bumped[j] += 10.0 ** rng.uniform(-8.0, -3.0)
-        _, _, up = drive(QUAD, y_max, _one_step(bumped, dx, decay, h))
+        _, _, (up,) = _one_step(QUAD, y_max, [bumped], dx, decay, h)
         assert np.all(up >= base - 1e-15)
     assert below_cap >= 10  # most steps are sized by speeds under the cap
 
@@ -147,8 +149,8 @@ def test_monotone_update_in_neighbor_values():
 def test_step_is_monotone_under_stress(family):
     # one sub-step on 300 random rows per (decay, y_max, dx), each row then
     # stepped again, at the same h, with one value raised: no output may fall.
-    # The rows of a case run through one `_lockstep`, so each kernel call
-    # serves them all; slopes below 1.2 mix zero, interior and capped speeds
+    # The rows of a case are stepped as one stack, one kernel call and one
+    # `_step` for all; slopes below 1.2 mix zero, interior and capped speeds
     model = FAMILIES[family]
     rng = np.random.default_rng(sorted(FAMILIES).index(family))
     falls = 0
@@ -157,16 +159,16 @@ def test_step_is_monotone_under_stress(family):
         for y_max in (3.0, 100.0, 1e4):
             for dx in (1e-3, 1e-2, 0.1):
                 rows = [np.concatenate([[0.0], np.cumsum(rng.uniform(0.0, 1.2 * dx, 11))]) for _ in range(300)]
-                base = _lockstep(model, y_max, model.h(y_max), [_one_step(W, dx, decay) for W in rows])
-                speed = np.concatenate([y[1:] for _, y, _ in base])
+                hs, speeds, base = _one_step(model, y_max, rows, dx, decay)
+                speed = np.concatenate([y[1:] for y in speeds])
                 inner = (speed > 0.0) & (speed < y_max)
                 seen += [np.count_nonzero(speed == 0.0), np.count_nonzero(inner), np.count_nonzero(speed == y_max)]
-                marches = []
-                for W, (h, _, _) in zip(rows, base):
+                bumped = []
+                for W in rows:
                     W = W.copy()
                     W[rng.integers(1, 12)] += 10.0 ** rng.uniform(-8.0, -3.0) * dx
-                    marches.append(_one_step(W, dx, decay, h))
-                for (_, _, up), (_, _, out) in zip(_lockstep(model, y_max, model.h(y_max), marches), base):
+                    bumped.append(W)
+                for up, out in zip(_one_step(model, y_max, bumped, dx, decay, hs)[2], base):
                     falls += np.any(up < out - 1e-15)
     assert falls == 0
     assert np.all(seen > 0)
@@ -191,26 +193,29 @@ def test_residual_of_zero_surface_is_control_bound():
 
 def test_residual_positive_and_converging_in_smooth_region():
     # the global max defect sits in the capped start-up band and at the
-    # selling front; away from both, the defect drops at first order
-    def smooth_max(s, model, nu):
+    # selling front; away from both, the defect drops at first order.  The
+    # level-by-level loop is the reference for `hjb_residual`'s one kernel call
+    def smooth_and_global_max(s, model, nu):
         tg, xg, W = s.t_grid, s.x_grid, s.values
         dt, dx = tg[1] - tg[0], xg[1] - xg[0]
-        worst = 0.0
+        worst, everywhere = 0.0, 0.0
         for lvl in range(1, tg.size - 1):
-            _, psi, _, _ = drive(model, s.y_max, _controls(W[lvl], dx))
+            _, psi, _, _ = controls(model, s.y_max, W[lvl], dx)
             r = np.abs((W[lvl + 1] - W[lvl]) / dt - (psi - s.decay * W[lvl]))
+            everywhere = max(everywhere, float(r[1:].max()))
             keep = (xg < 0.5 * s.y_max * tg[lvl]) & (np.abs(xg - nu * tg[lvl]) > 0.03)
             keep[0] = False
             if keep.any():
                 worst = max(worst, float(r[keep].max()))
-        return worst
+        return worst, everywhere
 
     nu = twap_rate(QUAD, 0.04)
     res = []
     for n in (50, 100, 200):
         s = solve_reduced_hjb(QUAD, nt=n, nx=n, y_max=1.0, **BENCH)
-        assert hjb_residual(s, QUAD) > 0.0
-        res.append(smooth_max(s, QUAD, nu))
+        smooth, everywhere = smooth_and_global_max(s, QUAD, nu)
+        assert hjb_residual(s, QUAD) == everywhere > 0.0
+        res.append(smooth)
     assert res[0] > res[1] > res[2]
     order = np.log2(res[0] / res[2]) / 2.0
     assert order >= 0.8
@@ -410,11 +415,11 @@ def _reference_march(model, nt, nx, y_max, decay, horizon, x_max):
         num = ((1.0 + h * max(-decay, 0.0)) - r) * W[1:] + r * W[:-1] + h * speed[1:]
         return np.concatenate(([0.0], num / ((1.0 + h * max(decay, 0.0)) + h * model.g(speed[1:]))))
 
-    def controls(W):  # the row's speeds; its rate and g come from the public formulas
-        return drive(model, y_max, _controls(W, dx))[0]
+    def speeds(W):  # the row's speeds; its rate and g come from the public formulas
+        return controls(model, y_max, W, dx)[0]
 
     W = np.zeros(nx + 1)
-    speed = controls(W)
+    speed = speeds(W)
     values, policy, substeps = [W], [speed], []
     for _ in range(nt):
         left, count = dt, 0
@@ -423,7 +428,7 @@ def _reference_march(model, nt, nx, y_max, decay, horizon, x_max):
             h = left / n
             W = step(W, speed, h)
             count += 1
-            speed = controls(W)
+            speed = speeds(W)
             if n == 1:
                 break
             left -= h
@@ -474,19 +479,22 @@ def test_control_calls_follow_the_substeps(monkeypatch):
 
 @pytest.mark.parametrize(
     "sizes",
-    [[(40, 40), (20, 20)], [(120, 120), (60, 60), (30, 30)], [(20, 30), (40, 15)]],
-    ids=["two_rungs_40", "three_rungs_120", "unsorted_rungs"],
+    [[(40, 40), (20, 20)], [(120, 120), (60, 60), (30, 30)], [(20, 30), (40, 15)], [(40, 40), (20, 20), (10, 10), (30, 6)]],
+    ids=["two_rungs_40", "three_rungs_120", "unsorted_rungs", "four_rungs"],
 )
 @pytest.mark.parametrize("cap", [None, 1.0], ids=["default_y_max", "binding_y_max"])
 @pytest.mark.parametrize("decay", [0.04, 0.05, -0.1])
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_ladder_equals_standalone_solves(family, decay, cap, sizes):
     # every rung of a lockstep ladder is bit for bit the standalone solve of
-    # its grid at the ladder's y_max, whichever rung finishes first
+    # its grid at the ladder's y_max, whichever rung finishes first; the four
+    # rungs finish in four different rounds, from the middle of the stack first
     model = FAMILIES[family]
     y_max = None if cap is None else max(cap, model.threshold + 1.0)
     ladder = solve_reduced_hjb_ladder(model, decay, 1.0, 1.0, sizes, y_max=y_max)
     assert len(ladder) == len(sizes)
+    if len(sizes) == 4:
+        assert len({int(s.substeps.sum()) for s in ladder}) == 4
     assert (ladder[0].saturation_fraction > 0.0) == (cap is not None)
     for (nt, nx), got in zip(sizes, ladder):
         alone = solve_reduced_hjb(model, decay, 1.0, 1.0, nt=nt, nx=nx, y_max=ladder[0].y_max)
@@ -496,6 +504,31 @@ def test_ladder_equals_standalone_solves(family, decay, cap, sizes):
         assert got.policy.tobytes() == alone.policy.tobytes()
         assert np.array_equal(got.substeps, alone.substeps)
         assert got.saturation_fraction == alone.saturation_fraction
+
+
+@pytest.mark.parametrize("decay", [0.04, -0.5])
+def test_stacked_step_equals_the_rows_stepped_alone(decay):
+    # rows of 12, 7 and 20 nodes with their own dx and h, laid end to end as
+    # the march stacks its grids: one `_step` gives each row the bits of a
+    # scalar `_step` on that row, and a NaN in one row (its last node too)
+    # stays out of the next row's x = 0 node
+    rng = np.random.default_rng(36)
+    sizes, dxs, hs = [12, 7, 20], [0.05, 0.2, 0.01], [0.004, 0.03, 0.0007]
+    rows = [np.concatenate([[0.0], np.cumsum(rng.uniform(0.0, 1.2 * dx, n - 1))]) for n, dx in zip(sizes, dxs)]
+    speeds = [np.where(rng.uniform(size=n) < 0.3, 0.0, rng.uniform(0.5, 3.0, n)) for n in sizes]
+    firsts = np.cumsum(sizes) - sizes
+    for poison in (False, True):
+        if poison:
+            rows[0][[4, -1]] = np.nan
+        alone = [_step(W, y, QUAD.g(y), h, dx, decay) for W, y, h, dx in zip(rows, speeds, hs, dxs)]
+        speed = np.concatenate(speeds)
+        stacked = _step(
+            np.concatenate(rows), speed, QUAD.g(speed), np.repeat(hs, sizes), np.repeat(dxs, sizes), decay, firsts
+        )
+        assert stacked.tobytes() == np.concatenate(alone).tobytes()
+        assert stacked[firsts].tolist() == [0.0, 0.0, 0.0]
+        assert np.isnan(stacked[: sizes[0]]).any() == poison
+        assert np.isfinite(stacked[sizes[0] :]).all()
 
 
 @pytest.mark.parametrize("sizes", [[], [(40, 40), (1, 20)], [(40, 40), (20, 1)], [(1, 1)]])
@@ -563,20 +596,25 @@ def test_non_finite_rate_raises(monkeypatch):
     "model", [QUAD, MIXED, LEVY, ShiftedConvexImpact(3, 1)], ids=["quadratic", "mixed_power", "levy", "shifted"]
 )
 def test_rate_read_off_the_control_call_is_the_formula(model, decay):
-    # the rate is max(y)/dx of the row's own control call, and the g the step
-    # uses is the call's g at each chosen speed: both must equal their formulas,
-    # g computed with the public g (0 at speed 0)
+    # the rate is max(y)/dx of the row's slice of a stacked control call, its
+    # top by `np.maximum.reduceat`, and the g the step uses is the call's g at
+    # each chosen speed: both must equal their formulas, g computed with the
+    # public g (0 at speed 0), and each slice the row's own call bit for bit
     dx = 0.1
     y_max = 4.0 * _default_y_max(model, 0.04, 1.0, 4.0)
     x = np.arange(41) * dx
     mid = solve_reduced_hjb(model, decay, 1.0, 4.0, nt=40, nx=40, y_max=y_max).values[20]
     # the all-zero start row, a row selling at the cap, one selling nothing, a mid-march row
     rows = {"start": np.zeros(41), "at_cap": 1e-9 * x, "sells_nothing": 2.0 * x, "mid_march": mid}
+    stacked = controls(model, y_max, np.concatenate(list(rows.values())), dx, np.arange(0, 4 * 41, 41))
     seen = set()
-    for name, W in rows.items():
-        speed, _, g_speed, rate = drive(model, y_max, _controls(W, dx))
+    for k, (name, W) in enumerate(rows.items()):
+        speed, psi, g_speed = (a[41 * k : 41 * (k + 1)] for a in stacked[:3])
+        rate = stacked[3][k] / dx
         assert rate == speed.max() / dx, name
         assert g_speed.tobytes() == model.g(speed).tobytes(), name
+        alone = controls(model, y_max, W, dx)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip((speed, psi, g_speed), alone[:3])), name
         seen.add("zero" if speed.max() == 0.0 else "cap" if speed.max() == y_max else "inner")
     assert seen == {"zero", "cap", "inner"}
 
@@ -617,8 +655,11 @@ def test_the_march_errstate_stays_scoped(monkeypatch):
         solve_reduced_hjb_ladder(QUAD, sizes=[(10, 10), (5, 5)], **BENCH)
     assert np.geterr() == before
 
-    def inflated_half_grid(W, *args):  # the 5-cell rung alone trips the guard
-        return _step(W, *args) + (1.0 if W.size == 6 else 0.0)
+    def inflated_half_grid(W, *args):  # the 5-cell rung, stacked after the 10-cell one, alone trips the guard
+        out = _step(W, *args)
+        if W.size == 11 + 6:
+            out[11:] += 1.0
+        return out
 
     monkeypatch.setattr(hjb, "_step", inflated_half_grid)
     with pytest.raises(NumericalFailure, match="growth guard"):
