@@ -275,9 +275,12 @@ def _build_strategy(spec: str, cfg: RunConfig):
             Schedule.constant(model.threshold, x0 / model.threshold, horizon)
         )
     if spec.startswith("rate:"):
-        rate = float(spec.split(":", 1)[1])
+        try:
+            rate = float(spec.split(":", 1)[1])
+        except ValueError:
+            rate = np.nan
         if not (np.isfinite(rate) and rate >= 0.0):
-            raise ConfigError("rate strategy needs a finite non-negative rate")
+            raise ConfigError(f"strategy spec {spec!r}: the rate must be a finite non-negative number")
         duration = min(x0 / rate, horizon) if rate > 0.0 else 0.0
         return DeterministicStrategy(Schedule.constant(rate, duration, horizon))
     if spec == "zero":

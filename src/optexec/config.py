@@ -190,12 +190,6 @@ _SECTIONS = {name: cls for name, cls in _schema(RunConfig)[0].items() if name no
 _SCHEMAS = {cls: _schema(cls) for cls in (*_SECTIONS.values(), *_IMPACT_FAMILIES.values())}
 _MARKET_KINDS = _schema(MarketParams)[0]
 
-_BOOLS = {
-    **dict.fromkeys(("1", "true", "yes", "on"), True),
-    **dict.fromkeys(("0", "false", "no", "off"), False),
-}
-
-
 def read_config_file(path: str) -> dict:
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
     try:
@@ -224,7 +218,7 @@ def _parse(section: str, key: str, raw: str, kind):
     try:
         if kind is tuple:
             return tuple(s.strip() for s in raw.split(",") if s.strip())
-        value = _BOOLS[raw.strip().lower()] if kind is bool else kind(raw)
+        value = configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()] if kind is bool else kind(raw)
     except (KeyError, TypeError, ValueError):
         raise ConfigError(f"{section}.{key} = {raw!r} is not a valid {kind.__name__}") from None
     if kind is float and not math.isfinite(value):

@@ -30,15 +30,14 @@ order, so results are bit-reproducible for a given (seed, n_steps, strategy)
 whatever the chunking, a run's paths are the first paths of any longer run,
 and distinct strategies simulated with the same seed share noise
 path-by-path (common random numbers).  The draw is pipelined: numpy fills a
-block with the GIL released, so a helper thread draws the next block of that
-same stream while the current block is priced.  Memory is two blocks of
-_CHUNK x n_steps floats, and the results are bit-identical to a serial draw.
+block with the GIL released, so one worker thread per run draws the next
+block of that stream while the current block is priced.  Memory is two blocks
+of _CHUNK x n_steps floats, and the results are bit-identical to a serial draw.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -182,10 +181,12 @@ def _price_paths(sells, drags, market, c0, s0, dt, n_paths, seed, log_floor, ret
     each, the absorbed-path count of each row, and the (cash/price, rows,
     n_paths, n_steps + 1) history.
 
-    Chunk k's noise is drawn into block k % 2 on a helper thread while chunk
-    k - 1 is priced on this one; a failed draw is re-raised here, and the
-    helper is joined on every way out.
+    Chunk k's noise is drawn into block k % 2 by a one-thread executor while
+    chunk k - 1 is priced here; the draw's future re-raises a failed draw, and
+    leaving the executor waits for a running draw on every way out.
     """
+    from concurrent.futures import ThreadPoolExecutor  # loads logging: only runs that simulate pay
+
     m, n_steps = sells.shape
     hist = np.empty((2, m, n_paths, n_steps + 1)) if return_paths else None
     gen = np.random.default_rng(seed)
@@ -194,33 +195,16 @@ def _price_paths(sells, drags, market, c0, s0, dt, n_paths, seed, log_floor, ret
     chunks = [slice(start, min(start + _CHUNK, n_paths)) for start in range(0, n_paths, _CHUNK)]
     blocks = np.empty((2, chunks[0].stop, n_steps))
     noise = [blocks[k % 2, : rows.stop - rows.start] for k, rows in enumerate(chunks)]
-    failed = []
-
-    def draw(block):
-        try:
-            gen.standard_normal(out=block)
-        except BaseException as exc:
-            failed.append(exc)
-
-    def spawn(block):  # bound once started, so `finally` never joins an unstarted thread
-        helper = threading.Thread(target=draw, args=(block,))
-        helper.start()
-        return helper
-
-    helper = spawn(noise[0])
-    try:
+    with ThreadPoolExecutor(1) as helper:
+        drawn = helper.submit(gen.standard_normal, out=noise[0])
         for k, rows in enumerate(chunks):
-            helper.join()
-            if failed:
-                raise failed[0]
+            drawn.result()
             if k + 1 < len(chunks):  # chunk k - 1 has returned, so its block is free
-                helper = spawn(noise[k + 1])
+                drawn = helper.submit(gen.standard_normal, out=noise[k + 1])
             absorbed += _factorised_chunk(
                 noise[k], sells, drags, market, c0, s0, dt, log_floor,
                 cash[:, rows], price[:, rows], None if hist is None else hist[:, :, rows],
             )
-    finally:
-        helper.join()
     return cash, price, absorbed, hist
 
 

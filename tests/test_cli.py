@@ -522,7 +522,7 @@ def test_mixed_power_near_unit_convex_exponent(tmp_path):
     assert math.isfinite(doc["x_large"]) and doc["x_large"] > 0.0
 
 
-def test_exit_codes(bench_config, tmp_path):
+def test_exit_codes(bench_config, tmp_path, capsys):
     out = ["--output", str(tmp_path / "run")]
     # 2: config errors
     assert main(["twap", "--config", str(tmp_path / "missing.ini")]) == 2
@@ -551,6 +551,11 @@ def test_exit_codes(bench_config, tmp_path):
     plot_range = ["--set", "plot.x_min=2", "--set", "plot.x_max=1"]
     assert main(["impact-plot", "--config", bench_config, *plot_range]) == 2
     assert main(["simulate", "--config", bench_config, "--set", "sim.strategy=rate:nan"]) == 2
+    # a rate that is not a number: the message names the spec, not just float()'s 'abc'
+    capsys.readouterr()
+    assert main(["compare", "--config", bench_config, *out, *_sets("compare.strategies=twap,rate:abc")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config_error" and "'rate:abc'" in err["message"]
     # rerun of a manifest that is missing or not JSON
     manifest = tmp_path / "manifest.json"
     assert main(["rerun", str(manifest)]) == 2
@@ -827,6 +832,24 @@ def test_resolved_mapping_golden():
     assert build_run_config(FULL_MAPPING).resolved == FULL_RESOLVED
     refine_yes = {**FULL_MAPPING, "solver": {**FULL_MAPPING["solver"], "refine": "yes"}}
     assert build_run_config(refine_yes).resolved["solver"]["refine"] == "true"
+
+
+@pytest.mark.parametrize(
+    "spelling, refine",
+    [*((s, True) for s in ("1", "yes", "true", "on")), *((s, False) for s in ("0", "no", "false", "off"))],
+)
+def test_every_bool_spelling_parses_in_any_case_and_padding(spelling, refine):
+    for raw in (spelling, spelling.upper(), f"  {spelling.upper()}\t"):
+        assert build_run_config({"solver": {"refine": raw}}).solver.refine is refine
+
+
+@pytest.mark.parametrize("spelling", ["maybe", "2"])
+def test_an_unknown_bool_spelling_exits_2(bench_config, tmp_path, capsys, spelling):
+    args = ["solve-hjb", "--config", bench_config, "--output", str(tmp_path / "hjb")]
+    assert main(args + _sets(f"solver.refine={spelling}")) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config_error" and "is not a valid bool" in err["message"]
+    assert not (tmp_path / "hjb").exists()
 
 
 def test_overrides_parsing():

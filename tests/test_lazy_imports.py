@@ -1,4 +1,7 @@
-"""scipy's submodules load on first use, not with the package.
+"""Costly imports load on first use, not with the package: scipy's
+submodules, and the thread pool (with the logging it pulls in) that only a
+Monte Carlo run needs, so solve-hjb, hamiltonian-check and twap never pay
+for them.
 
 Each check runs in a fresh interpreter, because the test process itself
 may have imported anything already.
@@ -17,7 +20,7 @@ from optexec.impact import MixedPowerImpact, QuadraticImpact
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(optexec.__file__)))
 LAZY = ("scipy.integrate", "scipy.optimize", "scipy.special")
 
-_CLI_RUNS = """
+_PROBLEM = """
 import json, sys
 import optexec, optexec.cli
 
@@ -26,18 +29,34 @@ problem = market + ["impact.family=quadratic", "impact.alpha0=1.0", "problem.x0=
                     "solver.nt=30", "solver.nx=30", "solver.refine=false",
                     "sim.n_paths=100", "sim.n_steps=50", "check.draws=20",
                     "compare.strategies=twap,zero,feedback"]
-# a large inventory, whose x_large and schedule take the mixed-power series
-large = market + ["impact.family=mixed_power", "impact.alpha=1.0", "impact.p_convex=2.0",
-                  "impact.p_concave=0.5", "impact.threshold=0.0", "problem.x0=1.5"]
-runs = [(sub, problem) for sub in ("solve-hjb", "compare", "hamiltonian-check", "twap", "simulate")]
-for sub, sets in runs + [("mixed-power", large)]:
+
+def run(sub, sets):
     out = sys.argv[1] + "/" + sub
     if optexec.cli.main([sub, "--output", out] + [a for s in sets for a in ("--set", s)]) != 0:
         sys.exit(f"{sub} failed")
+"""
+
+_CLI_RUNS = _PROBLEM + """
+# a large inventory, whose x_large and schedule take the mixed-power series
+large = market + ["impact.family=mixed_power", "impact.alpha=1.0", "impact.p_convex=2.0",
+                  "impact.p_concave=0.5", "impact.threshold=0.0", "problem.x0=1.5"]
+for sub in ("solve-hjb", "compare", "hamiltonian-check", "twap", "simulate"):
+    run(sub, problem)
+run("mixed-power", large)
 if json.load(open(sys.argv[1] + "/mixed-power/summary.json"))["regime"] != "large_inventory":
     sys.exit("mixed-power did not take the large-inventory branch")
 print(json.dumps({m: m in sys.modules for m in ("scipy",) + %r}))
 """ % (LAZY,)
+
+# the draw worker's executor, and the logging it imports, load with the first simulation
+_SIMULATION_LOADS = ("concurrent.futures", "logging")
+_THEN_COMPARE = _PROBLEM + """
+loaded = {}
+for sub in ("solve-hjb", "hamiltonian-check", "twap", "compare"):
+    run(sub, problem)
+    loaded[sub] = [m for m in %r if m in sys.modules]
+print(json.dumps(loaded))
+""" % (_SIMULATION_LOADS,)
 
 _COLD_CALLS = """
 import json, sys
@@ -66,6 +85,12 @@ def _fresh(script, *args):
 def test_cli_runs_leave_scipy_submodules_unloaded(tmp_path):
     loaded = _fresh(_CLI_RUNS, str(tmp_path))
     assert loaded == {"scipy": True, **dict.fromkeys(LAZY, False)}
+
+
+def test_runs_that_never_simulate_leave_the_executor_unloaded(tmp_path):
+    loaded = _fresh(_THEN_COMPARE, str(tmp_path))
+    assert loaded["solve-hjb"] == loaded["hamiltonian-check"] == loaded["twap"] == []
+    assert "concurrent.futures" in loaded["compare"]
 
 
 def test_cold_calls_load_scipy_and_match_in_process():

@@ -225,6 +225,23 @@ def test_a_failing_draw_is_raised_in_the_caller(monkeypatch):
     assert threading.active_count() == baseline
 
 
+def test_a_run_starts_one_draw_worker_and_leaves_none(monkeypatch):
+    named = _twap_and_feedback()
+    plain_start = threading.Thread.start
+    started = []
+
+    def counted_start(thread):
+        started.append(thread.name)
+        plain_start(thread)
+
+    monkeypatch.setattr(SIM_MODULE, "_CHUNK", 7)  # 8 chunks, 8 draws
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    baseline = threading.active_count()
+    compare_strategies(named, BS, QUAD, 0.0, 0.1, 100.0, 1.0, 50, 30, seed=1)
+    assert len(started) == 1, started
+    assert threading.active_count() == baseline
+
+
 def test_concurrent_runs_under_fast_thread_switching_keep_their_bits(monkeypatch):
     # more runs than cores, each with its own helper thread, switching threads
     # every microsecond: noise blocks shared between runs would move the bits
