@@ -444,6 +444,7 @@ def _compare(cfg: RunConfig):
         "strategies": list(comp.names),
         "means": comp.means,
         "std_errors": comp.std_errors,
+        "absorption_counts": comp.absorption_counts,
         "best": comp.best(),
         "pairs": [
             {"first": a, "second": b, "mean_diff": d, "se_diff": se}

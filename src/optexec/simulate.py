@@ -31,8 +31,9 @@ whatever the chunking, a run's paths are the first paths of any longer run,
 and distinct strategies simulated with the same seed share noise
 path-by-path (common random numbers).  The draw is pipelined: numpy fills a
 block with the GIL released, so one worker thread per run draws the next
-block of that stream while the current block is priced.  Memory is two blocks
-of _CHUNK x n_steps floats, and the results are bit-identical to a serial draw.
+block of that stream while the current block is priced.  Memory is two
+blocks of whole paths, at most _NOISE_CELLS floats or one path each, and the
+results are bit-identical to a serial draw.
 """
 
 from __future__ import annotations
@@ -60,8 +61,7 @@ __all__ = [
 ]
 
 QUANTILE_LEVELS = (0.05, 0.25, 0.5, 0.75, 0.95)
-_CHUNK = 1024  # paths per noise block: 4 MB at 500 steps, two blocks live
-_CASH_ROWS = 256  # rows per cash sub-block: a 1 MB temporary at 500 steps
+_NOISE_CELLS = 1 << 17  # normals per noise block (1 MB): whole paths, at least one; two blocks live
 
 
 class DeterministicStrategy:
@@ -164,7 +164,7 @@ def simulate(
     return SimResult(
         mean_utility=float(cash[0].mean()),
         std_error=_std_error(cash[0]),
-        n_paths=n_paths,
+        n_paths=int(n_paths),  # a plain int for a numpy size too, as JSON wants
         cash=_stats(cash[0]),
         inventory=TerminalStats(x_T, 0.0, (x_T,) * len(QUANTILE_LEVELS)),
         price=_stats(price[0]),
@@ -181,9 +181,10 @@ def _price_paths(sells, drags, market, c0, s0, dt, n_paths, seed, log_floor, ret
     each, the absorbed-path count of each row, and the (cash/price, rows,
     n_paths, n_steps + 1) history.
 
-    Chunk k's noise is drawn into block k % 2 by a one-thread executor while
-    chunk k - 1 is priced here; the draw's future re-raises a failed draw, and
-    leaving the executor waits for a running draw on every way out.
+    A chunk is max(1, _NOISE_CELLS // n_steps) paths.  Chunk k's noise is
+    drawn into block k % 2 by a one-thread executor while chunk k - 1 is
+    priced here; the draw's future re-raises a failed draw, and leaving the
+    executor waits for a running draw on every way out.
     """
     from concurrent.futures import ThreadPoolExecutor  # loads logging: only runs that simulate pay
 
@@ -192,7 +193,8 @@ def _price_paths(sells, drags, market, c0, s0, dt, n_paths, seed, log_floor, ret
     gen = np.random.default_rng(seed)
     cash, price = np.empty((m, n_paths)), np.empty((m, n_paths))
     absorbed = np.zeros(m, dtype=int)
-    chunks = [slice(start, min(start + _CHUNK, n_paths)) for start in range(0, n_paths, _CHUNK)]
+    size = max(1, _NOISE_CELLS // n_steps)
+    chunks = [slice(start, min(start + size, n_paths)) for start in range(0, n_paths, size)]
     blocks = np.empty((2, chunks[0].stop, n_steps))
     noise = [blocks[k % 2, : rows.stop - rows.start] for k, rows in enumerate(chunks)]
     with ThreadPoolExecutor(1) as helper:
@@ -238,11 +240,9 @@ def _factorised_chunk(noise, sells, drags, market, c0, s0, dt, log_floor, cash, 
     absorbed = np.zeros(m, dtype=int)
     for j in range(m):
         head, w = c0 + sells[j, 0] * s0, weights[j, 1:]
-        # per-row pairwise sums, a few hundred rows at a time: no block-sized temporary,
-        # and no BLAS mat-vec, whose summation order could depend on the row count
-        for lo in range(0, Z.shape[0], _CASH_ROWS):
-            block = Z[lo : lo + _CASH_ROWS, : n - 1]
-            cash[j, lo : lo + _CASH_ROWS] = head + (block * w).sum(axis=1)
+        # per-row pairwise sums over the chunk, whose temporary is one block at most;
+        # no BLAS mat-vec, whose summation order could depend on the row count
+        cash[j] = head + (Z[:, : n - 1] * w).sum(axis=1)
         price[j] = Z[:, -1] * discount[j, -1]
         if hist is not None:
             hist[1, j, :, 0] = s0
@@ -273,6 +273,9 @@ def _simulate_all(
     drift, then `_price_paths` runs all strategies at once.  Returns the
     inventory paths, (rows, n_steps + 1), then `_price_paths`' cash, price,
     absorbed counts and history."""
+    for name, value in (("n_paths", n_paths), ("n_steps", n_steps), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, not {value!r}")
     if n_paths < 1 or n_steps < 1:
         raise ValueError("need n_paths >= 1 and n_steps >= 1")
     require_finite(c0=c0, x0=x0, s0=s0, horizon=horizon)
@@ -280,7 +283,7 @@ def _simulate_all(
         raise ValueError("horizon must be positive")
     if x0 < 0.0 or s0 < 0.0:
         raise ValueError("need x0 >= 0 and s0 >= 0")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if seed < 0:
         raise ValueError("seed must be a non-negative integer")
     if math.isnan(log_floor):  # -inf never absorbs, +inf absorbs every path
         raise ValueError("log_floor must not be NaN")
@@ -307,6 +310,7 @@ class StrategyComparison:
     means: list
     std_errors: list
     pairs: list  # (name_i, name_j, mean_diff, se_diff)
+    absorption_counts: list  # absorbed paths per strategy, in the order of names
 
     def best(self) -> str:
         return self.names[int(np.argmax(self.means))]
@@ -339,7 +343,7 @@ def compare_strategies(
         raise ValueError("need at least two strategies to compare")
 
     names = [name for name, _ in strategies]
-    _, cash, _, _, _ = _simulate_all(
+    _, cash, _, absorbed, _ = _simulate_all(
         [s for _, s in strategies], market, model, c0, x0, s0, horizon, n_paths, n_steps, seed,
         log_floor,
     )
@@ -350,4 +354,4 @@ def compare_strategies(
         for j in range(i + 1, len(cash)):
             d = cash[i] - cash[j]
             pairs.append((names[i], names[j], float(d.mean()), _std_error(d)))
-    return StrategyComparison(names=names, means=means, std_errors=ses, pairs=pairs)
+    return StrategyComparison(names, means, ses, pairs, absorbed.tolist())

@@ -270,6 +270,7 @@ def test_compare_with_crn(bench_config, tmp_path):
     assert doc["strategies"] == ["twap", "rate:0.4", "zero"]
     assert doc["best"] == "twap"
     assert len(doc["pairs"]) == 3
+    assert doc["absorption_counts"] == [0, 0, 0]
 
 
 def test_hamiltonian_check(tmp_path):

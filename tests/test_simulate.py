@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,7 +117,7 @@ def _twap_and_feedback():
 
 def test_compare_strategies_equals_separate_simulate_runs():
     named = _twap_and_feedback()
-    n_paths = SIM_MODULE._CHUNK + 17  # a full chunk and a partial one
+    n_paths = SIM_MODULE._NOISE_CELLS // 16 + 17  # a full chunk and a partial one
     run = (BS, QUAD, 0.0, 0.1, 100.0, 1.0, n_paths, 16)
     comp = compare_strategies(named, *run, seed=19)
     utils = [simulate(strat, *run, seed=19).utilities for _, strat in named]
@@ -140,8 +141,7 @@ def test_results_do_not_depend_on_chunking(monkeypatch):
         return res, ref, compare_strategies(named, *run, seed=23)
 
     res, ref, comp = everything()
-    monkeypatch.setattr(SIM_MODULE, "_CHUNK", 7)  # 7 chunks of 7 paths and one of 1
-    monkeypatch.setattr(SIM_MODULE, "_CASH_ROWS", 3)  # cash sums over 3 rows at a time
+    monkeypatch.setattr(SIM_MODULE, "_NOISE_CELLS", 7 * 30)  # 7 chunks of 7 paths and one of 1
     res7, ref7, comp7 = everything()
     assert np.array_equal(res7.utilities, res.utilities)
     for key in ("S", "C", "X"):
@@ -158,7 +158,7 @@ def test_a_run_is_the_start_of_a_longer_run(monkeypatch):
     strat, _ = twap_strategy()
     run = (BS, QUAD, 0.0, 0.1, 100.0, 1.0)
     short = simulate(strat, *run, 10, 30, seed=3).utilities
-    monkeypatch.setattr(SIM_MODULE, "_CHUNK", 7)
+    monkeypatch.setattr(SIM_MODULE, "_NOISE_CELLS", 7 * 30)
     assert np.array_equal(simulate(strat, *run, 50, 30, seed=3).utilities[:10], short)
 
 
@@ -200,7 +200,7 @@ def test_a_failing_chunk_propagates_and_joins_the_helper(monkeypatch):
             raise FloatingPointError("chunk 2")
         return plain(*args)
 
-    monkeypatch.setattr(SIM_MODULE, "_CHUNK", 7)
+    monkeypatch.setattr(SIM_MODULE, "_NOISE_CELLS", 7 * 30)
     monkeypatch.setattr(SIM_MODULE, "_factorised_chunk", second_fails)
     # chunk 3's block is still being drawn when chunk 2 fails
     _rng_calling(monkeypatch, lambda k: time.sleep(0.2) if k == 3 else None)
@@ -216,7 +216,7 @@ def test_a_failing_draw_is_raised_in_the_caller(monkeypatch):
         if k == 2:
             raise MemoryError("draw 2")
 
-    monkeypatch.setattr(SIM_MODULE, "_CHUNK", 7)
+    monkeypatch.setattr(SIM_MODULE, "_NOISE_CELLS", 7 * 30)
     _rng_calling(monkeypatch, second_fails)
     strat, _ = twap_strategy()
     baseline = threading.active_count()
@@ -234,7 +234,7 @@ def test_a_run_starts_one_draw_worker_and_leaves_none(monkeypatch):
         started.append(thread.name)
         plain_start(thread)
 
-    monkeypatch.setattr(SIM_MODULE, "_CHUNK", 7)  # 8 chunks, 8 draws
+    monkeypatch.setattr(SIM_MODULE, "_NOISE_CELLS", 7 * 30)  # 8 chunks, 8 draws
     monkeypatch.setattr(threading.Thread, "start", counted_start)
     baseline = threading.active_count()
     compare_strategies(named, BS, QUAD, 0.0, 0.1, 100.0, 1.0, 50, 30, seed=1)
@@ -242,11 +242,46 @@ def test_a_run_starts_one_draw_worker_and_leaves_none(monkeypatch):
     assert threading.active_count() == baseline
 
 
+def test_a_path_longer_than_the_budget_is_its_own_chunk(monkeypatch):
+    named = _twap_and_feedback()
+    run = (BS, QUAD, 0.0, 0.1, 100.0, 1.0, 5, 300)
+
+    def everything():
+        res = simulate(named[1][1], *run, seed=31, return_paths=True)
+        return res, compare_strategies(named, *run, seed=31)
+
+    res, comp = everything()
+    monkeypatch.setattr(SIM_MODULE, "_NOISE_CELLS", 7 * 30)  # under one 300-step path
+    draws = []
+    _rng_calling(monkeypatch, draws.append)
+    res1, comp1 = everything()
+    assert draws == [1, 2, 3, 4, 5] * 2  # one block per path, in each of the two runs
+    assert np.array_equal(res1.utilities, res.utilities)
+    for key in ("S", "C", "X"):
+        assert np.array_equal(res1.paths[key], res.paths[key])
+    assert comp1 == comp
+
+
+def test_a_comparison_holds_a_few_noise_blocks_at_most():
+    # two double-buffered blocks and the cash sum's temporary, each at most
+    # _NOISE_CELLS floats, whatever the path count
+    named = _twap_and_feedback()
+    run = (BS, QUAD, 0.0, 0.1, 100.0, 1.0)
+    compare_strategies(named, *run, 2, 500, seed=5)  # the draw worker's imports, untraced
+    tracemalloc.start()
+    try:
+        compare_strategies(named, *run, 2000, 500, seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * SIM_MODULE._NOISE_CELLS * 8, peak
+
+
 def test_concurrent_runs_under_fast_thread_switching_keep_their_bits(monkeypatch):
     # more runs than cores, each with its own helper thread, switching threads
     # every microsecond: noise blocks shared between runs would move the bits
     named = _twap_and_feedback()
-    monkeypatch.setattr(SIM_MODULE, "_CHUNK", 7)
+    monkeypatch.setattr(SIM_MODULE, "_NOISE_CELLS", 7 * 30)
     run = (BS, QUAD, 0.0, 0.1, 100.0, 1.0, 60, 30)
     want = compare_strategies(named, *run, seed=29)
     got = []
@@ -359,7 +394,7 @@ def test_strategy_and_impact_calls_do_not_depend_on_paths(monkeypatch):
     counts = []
     base = _twap_and_feedback()
     for n_paths, chunk in ((1, 4096), (50, 4096), (50, 7)):
-        monkeypatch.setattr(SIM_MODULE, "_CHUNK", chunk)
+        monkeypatch.setattr(SIM_MODULE, "_NOISE_CELLS", chunk * n_steps)
         model = QuadraticImpact(1.0)
         g_calls = []
         plain_g = model.g
@@ -464,6 +499,18 @@ def test_compare_strategies_honours_log_floor():
     assert simulate(crush, *run).absorption_count == 0
 
 
+def test_compare_reports_each_strategys_absorptions():
+    # a floor 0.2 below the start log-price absorbs some paths of every strategy
+    named = _twap_and_feedback()
+    run = (BS, QUAD, 0.0, 0.1, 100.0, 1.0, 200, 64, 6)
+    floor = math.log(100.0) - 0.2
+    comp = compare_strategies(named, *run, log_floor=floor)
+    want = [simulate(strat, *run, log_floor=floor).absorption_count for _, strat in named]
+    assert comp.absorption_counts == want
+    assert all(count > 0 for count in want)
+    assert compare_strategies(named, *run).absorption_counts == [0, 0]
+
+
 def test_compare_strategies_guards():
     strat, _ = twap_strategy()
     with pytest.raises(ValueError):
@@ -552,6 +599,33 @@ def test_input_validation():
     wrong_horizon = DeterministicStrategy(Schedule.constant(0.1, 0.5, 2.0))
     with pytest.raises(ValueError):
         simulate(wrong_horizon, BS, QUAD, 0.0, 0.1, 100.0, 1.0, 10, 10, seed=0)
+
+
+@pytest.mark.parametrize("name, value", [("seed", True), ("n_steps", 10.0), ("n_paths", True)])
+def test_sizes_and_seed_must_be_integers(name, value):
+    # a bool is an int to Python: seed=True would silently run as seed 1
+    strat, _ = twap_strategy()
+    args = {"n_paths": 10, "n_steps": 10, "seed": 0, name: value}
+    run = (BS, QUAD, 0.0, 0.1, 100.0, 1.0, args["n_paths"], args["n_steps"])
+    with pytest.raises(ValueError, match=name):
+        simulate(strat, *run, seed=args["seed"])
+    with pytest.raises(ValueError, match=name):
+        compare_strategies([("a", strat), ("b", strat)], *run, seed=args["seed"])
+
+
+def test_numpy_integer_sizes_give_the_int_run():
+    named = _twap_and_feedback()
+    run = (BS, QUAD, 0.0, 0.1, 100.0, 1.0)
+    sizes = (np.int64(12), np.int64(30))
+    res = simulate(named[1][1], *run, *sizes, seed=np.int64(8), return_paths=True)
+    want = simulate(named[1][1], *run, 12, 30, seed=8, return_paths=True)
+    assert res.utilities.tobytes() == want.utilities.tobytes()
+    assert type(res.n_paths) is int and res.n_paths == 12
+    for key in ("S", "C", "X"):
+        assert res.paths[key].tobytes() == want.paths[key].tobytes()
+    assert compare_strategies(named, *run, *sizes, seed=np.int64(8)) == compare_strategies(
+        named, *run, 12, 30, seed=8
+    )
 
 
 def test_log_floor_may_be_infinite_but_not_nan():
