@@ -330,8 +330,6 @@ def _twap(cfg: RunConfig):
 
 
 def _mixed_power(cfg: RunConfig):
-    if not isinstance(cfg.model, MixedPowerImpact):
-        raise ConfigError("mixed-power needs [impact] family = mixed_power")
     p = cfg.problem
     sol = mixed_power_solution(p.c0, p.x0, p.s0, cfg.model, cfg.market.decay, p.horizon)
     summary = {
@@ -349,17 +347,12 @@ def _mixed_power(cfg: RunConfig):
 
 
 def _levy_nu(cfg: RunConfig):
-    if not isinstance(cfg.model, LevyEffectiveImpact):
-        raise ConfigError("levy-nu needs [impact] family = levy_effective")
-    m = cfg.model
-    rate = twap_rate(m, cfg.market.decay)
-    residual = m.excess_impact(rate) - cfg.market.decay
+    rate = twap_rate(cfg.model, cfg.market.decay)
+    residual = cfg.model.excess_impact(rate) - cfg.market.decay  # the excess twap_rate solves
     return {"rate": rate, "residual": residual, "decay": cfg.market.decay}, {}
 
 
 def _extreme_compare(cfg: RunConfig):
-    if not isinstance(cfg.model, ShiftedConvexImpact):
-        raise ConfigError("extreme-compare needs [impact] family = shifted_convex")
     p = cfg.problem
     comp = extreme_comparison(cfg.model, p.x0, p.s0, cfg.market.decay, p.horizon)
     summary = {
@@ -426,7 +419,9 @@ def _simulate(cfg: RunConfig):
 
 def _compare(cfg: RunConfig):
     p, sim = cfg.problem, cfg.sim
-    named = [(name, _build_strategy(name, cfg)) for name in cfg.compare.strategies]
+    # every other spec is built, and so checked, before a feedback spec's HJB solve
+    named = [(s, None if s == "feedback" else _build_strategy(s, cfg)) for s in cfg.compare.strategies]
+    named = [(s, _build_strategy(s, cfg) if built is None else built) for s, built in named]
     comp = compare_strategies(
         named,
         cfg.market,
@@ -488,17 +483,17 @@ def _impact_plot(cfg: RunConfig):
 
 _PROBLEM = ("impact", "market", "problem")
 
-# subcommand -> (handler, sections it requires)
+# subcommand -> (handler, sections it requires, impact family it requires or None)
 _HANDLERS = {
-    "twap": (_twap, _PROBLEM),
-    "mixed-power": (_mixed_power, _PROBLEM),
-    "levy-nu": (_levy_nu, ("impact", "market")),
-    "extreme-compare": (_extreme_compare, _PROBLEM),
-    "solve-hjb": (_solve_hjb, _PROBLEM),
-    "simulate": (_simulate, _PROBLEM),
-    "compare": (_compare, _PROBLEM),
-    "hamiltonian-check": (_hamiltonian_check, ("impact",)),
-    "impact-plot": (_impact_plot, ("impact",)),
+    "twap": (_twap, _PROBLEM, None),
+    "mixed-power": (_mixed_power, _PROBLEM, MixedPowerImpact),
+    "levy-nu": (_levy_nu, ("impact", "market"), LevyEffectiveImpact),
+    "extreme-compare": (_extreme_compare, _PROBLEM, ShiftedConvexImpact),
+    "solve-hjb": (_solve_hjb, _PROBLEM, None),
+    "simulate": (_simulate, _PROBLEM, None),
+    "compare": (_compare, _PROBLEM, None),
+    "hamiltonian-check": (_hamiltonian_check, ("impact",), None),
+    "impact-plot": (_impact_plot, ("impact",), None),
 }
 
 
@@ -508,8 +503,10 @@ def _run(name: str, mapping: dict, overrides, output) -> int:
     if not mapping:
         raise ConfigError("no configuration given; pass --config FILE or --set section.key=value")
     cfg = build_run_config(mapping)
-    handler, sections = _HANDLERS[name]
+    handler, sections, family = _HANDLERS[name]
     cfg.require(*sections)
+    if family is not None and not isinstance(cfg.model, family):
+        raise ConfigError(f"{name} needs [impact] family = {family.family}")
     summary, tables = handler(cfg)
     out_dir = output or os.environ.get(OUTPUT_ENV_VAR) or cfg.output.directory
     _write_artifacts(name, cfg, out_dir, summary, tables)

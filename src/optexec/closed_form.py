@@ -96,8 +96,8 @@ class Schedule:
         edges = np.linspace(0.0, self.horizon, n, endpoint=False)
         return edges, self.rates(edges)
 
-    def check_admissible(self, x0: float, n_probe: int = 257) -> None:
-        _, r = self.sample(n_probe)
+    def check_admissible(self, x0: float) -> None:
+        _, r = self.sample(257)
         if np.any(r < 0.0):
             raise ValueError("schedule emits a negative selling rate")
         if self.total > x0 * (1.0 + 1e-12) + 1e-300:
@@ -139,15 +139,12 @@ def twap_rate(model: ImpactModel, decay: float) -> float:
         # at inf or NaN under errstate instead of raising ZeroDivisionError
         return fn(np.array([x]))[0]
 
-    def excess(x):
-        return x * hook(model._h, x) - hook(model._g, x)
-
     target = float(decay)
     tol = 1e-12 * (1.0 + target)
     x = lo = np.float64(model.threshold)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         hi = lo + max(1.0, np.spacing(lo))
-        while (f_hi := excess(hi)) < target:
+        while (f_hi := hook(model._excess, hi)) < target:
             hi = lo + 8.0 * (hi - lo)
             if not np.isfinite(hi):
                 raise NumericalFailure("TWAP rate target beyond float range")
@@ -157,7 +154,7 @@ def twap_rate(model: ImpactModel, decay: float) -> float:
             x = hi
         e_lo, e_hi = math.inf, f_hi - target  # the first iteration evaluates x = lo
         while True:
-            err = excess(x) - target
+            err = hook(model._excess, x) - target
             if abs(err) <= tol:
                 return float(x)
             if err < 0.0:
@@ -170,6 +167,15 @@ def twap_rate(model: ImpactModel, decay: float) -> float:
                 return float(lo if abs(e_lo) < abs(e_hi) else hi)
             step = x - err / (x * hook(model._dh, x))
             x = step if lo < step < hi else 0.5 * (lo + hi)
+
+
+def _check_problem(**named) -> None:
+    """The closed forms' input check: every argument finite (in order), a positive decay if given, then the ranges."""
+    require_finite(**named)
+    if "decay" in named and not named["decay"] > 0.0:
+        raise ValueError("needs a positive decay rate")
+    if named["x0"] < 0.0 or named["s0"] < 0.0 or named["horizon"] <= 0.0:
+        raise ValueError("need x0 >= 0, s0 >= 0 and a positive horizon")
 
 
 @dataclass(frozen=True)
@@ -188,9 +194,7 @@ def twap_solution(
     Valid under x0 <= rate * horizon; outside that the constant-rate result
     does not apply and the caller is pointed at the HJB solver.
     """
-    require_finite(c0=c0, x0=x0, s0=s0, horizon=horizon)
-    if x0 < 0.0 or s0 < 0.0 or horizon <= 0.0:
-        raise ValueError("need x0 >= 0, s0 >= 0 and a positive horizon")
+    _check_problem(c0=c0, x0=x0, s0=s0, horizon=horizon)
     rate = twap_rate(model, decay)
     if x0 > rate * horizon:
         raise HypothesisViolation(
@@ -283,11 +287,7 @@ def mixed_power_solution(
     """
     if not isinstance(model, MixedPowerImpact):
         raise ValueError("mixed_power_solution needs a mixed-power impact model")
-    require_finite(c0=c0, x0=x0, s0=s0, decay=decay, horizon=horizon)
-    if decay <= 0.0:
-        raise ValueError("needs a positive decay rate")
-    if x0 < 0.0 or s0 < 0.0 or horizon <= 0.0:
-        raise ValueError("need x0 >= 0, s0 >= 0 and a positive horizon")
+    _check_problem(c0=c0, x0=x0, s0=s0, decay=decay, horizon=horizon)
 
     p = model.p_convex
     load = decay + model.gamma
@@ -346,18 +346,14 @@ def extreme_comparison(
     """Optimal constant-rate proceeds vs selling exactly at the free threshold.
 
     For the shifted-convex family the threshold strategy pays no impact at
-    all, yet the optimal rate is strictly faster and earns strictly more:
-    decay = excess_impact(rate) > threshold * h(rate), so h(rate) <
-    decay / threshold and the proceeds factor is evaluated at a smaller
-    argument.  Both strategies must fit the horizon.
+    all, yet the optimal rate is strictly faster and, for x0 > 0, earns
+    strictly more: decay = excess_impact(rate) > threshold * h(rate), so
+    h(rate) < decay / threshold and the proceeds factor is evaluated at a
+    smaller argument.  Both must fit the horizon; at x0 = 0 both earn 0.0.
     """
     if not isinstance(model, ShiftedConvexImpact):
         raise ValueError("extreme_comparison needs a shifted-convex impact model")
-    require_finite(x0=x0, s0=s0, decay=decay, horizon=horizon)
-    if decay <= 0.0:
-        raise ValueError("needs a positive decay rate")
-    if x0 < 0.0 or s0 < 0.0 or horizon <= 0.0:
-        raise ValueError("need x0 >= 0, s0 >= 0 and a positive horizon")
+    _check_problem(x0=x0, s0=s0, decay=decay, horizon=horizon)
     rate = twap_rate(model, decay)
     if x0 > rate * horizon or x0 > model.threshold * horizon:
         raise HypothesisViolation(
@@ -366,7 +362,7 @@ def extreme_comparison(
         )
     c_opt = s0 * proceeds_factor(model.h(rate), x0)
     c_thr = s0 * proceeds_factor(decay / model.threshold, x0)
-    if not c_opt > c_thr:
+    if x0 > 0.0 and not c_opt > c_thr:  # at x0 = 0 neither strategy sells: both earn exactly 0
         raise NumericalFailure("optimal proceeds failed to dominate the threshold strategy")
     return ExtremeComparison(optimal_value=c_opt, threshold_value=c_thr, rate=rate)
 

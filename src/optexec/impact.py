@@ -78,7 +78,7 @@ class ImpactModel:
         """
         arr = self._rate_array(x, allow_zero=False)
         with np.errstate(over="ignore"):
-            return _match(x, arr * self._h(arr) - self._g(arr))
+            return _match(x, self._excess(arr))
 
     @cached_property
     def marginal_floor(self) -> float:
@@ -113,6 +113,10 @@ class ImpactModel:
 
     def _h_inverse(self, ybar: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def _excess(self, x: np.ndarray) -> np.ndarray:
+        """x*h(x) - g(x), the TWAP equation's left side, from the `_h` and `_g` hooks."""
+        return x * self._h(x) - self._g(x)
 
     # -- plumbing ---------------------------------------------------------------
 

@@ -627,6 +627,51 @@ def test_off_grid_feedback_exits_2(bench_config, tmp_path, capsys, monkeypatch, 
     assert (err["error"], err["message"]) == ("config_error", "x = 0.1 outside the solved grid [0, 0.05]")
 
 
+@pytest.mark.parametrize(
+    "shifted, specs, code, message",
+    [
+        (False, "feedback,bogus", 2, "unknown strategy spec 'bogus'"),
+        (False, "feedback,rate:abc", 2, "strategy spec 'rate:abc': the rate must be a finite non-negative number"),
+        (False, "feedback,threshold", 2, "threshold strategy needs a model with a positive threshold"),
+        (True, "feedback,threshold", 3, "threshold strategy cannot finish: x0 > threshold * horizon"),
+    ],
+    ids=["bogus", "rate-abc", "threshold-on-quadratic", "threshold-too-slow"],
+)
+def test_compare_checks_every_spec_before_the_solve(bench_config, tmp_path, capsys, monkeypatch, shifted, specs, code, message):
+    # a bad spec listed after feedback fails with its own exit code and message,
+    # without the HJB solve the feedback spec needs
+    solves = []
+    monkeypatch.setattr(cli, "solve_reduced_hjb", lambda *a, **k: solves.append(a))
+    config = tmp_path / "shifted.ini"
+    config.write_text(BENCH_INI.replace(_QUADRATIC, _RERUN_CASES["extreme-compare"][0]))
+    args = ["compare", "--config", str(config) if shifted else bench_config, "--output", str(tmp_path / "run")]
+    assert main(args + _sets("problem.x0=1.5" if shifted else "problem.x0=0.1", f"compare.strategies={specs}")) == code
+    assert solves == []
+    assert json.loads(capsys.readouterr().err)["message"] == message
+
+
+def test_compare_with_feedback_first_solves_once_and_keeps_the_order(bench_config, tmp_path, monkeypatch):
+    solves = []
+    solve = cli.solve_reduced_hjb
+    monkeypatch.setattr(cli, "solve_reduced_hjb", lambda *a, **k: solves.append(a) or solve(*a, **k))
+    out = tmp_path / "run"
+    args = ["compare", "--config", bench_config, "--output", str(out)]
+    assert main(args + _sets(*_SMALL_SIM, "compare.strategies=feedback,twap")) == 0
+    assert len(solves) == 1
+    assert _summary(out)["strategies"] == ["feedback", "twap"]
+    assert (out / "comparison.csv").read_text().splitlines()[1].startswith("feedback,")
+
+
+def test_extreme_compare_at_zero_inventory(tmp_path):
+    # both strategies earn exactly 0: a zero margin, not a failed dominance check
+    config = tmp_path / "shifted.ini"
+    config.write_text(BENCH_INI.replace(_QUADRATIC, _RERUN_CASES["extreme-compare"][0]))
+    out = tmp_path / "run"
+    assert main(["extreme-compare", "--config", str(config), "--output", str(out), *_sets("problem.x0=0")]) == 0
+    doc = _summary(out)
+    assert (doc["optimal_value"], doc["threshold_value"], doc["margin"]) == (0.0, 0.0, 0.0)
+
+
 def test_missing_impact_parameter_is_a_config_error(tmp_path, capsys):
     path = tmp_path / "no_alpha0.ini"
     path.write_text(BENCH_INI.replace("alpha0 = 1.0\n", ""))

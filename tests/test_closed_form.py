@@ -346,6 +346,12 @@ class TestExtremeComparison:
             100.0 * proceeds_factor(0.05 / 1.0, 0.5), rel=1e-12
         )
 
+    def test_zero_inventory_earns_zero_for_both(self):
+        # both proceeds are exactly 0, so the strict dominance check does not apply
+        comp = extreme_comparison(SHIFTED, 0.0, 100.0, 0.05, 1.0)
+        assert (comp.optimal_value, comp.threshold_value) == (0.0, 0.0)
+        assert comp.rate == extreme_comparison(SHIFTED, 0.5, 100.0, 0.05, 1.0).rate
+
     def test_guards(self):
         with pytest.raises(ValueError):
             extreme_comparison(QUAD, 0.5, 100.0, 0.05, 1.0)

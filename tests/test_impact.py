@@ -407,6 +407,18 @@ def test_twap_rate_raises_on_a_nan_excess_inside_the_bracket():
         twap_rate(_NaNInside(), 1.0)
 
 
+def test_twap_rate_raises_when_the_bracket_leaves_the_float_range():
+    # power 1.0001: the excess is about 1e-4 * x**1.0001, below 1e305 at every float x
+    with pytest.raises(NumericalFailure, match="beyond float range"):
+        twap_rate(ShiftedConvexImpact(1.0001, 1.0), 1e305)
+
+
+def test_levy_h_inverse_raises_at_an_infinite_marginal():
+    # at ybar = inf the cubic's scaled coefficients are NaN (inf/inf), so no root meets the tolerance
+    with pytest.raises(NumericalFailure, match="float range"):
+        LevyEffectiveImpact(1.0, 1.0, 2.0, 2.0).h_inverse(math.inf)
+
+
 def test_h_inverse_evaluation_count():
     # the closed form evaluates h once per call, for its tolerance check, and
     # h' never; this pins the per-call cost
